@@ -9,7 +9,7 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, Graph, Parameter, backward, grad_check
-from .composer import LstmParameters, NodeState, encode_tree, lstm_cell
+from .composer import LstmParameters, NodeState, dropout, encode_tree, lstm_cell
 from .data import ExamplePair, generate_toy, load_snli
 from .embeddings import (
     EmbeddingTable,
@@ -30,7 +30,6 @@ from .entailment import (
 from .trainer import (
     TrainConfig,
     adam_step,
-    dropout,
     evaluate,
     init_parameters,
     load_checkpoint,

@@ -115,9 +115,7 @@ class Node:
 class Graph:
     """Append-only operation tape for a single example.
 
-    Graphs are built, differentiated, and discarded per example; nothing
-    here is thread-safe and nothing needs to be, because concurrent
-    examples each own a private graph.
+    Graphs are built, differentiated, and discarded per example.
     """
 
     def __init__(self, dtype=np.float64, check_finite=True):

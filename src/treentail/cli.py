@@ -23,7 +23,6 @@ from .inspection import build_record, format_record, write_pgm
 from .trainer import (
     CheckpointError,
     EmptyDataset,
-    THREADS_ENV,
     TrainConfig,
     evaluate,
     full_model_grad_check,
@@ -85,7 +84,8 @@ def build_parser():
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--deterministic", action="store_true",
-                   help="force single-worker evaluation during training")
+                   help="accepted for compatibility; no effect, "
+                        "evaluation is always serial")
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 
@@ -141,8 +141,6 @@ def _config_from_args(args):
 
 def cmd_train(args):
     config = _config_from_args(args)
-    if args.deterministic:
-        os.environ[THREADS_ENV] = "1"
 
     train_pairs, train_skipped = load_snli(args.data)
     if args.dev:

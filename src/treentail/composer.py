@@ -20,7 +20,6 @@ import numpy as np
 
 from .autodiff import AffineMap, ShapeMismatch, sigmoid
 from .embeddings import embedding_node
-from .trees import post_order
 
 
 @dataclass
@@ -117,35 +116,57 @@ def lstm_cell(graph, params, x, left, right):
     )
 
 
-def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
-    """Encode every node of ``tree``; returns a NodeState per node id.
-
-    When ``dropout_rate`` is positive an independent inverted-dropout
-    mask is drawn per leaf and applied to its word vector before
-    composition; pass ``rng=None`` (the default) for evaluation.
+def dropout(graph, x, rate, rng=None):
+    """Inverted dropout on a column node: each entry is zeroed with
+    probability ``rate`` and survivors are scaled by 1/(1 - rate), so the
+    expectation is unchanged.  Evaluation passes ``rng=None``, which
+    like ``rate == 0`` returns ``x`` itself and draws nothing.
     """
-    d, k = params.d_in, params.k_out
-    if table.dim != d:
-        raise ShapeMismatch(f"embedding width {table.dim} vs cell input {d}")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError("dropout rate must lie in [0, 1)")
+    if rate == 0.0 or rng is None:
+        return x
+    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    return graph.hadamard(x, graph.constant(mask, op="dropout_mask"))
 
-    zero_x = graph.constant(np.zeros((d, 1)), op="zero_input")
-    zero_state = NodeState(
+
+def walk_tree(graph, tree, params, input_at):
+    """Run the cell bottom-up over ``tree``; returns a NodeState per node id.
+
+    ``input_at(i)`` gives node ``i``'s input column.  Leaves start from
+    zero child states.  BinaryTree guarantees children-before-parent
+    ids, so a straight id sweep computes both children before their
+    parent.
+    """
+    k = params.k_out
+    zero = NodeState(
         h=graph.constant(np.zeros((k, 1)), op="zero_h"),
         c=graph.constant(np.zeros((k, 1)), op="zero_c"),
     )
-
-    states = [None] * tree.node_count
-    for i in post_order(tree):
-        if tree.is_leaf(i):
-            x = embedding_node(graph, vocab, table, tree.tokens[i])
-            if dropout_rate > 0.0 and rng is not None:
-                keep = rng.random((d, 1)) >= dropout_rate
-                mask = keep / (1.0 - dropout_rate)
-                x = graph.hadamard(x, graph.constant(mask, op="dropout_mask"))
-            states[i] = lstm_cell(graph, params, x, zero_state, zero_state)
-        else:
-            states[i] = lstm_cell(
-                graph, params, zero_x,
-                states[tree.lefts[i]], states[tree.rights[i]],
-            )
+    states = []
+    for i in range(tree.node_count):
+        left = right = zero
+        if not tree.is_leaf(i):
+            left, right = states[tree.lefts[i]], states[tree.rights[i]]
+        states.append(lstm_cell(graph, params, input_at(i), left, right))
     return states
+
+
+def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
+    """Encode every node of ``tree``; returns a NodeState per node id.
+
+    Leaves feed their word vector, with an independent dropout mask per
+    leaf when ``rng`` is given; internal nodes feed a zero input.
+    """
+    d = params.d_in
+    if table.dim != d:
+        raise ShapeMismatch(f"embedding width {table.dim} vs cell input {d}")
+    zero_x = graph.constant(np.zeros((d, 1)), op="zero_input")
+
+    def input_at(i):
+        if not tree.is_leaf(i):
+            return zero_x
+        x = embedding_node(graph, vocab, table, tree.tokens[i])
+        return dropout(graph, x, dropout_rate, rng)
+
+    return walk_tree(graph, tree, params, input_at)

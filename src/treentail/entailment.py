@@ -25,9 +25,8 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, Graph, ShapeMismatch, sigmoid
-from .composer import LstmParameters, NodeState, encode_tree, lstm_cell
+from .composer import LstmParameters, encode_tree, walk_tree
 from .embeddings import lookup
-from .trees import post_order
 
 # Fixed label order; ties at prediction break toward the earlier label.
 LABELS = ("contradiction", "neutral", "entailment")
@@ -69,25 +68,10 @@ def compose_relations(graph, hypothesis, hyp_vectors, contexts, params):
     input; leaves start from zero child states.  Returns one NodeState
     per node id (the relation vector is the ``h`` field).
     """
-    r = params.k_out
     if params.d_in != 2 * hyp_vectors[0].shape[0]:
         raise ShapeMismatch("relation block input must be twice the node width")
-
-    zero_state = NodeState(
-        h=graph.constant(np.zeros((r, 1)), op="zero_rel_h"),
-        c=graph.constant(np.zeros((r, 1)), op="zero_rel_c"),
-    )
-    states = [None] * hypothesis.node_count
-    for i in post_order(hypothesis):
-        x = graph.concat([hyp_vectors[i], contexts[i]])
-        if hypothesis.is_leaf(i):
-            states[i] = lstm_cell(graph, params, x, zero_state, zero_state)
-        else:
-            states[i] = lstm_cell(
-                graph, params, x,
-                states[hypothesis.lefts[i]], states[hypothesis.rights[i]],
-            )
-    return states
+    return walk_tree(graph, hypothesis, params,
+                     lambda i: graph.concat([hyp_vectors[i], contexts[i]]))
 
 
 def classify(graph, relation_vector, classifier):

@@ -9,14 +9,20 @@ streams, so a rerun with the same configuration is bit-identical.
 from __future__ import annotations
 
 import json
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .autodiff import AffineMap, Graph, Parameter, ShapeMismatch, backward, grad_check
+from .autodiff import (
+    AffineMap,
+    Graph,
+    NonFiniteValue,
+    Parameter,
+    ShapeMismatch,
+    backward,
+    grad_check,
+)
 from .composer import LstmParameters
 from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_oov
 from .entailment import (
@@ -29,7 +35,6 @@ from .entailment import (
 )
 
 INIT_SCALE = 0.05
-THREADS_ENV = "TREENTAIL_THREADS"
 
 
 class EmptyDataset(ValueError):
@@ -76,14 +81,6 @@ class TrainConfig:
         return np.float64 if self.precision == "double" else np.float32
 
 
-def worker_count():
-    """Worker cap for parallel evaluation, from the environment."""
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def _uniform_affine(name, out_dim, in_dim, rng, dtype):
     w = rng.uniform(-INIT_SCALE, INIT_SCALE, (out_dim, in_dim))
     b = rng.uniform(-INIT_SCALE, INIT_SCALE, (out_dim, 1))
@@ -105,23 +102,6 @@ def init_parameters(config, rng):
         reverse = _uniform_affine("reverse_scorer", 1, 2 * k, rng, dt)
     classifier = _uniform_affine("classifier", 3, r, rng, dt)
     return ModelParameters(meaning, relation, scorer, classifier, reverse)
-
-
-def dropout(v, rate, mode, rng=None):
-    """Inverted dropout on a plain array.
-
-    Train mode zeroes each entry with probability ``rate`` and scales
-    survivors by 1/(1 - rate) so the expectation is unchanged; eval mode
-    is the identity.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError("rate must lie in [0, 1)")
-    if mode == "eval" or rate == 0.0:
-        return v
-    if mode != "train":
-        raise ValueError(f"unknown mode {mode!r}")
-    keep = rng.random(np.shape(v)) >= rate
-    return v * (keep / (1.0 - rate)).astype(np.asarray(v).dtype)
 
 
 @dataclass
@@ -226,16 +206,20 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
             for idx in chunk:
                 pair = dataset[idx]
                 graph = Graph(dtype)
-                run = run_forward(
-                    graph, pair.premise, pair.hypothesis, vocab, table, params,
-                    use_dual=config.use_dual,
-                    dropout_rate=config.dropout_rate, rng=mask_rng,
-                )
-                loss = loss_node(graph, run.distribution, pair.gold)
-                losses.append(float(loss.value[0, 0]))
-                for p, g in backward(graph, loss).items():
-                    prev = grad_sum.get(p)
-                    grad_sum[p] = g if prev is None else prev + g
+                try:
+                    run = run_forward(
+                        graph, pair.premise, pair.hypothesis, vocab, table, params,
+                        use_dual=config.use_dual,
+                        dropout_rate=config.dropout_rate, rng=mask_rng,
+                    )
+                    loss = loss_node(graph, run.distribution, pair.gold)
+                    losses.append(float(loss.value[0, 0]))
+                    for p, g in backward(graph, loss).items():
+                        prev = grad_sum.get(p)
+                        grad_sum[p] = g if prev is None else prev + g
+                except NonFiniteValue as exc:
+                    raise NonFiniteValue(
+                        f"epoch {epoch}, example {idx}: {exc}") from None
             scale = 1.0 / len(chunk)
             mean_grads = {p: g * scale for p, g in grad_sum.items()}
             adam_step(optimized, mean_grads, state, config)
@@ -256,28 +240,16 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
 def evaluate(dataset, params, config, vocab, table):
     """Accuracy and gold-by-predicted confusion counts, without dropout.
 
-    Examples are independent read-only forwards, so they may be spread
-    over TREENTAIL_THREADS workers; counts are order-free integers, so
-    the result does not depend on scheduling.
+    Pairs run one after another through the tape-free :func:`plain_forward`.
     """
     if not dataset:
         raise EmptyDataset("no examples to evaluate")
 
-    def judge(pair):
+    confusion = np.zeros((len(LABELS), len(LABELS)), dtype=int)
+    for pair in dataset:
         dist = plain_forward(pair.premise, pair.hypothesis, vocab, table, params,
                              use_dual=config.use_dual, dtype=config.dtype)
-        return LABELS[int(np.argmax(dist))]
-
-    workers = worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            labels = list(pool.map(judge, dataset))
-    else:
-        labels = [judge(pair) for pair in dataset]
-
-    confusion = np.zeros((len(LABELS), len(LABELS)), dtype=int)
-    for pair, label in zip(dataset, labels):
-        confusion[LABELS.index(pair.gold), LABELS.index(label)] += 1
+        confusion[LABELS.index(pair.gold), int(np.argmax(dist))] += 1
     accuracy = float(np.trace(confusion)) / len(dataset)
     return accuracy, confusion
 
@@ -365,6 +337,9 @@ def load_checkpoint(path):
         try:
             config = TrainConfig(**header["config"])
             vocab_info = header["vocabulary"]
+            tokens = list(vocab_info["tokens"])
+            counts = (vocab_info["frozen_count"], vocab_info["oov_count"])
+            unk = vocab_info["unk_index"]
             manifest = header["tensors"]
         except (KeyError, TypeError) as exc:
             raise CheckpointError(f"incomplete header: {exc}") from None
@@ -387,20 +362,26 @@ def load_checkpoint(path):
                 .reshape(rows, cols)
                 .astype(config.dtype)
             )
+        trailing = handle.read(1)
 
-    def affine(name):
+    def affine(name, rows, cols):
         try:
-            return AffineMap.from_arrays(name, arrays[name + ".weight"],
-                                         arrays[name + ".bias"])
+            weight, bias = arrays[name + ".weight"], arrays[name + ".bias"]
         except KeyError as exc:
             raise CheckpointError(f"missing tensor {exc}") from None
+        if weight.shape != (rows, cols) or bias.shape != (rows, 1):
+            raise CheckpointError(f"tensor {name} is {weight.shape}, the config "
+                                  f"widths need ({rows}, {cols})")
+        return AffineMap.from_arrays(name, weight, bias)
 
-    reverse = affine("reverse_scorer") if config.separate_reverse_scorer else None
+    k, r, d = config.k, config.r, config.d
+    reverse = (affine("reverse_scorer", 1, 2 * k)
+               if config.separate_reverse_scorer else None)
     params = ModelParameters(
-        meaning=LstmParameters(affine("meaning")),
-        relation=LstmParameters(affine("relation")),
-        scorer=affine("scorer"),
-        classifier=affine("classifier"),
+        meaning=LstmParameters(affine("meaning", 5 * k, d + 2 * k)),
+        relation=LstmParameters(affine("relation", 5 * r, 2 * k + 2 * r)),
+        scorer=affine("scorer", 1, 2 * k),
+        classifier=affine("classifier", 3, r),
         reverse_scorer=reverse,
     )
 
@@ -409,12 +390,25 @@ def load_checkpoint(path):
     table = EmbeddingTable(arrays["embeddings.frozen"])
     if "embeddings.oov" in arrays:
         table.trainable = Parameter("embeddings.oov", arrays["embeddings.oov"])
+    oov = arrays.get("embeddings.oov", np.zeros((0, d)))
+    if table.dim != d or oov.shape[1] != d:
+        raise CheckpointError(f"embedding rows are not d = {d} wide")
+    table_rows = (table.frozen.shape[0], oov.shape[0])
+    if counts != table_rows or len(tokens) != sum(table_rows):
+        raise CheckpointError(
+            f"vocabulary of {len(tokens)} tokens with {counts[0]} frozen and "
+            f"{counts[1]} trainable does not match the table's {table_rows[0]} "
+            f"frozen and {table_rows[1]} trainable rows")
+    if unk is not None and not (type(unk) is int and 0 <= unk < len(tokens)):
+        raise CheckpointError(f"unk_index {unk!r} is outside the vocabulary")
+    if trailing:
+        raise CheckpointError("trailing bytes after the last tensor")
     vocab = Vocabulary(
-        tokens=list(vocab_info["tokens"]),
-        index={t: i for i, t in enumerate(vocab_info["tokens"])},
-        frozen_count=vocab_info["frozen_count"],
-        oov_count=vocab_info["oov_count"],
-        unk_index=vocab_info["unk_index"],
+        tokens=tokens,
+        index={t: i for i, t in enumerate(tokens)},
+        frozen_count=counts[0],
+        oov_count=counts[1],
+        unk_index=unk,
     )
     return config, vocab, table, params
 

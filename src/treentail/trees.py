@@ -138,10 +138,10 @@ def serialize(tree):
 def post_order(tree):
     """Node ids in left-right-parent order, computed by explicit DFS.
 
-    Because parsing assigns post-order ids, the result is always
-    ``[0, 1, ..., node_count - 1]``; walking the structure instead of
-    returning ``range`` keeps this an independent check of that
-    invariant.
+    Because parsing assigns post-order ids, the result for a parsed tree
+    is always ``[0, 1, ..., node_count - 1]``; walking the structure
+    instead of returning ``range`` keeps this an independent check of
+    that invariant.
     """
     order = []
     stack = [(tree.root, False)]

@@ -5,6 +5,7 @@ see straight through, and a shared tiny checkpoint keeps it quick.
 """
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import pytest
 from treentail.cli import main
 from treentail.data import load_snli
 from treentail.inspection import read_pgm
-from treentail.trainer import load_checkpoint
+from treentail.trainer import MAGIC, load_checkpoint
 
 TRAIN_FLAGS = ["--k", "6", "--r", "5", "--d", "8", "--epochs", "2",
                "--batch-size", "8", "--dropout", "0.1", "--seed", "3",
@@ -117,6 +118,23 @@ class TestEval:
                      "--data", str(tmp_path / "no.jsonl")]) == 2
 
 
+def _extra_token(header):
+    header["vocabulary"]["tokens"].append("extra")
+
+
+def _miscounted_rows(header):
+    header["vocabulary"]["frozen_count"] += 1
+    header["vocabulary"]["oov_count"] -= 1
+
+
+def _unk_out_of_range(header):
+    header["vocabulary"]["unk_index"] = len(header["vocabulary"]["tokens"])
+
+
+def _wrong_width(header):
+    header["config"]["k"] += 1
+
+
 class TestPredict:
     def test_prints_label_and_distribution(self, workdir, capsys):
         assert main(["predict",
@@ -132,6 +150,32 @@ class TestPredict:
         assert main(["predict",
                      "--checkpoint", str(workdir / "run" / "checkpoint.tent"),
                      "( a ( b c )", "d"]) == 2
+
+    @pytest.mark.parametrize("edit, tail", [
+        (_extra_token, b""),
+        (_miscounted_rows, b""),
+        (_unk_out_of_range, b""),
+        (_wrong_width, b""),
+        (None, b"\x00"),
+    ], ids=["extra_token", "miscounted_rows", "unk_out_of_range",
+            "wrong_width", "trailing_bytes"])
+    def test_inconsistent_checkpoint_is_a_data_error(self, workdir, tmp_path,
+                                                     capsys, edit, tail):
+        data = (workdir / "run" / "checkpoint.tent").read_bytes()
+        start = len(MAGIC) + 4
+        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+        header = json.loads(data[start:start + header_len])
+        if edit is not None:
+            edit(header)
+        blob = json.dumps(header, sort_keys=True).encode()
+        bad = tmp_path / "bad.tent"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                        + data[start + header_len:] + tail)
+        assert main(["predict", "--checkpoint", str(bad),
+                     "( ( a dog ) ( is sleeping ) )",
+                     "( ( a animal ) ( is sleeping ) )"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestInspect:

@@ -14,7 +14,7 @@ import pytest
 from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, grad_check
 from treentail.composer import LstmParameters, encode_tree, lstm_cell
 from treentail.embeddings import empty_vocabulary, register_oov
-from treentail.trees import parse_tree
+from treentail.trees import BinaryTree, parse_tree, post_order
 
 
 def make_block(k, d, rng, scale=1.0):
@@ -182,6 +182,26 @@ class TestEncodeTree:
         # node ids: leaves a=0, b=1 and their parent 2 in both trees
         np.testing.assert_array_equal(s1[2].h.value, s2[2].h.value)
         np.testing.assert_array_equal(s1[2].c.value, s2[2].c.value)
+
+    def test_ids_out_of_dfs_order_encode_like_the_parsed_tree(self):
+        """Any child-before-parent numbering is a valid walk order: the
+        walker sweeps ids, not a DFS, and must still reach the same root
+        state bit for bit."""
+        d = k = 3
+        vocab, table = toy_vocab(d, ["a", "b", "c", "d"])
+        block = make_block(k, d, np.random.default_rng(5), scale=0.4)
+        shuffled = BinaryTree(tokens=("a", "b", "c", "d", None, None, None),
+                              lefts=(-1, -1, -1, -1, 0, 1, 4),
+                              rights=(-1, -1, -1, -1, 2, 3, 5))
+        parsed = parse_tree("( ( a c ) ( b d ) )")
+        assert post_order(shuffled) != list(range(shuffled.node_count))
+
+        got = encode_tree(Graph(), shuffled, vocab, table, block)
+        want = encode_tree(Graph(), parsed, vocab, table, block)
+        np.testing.assert_array_equal(got[shuffled.root].h.value,
+                                      want[parsed.root].h.value)
+        np.testing.assert_array_equal(got[shuffled.root].c.value,
+                                      want[parsed.root].c.value)
 
     def test_single_leaf_tree(self):
         d = k = 2

@@ -22,7 +22,7 @@ from treentail.entailment import (
     run_forward,
 )
 from treentail.trainer import full_model_grad_check
-from treentail.trees import parse_tree
+from treentail.trees import BinaryTree, parse_tree
 
 
 def affine(name, out_dim, in_dim, rng, scale=0.4):
@@ -216,6 +216,20 @@ class TestPlainTwin:
                 twin = plain_forward(prem, hyp, vocab, table, params,
                                      use_dual=use_dual)
                 np.testing.assert_array_equal(run.distribution.value[:, 0], twin)
+
+    def test_ids_out_of_dfs_order_match_the_twin(self):
+        """Node ids that are child-before-parent but not a DFS order."""
+        vocab, table, params = toy_model(3, 4, 5, 11)
+        tokens = ("the", "cat", "dog", "sat", None, None, None)
+        shuffled = BinaryTree(tokens=tokens,
+                              lefts=(-1, -1, -1, -1, 0, 1, 4),
+                              rights=(-1, -1, -1, -1, 2, 3, 5))
+        for use_dual in (False, True):
+            run = run_forward(Graph(), shuffled, shuffled, vocab, table, params,
+                              use_dual=use_dual)
+            twin = plain_forward(shuffled, shuffled, vocab, table, params,
+                                 use_dual=use_dual)
+            np.testing.assert_array_equal(run.distribution.value[:, 0], twin)
 
     def test_loss_matches_tape_loss(self):
         vocab, table, params = toy_model(3, 4, 5, 9)

@@ -6,7 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from treentail.autodiff import Graph, Parameter, ShapeMismatch, backward
+from treentail.autodiff import Graph, NonFiniteValue, Parameter, ShapeMismatch, backward
+from treentail.composer import dropout
 from treentail.data import generate_toy
 from treentail.embeddings import empty_vocabulary, load_pretrained, register_oov
 from treentail.entailment import loss_node, plain_loss, run_forward
@@ -16,7 +17,6 @@ from treentail.trainer import (
     EmptyDataset,
     TrainConfig,
     adam_step,
-    dropout,
     evaluate,
     init_optimizer,
     init_parameters,
@@ -24,7 +24,6 @@ from treentail.trainer import (
     parameter_count,
     save_checkpoint,
     train,
-    worker_count,
 )
 
 
@@ -120,30 +119,43 @@ class TestInitParameters:
 
 
 class TestDropout:
+    """The encoder's inverted dropout, which training applies to every
+    leaf vector with the trainer's mask stream."""
+
+    def drop(self, v, rate, rng):
+        g = Graph()
+        x = g.constant(v)
+        return x, dropout(g, x, rate, rng)
+
     def test_eval_mode_is_the_identity(self):
-        v = np.random.default_rng(0).standard_normal((4, 4))
-        assert dropout(v, 0.5, "eval") is v
-        assert dropout(v, 0.0, "train") is v
+        v = np.random.default_rng(0).standard_normal((4, 1))
+        x, out = self.drop(v, 0.5, None)
+        assert out is x
+        x, out = self.drop(v, 0.0, np.random.default_rng(0))
+        assert out is x
 
     def test_train_mode_zeroes_or_rescales(self):
-        rng = np.random.default_rng(1)
-        v = np.ones((100, 100))
-        out = dropout(v, 0.3, "train", rng)
-        values = np.unique(out)
-        np.testing.assert_allclose(values, [0.0, 1.0 / 0.7], atol=1e-15)
+        _, out = self.drop(np.ones((10_000, 1)), 0.3, np.random.default_rng(1))
+        values = np.unique(out.value)
+        np.testing.assert_array_equal(values, [0.0, 1.0 / (1.0 - 0.3)])
 
     def test_expectation_is_preserved(self):
-        rng = np.random.default_rng(2)
-        out = dropout(np.ones(100_000), 0.3, "train", rng)
+        _, out = self.drop(np.ones((100_000, 1)), 0.3, np.random.default_rng(2))
         # variance of one entry is 1/keep - 1, so four standard errors:
         bound = 4 * np.sqrt((1 / 0.7 - 1) / 100_000)
-        assert abs(out.mean() - 1.0) < bound
+        assert abs(out.value.mean() - 1.0) < bound
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(ValueError):
-            dropout(np.ones(3), 1.0, "train", np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            dropout(np.ones(3), 0.5, "test", np.random.default_rng(0))
+        for rate in (1.0, -0.1, 1.5):
+            with pytest.raises(ValueError):
+                self.drop(np.ones((3, 1)), rate, np.random.default_rng(0))
+
+    def test_mask_is_one_uniform_draw_per_entry(self):
+        d, rate = 7, 0.4
+        _, out = self.drop(np.ones((d, 1)), rate, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        np.testing.assert_array_equal(
+            out.value, (rng.random((d, 1)) >= rate) / (1 - rate))
 
 
 class TestAdam:
@@ -292,6 +304,24 @@ class TestTrain:
         np.testing.assert_array_equal(table.frozen, frozen_before)
         assert table.trainable is not None  # the rest went through OOV rows
 
+    def test_non_finite_value_names_epoch_and_example(self, tmp_path):
+        """Every token but one has a pretrained vector, so only the pair
+        holding that token reads the trainable rows; poisoning its row
+        must abort on that pair."""
+        config = small_config()
+        pairs = generate_toy(0, 6)
+        leaves = [set(p.premise.leaves() + p.hypothesis.leaves()) for p in pairs]
+        token, bad = next((t, i) for i, ts in enumerate(leaves) for t in sorted(ts)
+                          if sum(t in other for other in leaves) == 1)
+        known = sorted(set().union(*leaves) - {token})
+        path = tmp_path / "vectors.txt"
+        path.write_text("".join(f"{t} 0.1 0.2 -0.1 0.3 0.05\n" for t in known))
+        vocab, table = load_pretrained(path)
+        register_oov(vocab, table, [token], np.random.default_rng(0))
+        table.trainable.value[vocab.index[token] - vocab.frozen_count] = np.nan
+        with pytest.raises(NonFiniteValue, match=f"^epoch 0, example {bad}: "):
+            train(pairs, pairs, config, vocab=vocab, table=table)
+
     def test_empty_datasets_are_rejected(self):
         config = small_config()
         pairs = generate_toy(0, 3)
@@ -322,22 +352,6 @@ class TestEvaluate:
         accuracy, confusion = evaluate(pairs, params, config, vocab, table)
         assert confusion.sum() == len(pairs)
         assert accuracy == np.trace(confusion) / len(pairs)
-
-    def test_threaded_evaluation_matches_serial(self, monkeypatch):
-        config = small_config()
-        pairs, vocab, table, params = corpus_fixture(config, n=8)
-        serial = evaluate(pairs, params, config, vocab, table)
-        monkeypatch.setenv("TREENTAIL_THREADS", "4")
-        assert worker_count() == 4
-        threaded = evaluate(pairs, params, config, vocab, table)
-        assert serial[0] == threaded[0]
-        np.testing.assert_array_equal(serial[1], threaded[1])
-
-    def test_worker_count_ignores_junk(self, monkeypatch):
-        monkeypatch.setenv("TREENTAIL_THREADS", "many")
-        assert worker_count() == 1
-        monkeypatch.setenv("TREENTAIL_THREADS", "-2")
-        assert worker_count() == 1
 
     def test_empty_dataset_rejected(self):
         config = small_config()
