@@ -5,6 +5,15 @@ Values are two-dimensional numpy arrays; column vectors have shape
 tape of operations whose insertion order is already topological, so one
 reverse walk accumulates exact gradients into every parameter leaf.
 
+A backward rule may hand a parent its gradient in one of two factored
+forms instead of a dense array: :class:`OuterGrad` ``(u, v)`` for
+``u @ v.T`` and :class:`RowGrad` ``(i, g)`` for a zero matrix whose row
+``i`` is ``g.T``.  :func:`backward` collects them per receiving node and
+sums them once, just before it processes that node: all outer products
+in one GEMM, all rows in one scatter.  A weight shared by every node of
+a tree, or an embedding table read once per leaf, thus gets one dense
+gradient per graph instead of one per use.
+
 Every op checks its result for NaN/Inf and aborts the example by
 raising :class:`NonFiniteValue` naming the op, which turns silent
 numeric corruption into a loud diagnostic.
@@ -13,6 +22,7 @@ numeric corruption into a loud diagnostic.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +50,51 @@ def sigmoid(x):
     out += 1.0
     out *= 0.5
     return out
+
+
+class OuterGrad(NamedTuple):
+    """Factored gradient ``u @ v.T`` of a matrix, from columns ``u``, ``v``."""
+
+    u: np.ndarray
+    v: np.ndarray
+
+
+class RowGrad(NamedTuple):
+    """Factored gradient of a matrix: zero except row ``i``, which is
+    ``g.T`` for the column ``g``."""
+
+    i: int
+    g: np.ndarray
+
+
+class _Factored:
+    """The factored gradient parts one node has received so far."""
+
+    __slots__ = ("us", "vs", "rows", "row_grads")
+
+    def __init__(self):
+        self.us, self.vs, self.rows, self.row_grads = [], [], [], []
+
+    def add(self, part):
+        if type(part) is OuterGrad:
+            self.us.append(part.u)
+            self.vs.append(part.v)
+        else:
+            self.rows.append(part.i)
+            self.row_grads.append(part.g)
+
+    def materialize(self, shape, dtype, dense):
+        """One dense array: the outer products as one GEMM, then the rows
+        in one scatter (in arrival order), then ``dense`` if not None."""
+        if self.us:
+            out = (np.hstack(self.us) @ np.hstack(self.vs).T).astype(dtype, copy=False)
+        else:
+            out = np.zeros(shape, dtype=dtype)
+        if self.rows:
+            np.add.at(out, self.rows, np.hstack(self.row_grads).T)
+        if dense is not None:
+            out += dense
+        return out
 
 
 class Parameter:
@@ -129,8 +184,10 @@ class Graph:
     def record(self, value, parents=(), vjp=None, op="const", param=None):
         """Append one op result.  The extension point for fused ops.
 
-        ``vjp`` maps the output gradient to a tuple of parent gradients
-        (``None`` entries are skipped).
+        ``vjp`` maps the output gradient to a tuple of parent gradients,
+        one per parent: a dense array, an :class:`OuterGrad`, a
+        :class:`RowGrad` or ``None`` (skipped).  Dense arrays may be
+        views of the incoming gradient.
         """
         value = np.asarray(value, dtype=self.dtype)
         if value.ndim != 2:
@@ -228,12 +285,8 @@ class Graph:
         if not 0 <= i < a.shape[0]:
             raise ShapeMismatch(f"take_row {i} of {a.shape}")
 
-        def vjp(g):
-            out = np.zeros_like(a.value)
-            out[i, :] = g[:, 0]
-            return (out,)
-
-        return self.record(a.value[i:i + 1, :].T, (a,), vjp, "take_row")
+        return self.record(a.value[i:i + 1, :].T, (a,), lambda g: (RowGrad(i, g),),
+                           "take_row")
 
     def take_col(self, a, j):
         if not 0 <= j < a.shape[1]:
@@ -377,17 +430,26 @@ def backward(graph, loss):
 
     The loss must be a (1, 1) scalar node.  Insertion order is the
     topological order, so a single reverse pass with accumulation is
-    exact; accumulation never mutates arrays in place because vjps may
-    return views of the incoming gradient.
+    exact.  Dense parent gradients are summed as they arrive, never in
+    place, because vjps may return views of the incoming gradient.
+    Factored ones (:class:`OuterGrad`, :class:`RowGrad`) are kept until
+    the walk reaches the receiving node, which then gets one dense array
+    in the graph's dtype: the outer products' GEMM, plus the rows'
+    scatter, plus the dense sum.  Every returned gradient is a dense
+    ndarray.
     """
     if loss.value.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
     grads = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones((1, 1), dtype=graph.dtype)
+    factored = {}
 
     param_grads = {}
     for node in reversed(graph.nodes):
         g = grads[node.idx]
+        parts = factored.pop(node.idx, None)
+        if parts is not None:
+            g = parts.materialize(node.shape, graph.dtype, g)
         if g is None:
             continue
         if node.param is not None:
@@ -396,6 +458,9 @@ def backward(graph, loss):
         if node.vjp is not None:
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
+                    continue
+                if isinstance(pg, (OuterGrad, RowGrad)):
+                    factored.setdefault(parent.idx, _Factored()).add(pg)
                     continue
                 cur = grads[parent.idx]
                 grads[parent.idx] = pg if cur is None else cur + pg

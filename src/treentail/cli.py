@@ -16,7 +16,13 @@ from dataclasses import replace
 import numpy as np
 
 from .data import ExamplePair, MalformedRecord, generate_toy, load_snli
-from .embeddings import CalledTwice, EmbeddingFileError, load_pretrained, register_oov
+from .embeddings import (
+    CalledTwice,
+    EmbeddingFileError,
+    UnknownToken,
+    load_pretrained,
+    register_oov,
+)
 from .autodiff import NonFiniteValue
 from .entailment import LABELS, predict
 from .inspection import build_record, format_record, write_pgm
@@ -46,6 +52,7 @@ _DATA_ERRORS = (
     EmptyDataset,
     CheckpointError,
     CalledTwice,
+    UnknownToken,
     OSError,
 )
 

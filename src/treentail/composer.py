@@ -8,8 +8,10 @@ states.  The memory vector ``c`` stays private to the cell: consumers
 of the tree only ever read ``h``.
 
 The whole cell is recorded as one fused tape op with a hand-written
-backward rule, which keeps per-example graphs small.  The backward rule
-is exercised directly by the finite-difference suite.
+backward rule, which keeps per-example graphs small.  The rule returns
+the gate-block weight's gradient factored (:class:`OuterGrad`), so
+``backward`` forms it with one GEMM over every cell of the graph.  The
+backward rule is exercised directly by the finite-difference suite.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import AffineMap, ShapeMismatch, sigmoid
+from .autodiff import AffineMap, OuterGrad, ShapeMismatch, sigmoid
 from .embeddings import embedding_node
 
 
@@ -95,7 +97,7 @@ def lstm_cell(graph, params, x, left, right):
         ))
         ginp = wv.T @ gz
         return (
-            gz @ inp.T,               # gate block weight
+            OuterGrad(gz, inp),       # gate block weight
             gz,                       # gate block bias
             ginp[:din],               # x
             ginp[din:din + k],        # left h

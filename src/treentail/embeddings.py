@@ -40,6 +40,13 @@ class UnreadableFloat(EmbeddingFileError):
     pass
 
 
+class UnknownToken(KeyError):
+    """A token with no row of its own and no fallback row registered."""
+
+    def __str__(self):
+        return str(self.args[0])
+
+
 class CalledTwice(RuntimeError):
     pass
 
@@ -164,7 +171,7 @@ def resolve(vocab, token):
     if idx is None:
         idx = vocab.unk_index
     if idx is None:
-        raise KeyError(f"token {token!r} unknown and no fallback row registered")
+        raise UnknownToken(f"token {token!r} unknown and no fallback row registered")
     return idx
 
 

@@ -106,11 +106,16 @@ def init_parameters(config, rng):
 
 @dataclass
 class OptimizerState:
-    """First and second moment estimates per parameter, plus step count."""
+    """First and second moment estimates per parameter, plus step count.
+
+    ``scratch`` holds two flat work buffers per dtype, as long as the
+    largest parameter, which every :func:`adam_step` reuses.
+    """
 
     first: dict = field(default_factory=dict)
     second: dict = field(default_factory=dict)
     step: int = 0
+    scratch: dict = field(default_factory=dict)
 
 
 def init_optimizer(params):
@@ -118,6 +123,10 @@ def init_optimizer(params):
     for p in params:
         state.first[p] = np.zeros_like(p.value)
         state.second[p] = np.zeros_like(p.value)
+        bufs = state.scratch.get(p.value.dtype)
+        if bufs is None or bufs[0].size < p.value.size:
+            state.scratch[p.value.dtype] = tuple(
+                np.empty(p.value.size, p.value.dtype) for _ in range(2))
     return state
 
 
@@ -125,7 +134,15 @@ def adam_step(params, grads, state, config):
     """One bias-corrected Adam update, in place.
 
     Parameters absent from ``grads`` are treated as zero-gradient; from
-    a fresh state that makes the step the identity on them.
+    a fresh state that makes the step the identity on them.  The moments
+    and the update are computed into preallocated buffers, one IEEE
+    operation at a time in the order of the textbook expression
+
+        m = b1 * m + (1 - b1) * g
+        v = b2 * v + (1 - b2) * (g * g)
+        p -= lr * (m / c1) / (sqrt(v / c2) + eps)
+
+    so the result is bit-identical to evaluating it with temporaries.
     """
     state.step += 1
     b1, b2 = config.beta1, config.beta2
@@ -138,10 +155,22 @@ def adam_step(params, grads, state, config):
             raise ShapeMismatch(f"gradient shape {g.shape} for {p.name}")
         if g is None:
             g = 0.0
-        m = state.first[p] = b1 * state.first[p] + (1.0 - b1) * g
-        v = state.second[p] = b2 * state.second[p] + (1.0 - b2) * (g * g)
-        update = lr * (m / c1) / (np.sqrt(v / c2) + eps)
-        p.value -= update.astype(p.value.dtype, copy=False)
+        m, v = state.first[p], state.second[p]
+        a, b = (buf[:m.size].reshape(m.shape) for buf in state.scratch[m.dtype])
+        np.multiply(b1, m, out=m)
+        np.multiply(1.0 - b1, g, out=a)
+        np.add(m, a, out=m)
+        np.multiply(g, g, out=a)
+        np.multiply(1.0 - b2, a, out=a)
+        np.multiply(b2, v, out=v)
+        np.add(v, a, out=v)
+        np.divide(m, c1, out=a)
+        np.multiply(lr, a, out=a)
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, eps, out=b)
+        np.divide(a, b, out=a)
+        p.value -= a
 
 
 @dataclass
@@ -214,15 +243,21 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
                     )
                     loss = loss_node(graph, run.distribution, pair.gold)
                     losses.append(float(loss.value[0, 0]))
+                    # Summed in place into a copy of the first gradient:
+                    # backward's arrays may share memory with each other.
                     for p, g in backward(graph, loss).items():
                         prev = grad_sum.get(p)
-                        grad_sum[p] = g if prev is None else prev + g
+                        if prev is None:
+                            grad_sum[p] = g.copy()
+                        else:
+                            prev += g
                 except NonFiniteValue as exc:
                     raise NonFiniteValue(
                         f"epoch {epoch}, example {idx}: {exc}") from None
             scale = 1.0 / len(chunk)
-            mean_grads = {p: g * scale for p, g in grad_sum.items()}
-            adam_step(optimized, mean_grads, state, config)
+            for g in grad_sum.values():
+                g *= scale
+            adam_step(optimized, grad_sum, state, config)
 
         train_acc, _ = evaluate(dataset, params, config, vocab, table)
         dev_acc, _ = evaluate(dev_set, params, config, vocab, table)
@@ -340,24 +375,29 @@ def load_checkpoint(path):
             tokens = list(vocab_info["tokens"])
             counts = (vocab_info["frozen_count"], vocab_info["oov_count"])
             unk = vocab_info["unk_index"]
-            manifest = header["tensors"]
-        except (KeyError, TypeError) as exc:
+            manifest = list(header["tensors"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"incomplete header: {exc}") from None
 
         scalar = "<f8" if config.precision == "double" else "<f4"
         width = np.dtype(scalar).itemsize
         arrays = {}
         for entry in manifest:
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                    and type(entry.get("rows")) is int and type(entry.get("cols")) is int):
+                raise CheckpointError(
+                    f"tensor manifest entry {entry!r:.80} needs a name, rows and cols")
+            name = entry["name"]
             raw = handle.read(8)
             if len(raw) != 8:
-                raise CheckpointError(f"truncated shape for {entry['name']}")
+                raise CheckpointError(f"truncated shape for {name}")
             rows, cols = struct.unpack("<II", raw)
             if (rows, cols) != (entry["rows"], entry["cols"]):
-                raise CheckpointError(f"shape mismatch for {entry['name']}")
+                raise CheckpointError(f"shape mismatch for {name}")
             data = handle.read(rows * cols * width)
             if len(data) != rows * cols * width:
-                raise CheckpointError(f"truncated data for {entry['name']}")
-            arrays[entry["name"]] = (
+                raise CheckpointError(f"truncated data for {name}")
+            arrays[name] = (
                 np.frombuffer(data, dtype=scalar)
                 .reshape(rows, cols)
                 .astype(config.dtype)

@@ -5,6 +5,8 @@ seeded sweep, so a wrong backward rule anywhere shows up as a
 finite-difference mismatch rather than a silent training bug.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,12 +16,14 @@ from treentail.autodiff import (
     Graph,
     NonFiniteValue,
     NonScalarLoss,
+    OuterGrad,
     Parameter,
     ShapeMismatch,
     backward,
     grad_check,
     sigmoid,
 )
+from treentail.composer import LstmParameters, NodeState, lstm_cell
 
 
 def test_sigmoid_matches_logistic_definition():
@@ -176,6 +180,112 @@ class TestBackward:
         g.tanh(g.constant(np.ones((4, 1))))  # dangling branch
         loss = g.total(g.hadamard(pn, pn))
         assert backward(g, loss)[p].item() == pytest.approx(4.0)
+
+
+def _matvec(graph, w, x, factored):
+    """``w @ x`` for a column ``x``, whose vjp hands ``w`` its gradient as
+    an OuterGrad or, for the dense reference, as the outer product."""
+    wv, xv = w.value, x.value
+
+    def vjp(g):
+        gw = OuterGrad(g, xv) if factored else g @ xv.T
+        return (gw, wv.T @ g)
+
+    return graph.record(wv @ xv, (w, x), vjp, "matvec")
+
+
+class TestFactoredGradients:
+    """OuterGrad and RowGrad parts are summed once per receiving node."""
+
+    def test_leaves_sharing_a_row_sum(self):
+        table = Parameter("t", np.arange(12.0).reshape(4, 3))
+        weights = np.arange(1.0, 13.0).reshape(4, 3)
+        rows = [1, 2, 1, 1]
+        g = Graph()
+        tn = g.parameter(table)
+        leaves = [g.hadamard(g.take_row(tn, i), g.constant(weights[j].reshape(3, 1)))
+                  for j, i in enumerate(rows)]
+        grad = backward(g, g.total(g.concat(leaves)))[table]
+        expected = np.zeros((4, 3))
+        for j, i in enumerate(rows):
+            expected[i] += weights[j]
+        np.testing.assert_array_equal(grad, expected)
+
+    def test_take_row_of_an_intermediate_node(self):
+        rng = np.random.default_rng(5)
+        p = Parameter("p", rng.uniform(-1, 1, (4, 3)))
+        g = Graph()
+        th = g.tanh(g.parameter(p))
+        loss = g.total(g.add(g.take_row(th, 2), g.take_row(th, 0)))
+        expected = np.zeros((4, 3))
+        expected[[0, 2]] = 1.0 - np.tanh(p.value[[0, 2]]) ** 2
+        np.testing.assert_allclose(backward(g, loss)[p], expected, rtol=0, atol=1e-15)
+
+        def build():
+            g = Graph()
+            th = g.tanh(g.parameter(p))
+            return g, g.total(g.hadamard(g.take_row(th, 1), g.take_row(th, 1)))
+
+        assert grad_check(build, [p]) < 1e-7
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_dense_and_factored_parts_together(self, seed):
+        rng = np.random.default_rng(seed)
+        w = Parameter("w", rng.uniform(-1, 1, (4, 3)))
+        xs = [rng.uniform(-1, 1, (3, 1)) for _ in range(3)]
+        scale = rng.uniform(-1, 1, (4, 3))
+
+        def grads(factored):
+            g = Graph()
+            wn = g.parameter(w)
+            parts = [g.tanh(_matvec(g, wn, g.constant(x), factored)) for x in xs]
+            for _ in range(2):
+                parts.append(g.take_row(wn, 2) if factored else
+                             g.transpose(g.matmul(g.constant(np.eye(4)[2:3]), wn)))
+            dense = g.total(g.hadamard(g.tanh(wn), g.constant(scale)))
+            loss = g.add(g.total(g.concat(parts)), dense)
+            return backward(g, loss)[w]
+
+        np.testing.assert_allclose(grads(True), grads(False), rtol=0, atol=1e-12)
+
+    def test_float32_graph_returns_float32_arrays(self):
+        rng = np.random.default_rng(2)
+        d, k = 3, 2
+        block = LstmParameters(AffineMap.from_arrays(
+            "cell", rng.uniform(-1, 1, (5 * k, d + 2 * k)), rng.uniform(-1, 1, (5 * k, 1))))
+        table = Parameter("t", rng.uniform(-1, 1, (6, d)))
+        scale = Parameter("s", rng.uniform(-1, 1, (k, 1)))
+        g = Graph(np.float32)
+        zero = NodeState(g.constant(np.zeros((k, 1))), g.constant(np.zeros((k, 1))))
+        tn = g.parameter(table)
+        left = lstm_cell(g, block, g.take_row(tn, 4), zero, zero)
+        right = lstm_cell(g, block, g.take_row(tn, 1), zero, zero)
+        root = lstm_cell(g, block, g.take_row(tn, 4), left, right)
+        loss = g.total(g.hadamard(root.h, g.parameter(scale)))
+        grads = backward(g, loss)
+        assert set(grads) == {block.block.weight, block.block.bias, table, scale}
+        for p, grad in grads.items():
+            assert type(grad) is np.ndarray
+            assert grad.dtype == np.float32
+            assert grad.shape == p.value.shape
+
+    def test_take_row_backward_stays_near_one_table(self):
+        """Forty leaves of one table must not cost forty table-sized
+        arrays: backward's peak allocation stays below three tables."""
+        rng = np.random.default_rng(0)
+        table = Parameter("t", rng.uniform(-1, 1, (5000, 64)))
+        g = Graph()
+        tn = g.parameter(table)
+        leaves = [g.take_row(tn, int(i)) for i in rng.integers(0, 5000, 40)]
+        loss = g.total(g.concat(leaves))
+        tracemalloc.start()
+        try:
+            grad = backward(g, loss)[table]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * table.value.nbytes
+        assert grad.sum() == 40 * 64
 
 
 def _everything_build(seed):

@@ -135,6 +135,41 @@ def _wrong_width(header):
     header["config"]["k"] += 1
 
 
+def _entry_without_name(header):
+    del header["tensors"][0]["name"]
+
+
+def _entry_without_cols(header):
+    del header["tensors"][-1]["cols"]
+
+
+def _entry_not_a_dict(header):
+    header["tensors"][0] = header["tensors"][0]["name"]
+
+
+def _dropout_out_of_range(header):
+    header["config"]["dropout_rate"] = 1.5
+
+
+def _no_fallback_row(header):
+    header["vocabulary"]["unk_index"] = None
+
+
+def _rewrite_checkpoint(workdir, out, edit, tail=b""):
+    """Copy of the shared checkpoint with its JSON header passed through
+    ``edit`` and ``tail`` appended."""
+    data = (workdir / "run" / "checkpoint.tent").read_bytes()
+    start = len(MAGIC) + 4
+    (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+    header = json.loads(data[start:start + header_len])
+    if edit is not None:
+        edit(header)
+    blob = json.dumps(header, sort_keys=True).encode()
+    out.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                    + data[start + header_len:] + tail)
+    return out
+
+
 class TestPredict:
     def test_prints_label_and_distribution(self, workdir, capsys):
         assert main(["predict",
@@ -157,25 +192,32 @@ class TestPredict:
         (_unk_out_of_range, b""),
         (_wrong_width, b""),
         (None, b"\x00"),
+        (_entry_without_name, b""),
+        (_entry_without_cols, b""),
+        (_entry_not_a_dict, b""),
+        (_dropout_out_of_range, b""),
     ], ids=["extra_token", "miscounted_rows", "unk_out_of_range",
-            "wrong_width", "trailing_bytes"])
+            "wrong_width", "trailing_bytes", "entry_without_name",
+            "entry_without_cols", "entry_not_a_dict", "dropout_out_of_range"])
     def test_inconsistent_checkpoint_is_a_data_error(self, workdir, tmp_path,
                                                      capsys, edit, tail):
-        data = (workdir / "run" / "checkpoint.tent").read_bytes()
-        start = len(MAGIC) + 4
-        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
-        header = json.loads(data[start:start + header_len])
-        if edit is not None:
-            edit(header)
-        blob = json.dumps(header, sort_keys=True).encode()
-        bad = tmp_path / "bad.tent"
-        bad.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
-                        + data[start + header_len:] + tail)
+        bad = _rewrite_checkpoint(workdir, tmp_path / "bad.tent", edit, tail)
         assert main(["predict", "--checkpoint", str(bad),
                      "( ( a dog ) ( is sleeping ) )",
                      "( ( a animal ) ( is sleeping ) )"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_unknown_token_without_fallback_row_is_a_data_error(
+            self, workdir, tmp_path, capsys):
+        ckpt = _rewrite_checkpoint(workdir, tmp_path / "nounk.tent", _no_fallback_row)
+        known = ["( ( a dog ) ( is sleeping ) )", "( ( a animal ) ( is sleeping ) )"]
+        assert main(["predict", "--checkpoint", str(ckpt), *known]) == 0
+        capsys.readouterr()
+        assert main(["predict", "--checkpoint", str(ckpt), known[0],
+                     "( a zebra )"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: token 'zebra' unknown and no fallback row registered\n"
 
 
 class TestInspect:
@@ -198,6 +240,20 @@ class TestInspect:
         # hypothesis has 5 nodes, premise 7: heatmap is |Q| x |P|
         pixels = read_pgm(out / "pair_0000.pgm")
         assert pixels.shape == (5, 7)
+
+    def test_unknown_token_without_fallback_row_is_a_data_error(
+            self, workdir, tmp_path, capsys):
+        ckpt = _rewrite_checkpoint(workdir, tmp_path / "nounk.tent", _no_fallback_row)
+        pairs = tmp_path / "zebra.jsonl"
+        pairs.write_text(json.dumps({
+            "gold_label": "neutral",
+            "sentence1_binary_parse": "( ( a dog ) ( is sleeping ) )",
+            "sentence2_binary_parse": "( a zebra )",
+        }) + "\n")
+        assert main(["inspect", "--checkpoint", str(ckpt), "--data", str(pairs),
+                     "--out", str(tmp_path / "insp")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: token 'zebra' unknown") and "Traceback" not in err
 
     def test_empty_corpus_is_a_data_error(self, workdir, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -205,6 +205,39 @@ class TestAdam:
             adam_step([p], {p: g}, state, config)
         np.testing.assert_allclose(p.value, reference, atol=1e-15)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_five_steps_are_bit_identical_to_the_textbook_expression(self, dtype):
+        """The in-place update performs the same IEEE operations in the
+        same order as the expression with temporaries, for parameters of
+        different sizes sharing the work buffers and a parameter that
+        gets no gradient on some steps."""
+        config = self.config()
+        b1, b2 = config.beta1, config.beta2
+        lr, eps = config.learning_rate, config.adam_epsilon
+        rng = np.random.default_rng(6)
+        shapes = [(7, 5), (3, 1), (40, 9)]
+        params = [Parameter(f"p{i}", rng.standard_normal(s).astype(dtype))
+                  for i, s in enumerate(shapes)]
+        values = [p.value.copy() for p in params]
+        m = [np.zeros_like(v) for v in values]
+        v2 = [np.zeros_like(v) for v in values]
+        state = init_optimizer(params)
+        for t in range(1, 6):
+            grads = {p: rng.standard_normal(p.value.shape).astype(dtype)
+                     for j, p in enumerate(params) if (j + t) % 3}
+            c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            for j, p in enumerate(params):
+                g = grads.get(p, 0.0)
+                m[j] = b1 * m[j] + (1.0 - b1) * g
+                v2[j] = b2 * v2[j] + (1.0 - b2) * (g * g)
+                values[j] = values[j] - lr * (m[j] / c1) / (np.sqrt(v2[j] / c2) + eps)
+            adam_step(params, grads, state, config)
+            for j, p in enumerate(params):
+                assert p.value.dtype == dtype
+                np.testing.assert_array_equal(p.value, values[j])
+                np.testing.assert_array_equal(state.first[p], m[j])
+                np.testing.assert_array_equal(state.second[p], v2[j])
+
     def test_rejects_misshapen_gradient(self):
         p = Parameter("p", np.zeros((2, 2)))
         state = init_optimizer([p])
