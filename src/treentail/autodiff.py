@@ -173,9 +173,8 @@ class Graph:
     Graphs are built, differentiated, and discarded per example.
     """
 
-    def __init__(self, dtype=np.float64, check_finite=True):
+    def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
-        self.check_finite = check_finite
         self.nodes = []
         self._param_nodes = {}
 
@@ -192,7 +191,7 @@ class Graph:
         value = np.asarray(value, dtype=self.dtype)
         if value.ndim != 2:
             raise ShapeMismatch(f"op '{op}' produced a non-2d value")
-        if self.check_finite and not np.isfinite(value).all():
+        if not np.isfinite(value).all():
             raise NonFiniteValue(f"non-finite value produced by op '{op}'")
         node = Node(value, tuple(parents), vjp, op, param, len(self.nodes))
         self.nodes.append(node)
@@ -466,10 +465,9 @@ def backward(graph, loss):
                 grads[parent.idx] = pg if cur is None else cur + pg
         grads[node.idx] = None
 
-    if graph.check_finite:
-        for p, g in param_grads.items():
-            if not np.isfinite(g).all():
-                raise NonFiniteValue(f"non-finite gradient for {p.name}")
+    for p, g in param_grads.items():
+        if not np.isfinite(g).all():
+            raise NonFiniteValue(f"non-finite gradient for {p.name}")
     return param_grads
 
 
@@ -481,13 +479,16 @@ def grad_check(build, params, eps=1e-5, loss_fn=None):
 
         |analytic - numeric| / max(1e-8, |analytic| + |numeric|)
 
-    over every scalar of every parameter in ``params``.
+    over every scalar of every parameter in ``params``; one NaN error
+    makes it NaN.  ``eps`` must be positive and finite.
 
     ``loss_fn``, when given, is a cheaper ``() -> float`` evaluated at
     the perturbed parameters in place of a full ``build()``; it must
     compute the same loss (an independent implementation is fine and
     makes the comparison stronger).
     """
+    if not (np.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     graph, loss = build()
     analytic = backward(graph, loss)
     if loss_fn is None:
@@ -507,5 +508,5 @@ def grad_check(build, params, eps=1e-5, loss_fn=None):
             flat[j] = saved
             numeric = (up - down) / (2.0 * eps)
             denom = max(1e-8, abs(aflat[j]) + abs(numeric))
-            worst = max(worst, abs(aflat[j] - numeric) / denom)
+            worst = np.maximum(worst, abs(aflat[j] - numeric) / denom)
     return float(worst)

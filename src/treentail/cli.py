@@ -237,7 +237,7 @@ def cmd_gradcheck(args):
     worst = full_model_grad_check(k=args.k, r=args.r, d=args.d,
                                   seed=args.seed, pairs=args.pairs, eps=args.eps)
     print(f"max relative gradient error: {worst:.3e} over {args.pairs} pairs")
-    if worst >= GRAD_TOLERANCE:
+    if not worst < GRAD_TOLERANCE:
         print(f"FAIL: exceeds {GRAD_TOLERANCE:.0e}", file=sys.stderr)
         return EXIT_NUMERIC
     print(f"OK: below {GRAD_TOLERANCE:.0e}")

@@ -66,6 +66,9 @@ def load_snli(path):
                 continue
             if gold not in LABELS:
                 raise MalformedRecord(f"unknown gold label {gold!r}", line_no)
+            for name in REQUIRED_FIELDS[1:]:
+                if not isinstance(record[name], str):
+                    raise MalformedRecord(f"{name} is not a string", line_no)
             try:
                 premise = parse_tree(record["sentence1_binary_parse"])
                 hypothesis = parse_tree(record["sentence2_binary_parse"])

@@ -8,6 +8,10 @@ relation vector at the root.  The root vector is squashed by tanh,
 mapped to three logits, and normalized; because tanh bounds every
 logit in (-1, 1), no class probability can leave a fixed band no
 matter the parameters.
+
+The tape (:func:`run_forward`) serves training and the gradient audits;
+all inference runs the same operations in the same order tape-free
+(:func:`predict`), which in extended precision is the audits' oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .attention import (
     reverse_attention,
     score_matrix,
 )
-from .autodiff import AffineMap, Graph, ShapeMismatch, sigmoid
+from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch, sigmoid
 from .composer import LstmParameters, encode_tree, walk_tree
 from .embeddings import lookup
 
@@ -82,13 +86,14 @@ def classify(graph, relation_vector, classifier):
 
 
 def cross_entropy(dist, gold):
-    """Negative log-probability of the gold label under ``dist``."""
+    """Negative log-probability of the gold label under ``dist``, in
+    ``dist``'s dtype so difference quotients keep the working precision."""
     if gold not in LABELS:
         raise InvalidLabel(f"unknown label {gold!r}")
-    d = np.asarray(dist, dtype=float).reshape(-1)
+    d = np.asarray(dist).reshape(-1)
     if d.size != len(LABELS):
         raise ShapeMismatch(f"distribution has {d.size} entries")
-    return float(-np.log(d[LABELS.index(gold)]))
+    return -np.log(d[LABELS.index(gold)])
 
 
 def loss_node(graph, dist_node, gold):
@@ -110,13 +115,13 @@ class ForwardPass:
 
 
 def run_forward(graph, premise, hypothesis, vocab, table, params,
-                use_dual=False, dropout_rate=0.0, rng=None, want_reverse=False):
+                use_dual=False, dropout_rate=0.0, rng=None):
     """Build the full pipeline on ``graph`` and return its key nodes.
 
     With ``use_dual`` the attended contexts use the renormalized product
     of the forward and reverse alignments; otherwise they use the
-    forward alignment and the reverse view is only computed on request
-    (``want_reverse``) as a diagnostic.
+    forward alignment and ``reverse_attention`` is None.  Inference
+    runs through the tape-free :func:`predict` instead.
 
     Note that because the pair scorer is affine in the concatenated
     node vectors, the score splits into a hypothesis-node term plus a
@@ -144,8 +149,6 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
             rev_scores = score_matrix(graph, hyp_h, prem_h, params.reverse_scorer)
         rev = reverse_attention(graph, rev_scores)
         final = dual_attention(graph, fwd, rev)
-    elif want_reverse:
-        rev = reverse_attention(graph, scores)
 
     contexts = attended_context(graph, final, prem_h)
     relations = compose_relations(graph, hypothesis, hyp_h, contexts, params.relation)
@@ -163,28 +166,6 @@ class Prediction:
     reverse_attention: np.ndarray   # (|prem|, |hyp|)
     final_attention: np.ndarray     # (|hyp|, |prem|)
     relations: np.ndarray           # (|hyp|, r)
-
-
-def predict(premise, hypothesis, vocab, table, params, use_dual=False,
-            dtype=np.float64):
-    """Evaluate one pair without dropout and pick the argmax label.
-
-    Equal probabilities resolve to the earliest label in LABELS order,
-    which is what argmax over that fixed order produces.
-    """
-    graph = Graph(dtype)
-    run = run_forward(graph, premise, hypothesis, vocab, table, params,
-                      use_dual=use_dual, want_reverse=True)
-    dist = run.distribution.value[:, 0].copy()
-    relations = np.hstack([s.h.value for s in run.relation_states]).T
-    return Prediction(
-        label=LABELS[int(np.argmax(dist))],
-        distribution=dist,
-        forward_attention=run.forward_attention.value.copy(),
-        reverse_attention=run.reverse_attention.value.copy(),
-        final_attention=run.final_attention.value.copy(),
-        relations=relations,
-    )
 
 
 def _plain_cell(w, b, x, h1, h2, c1, c2, k):
@@ -216,15 +197,16 @@ def _plain_row_softmax(m):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def plain_forward(premise, hypothesis, vocab, table, params,
-                  use_dual=False, dtype=np.float64):
-    """Tape-free twin of :func:`run_forward`; returns the distribution.
+def predict(premise, hypothesis, vocab, table, params, use_dual=False,
+            dtype=np.float64):
+    """Evaluate one pair without a tape or dropout; returns a Prediction.
 
-    Computes the same arithmetic without recording anything, so it is
-    both a fast path for bulk evaluation and an independent reference
-    implementation for the finite-difference audit (which runs it in
-    extended precision to keep the oracle's own rounding error far
-    below the tolerance it enforces).  No dropout: evaluation only.
+    The one inference forward, behind ``eval``, ``predict`` and
+    ``inspect``.  Its outputs equal :func:`run_forward`'s bit for bit.
+    Without ``use_dual``, where the tape records no reverse view, the
+    reverse attention is the column softmax of the forward scores.
+    Equal probabilities resolve to the earliest label in LABELS order.
+    Raises :class:`NonFiniteValue` if the distribution is not finite.
     """
     k = params.meaning.k_out
 
@@ -255,13 +237,13 @@ def plain_forward(premise, hypothesis, vocab, table, params,
         return hyp_part + prem_part.T + sb
 
     scores = scores_for(params.scorer)
-    final = _plain_row_softmax(scores)
+    forward = final = _plain_row_softmax(scores)
+    rev_scores = scores
+    if use_dual and params.reverse_scorer is not None:
+        rev_scores = scores_for(params.reverse_scorer)
+    reverse = _plain_row_softmax(rev_scores.T)
     if use_dual:
-        rev_scores = scores
-        if params.reverse_scorer is not None:
-            rev_scores = scores_for(params.reverse_scorer)
-        reverse = _plain_row_softmax(rev_scores.T)
-        raw = final * reverse.T + dtype(RENORM_FLOOR)
+        raw = forward * reverse.T + dtype(RENORM_FLOOR)
         final = raw / raw.sum(axis=1, keepdims=True)
 
     contexts = prem_stack @ final.T
@@ -275,22 +257,34 @@ def plain_forward(premise, hypothesis, vocab, table, params,
     cw, cb = cast(params.classifier.weight.value), cast(params.classifier.bias.value)
     logits = np.tanh(cw @ relations[hypothesis.root] + cb)
     e = np.exp(logits - logits.max())
-    return (e / e.sum()).reshape(-1)
+    dist = (e / e.sum()).reshape(-1)
+    if not np.isfinite(dist).all():
+        raise NonFiniteValue("non-finite class distribution")
+    return Prediction(
+        label=LABELS[int(np.argmax(dist))],
+        distribution=dist,
+        forward_attention=forward,
+        reverse_attention=reverse,
+        final_attention=final,
+        relations=np.hstack(relations).T,
+    )
+
+
+def plain_forward(premise, hypothesis, vocab, table, params,
+                  use_dual=False, dtype=np.float64):
+    """The ``(3,)`` class distribution of :func:`predict`.  The
+    finite-difference audit runs it in extended precision, keeping the
+    oracle's own rounding error far below the tolerance it enforces."""
+    return predict(premise, hypothesis, vocab, table, params,
+                   use_dual=use_dual, dtype=dtype).distribution
 
 
 def plain_loss(premise, hypothesis, vocab, table, params, gold,
                use_dual=False, dtype=np.float64):
-    """Cross-entropy of one pair via :func:`plain_forward`.
-
-    Returns a numpy scalar in ``dtype`` rather than a Python float:
-    difference quotients over this loss must subtract in the working
-    precision, and a float() here would round that away.
-    """
-    if gold not in LABELS:
-        raise InvalidLabel(f"unknown label {gold!r}")
-    dist = plain_forward(premise, hypothesis, vocab, table, params,
-                         use_dual=use_dual, dtype=dtype)
-    return -np.log(dist[LABELS.index(gold)])
+    """Cross-entropy of one pair via :func:`plain_forward`, as a numpy
+    scalar in ``dtype`` (see :func:`cross_entropy`)."""
+    return cross_entropy(plain_forward(premise, hypothesis, vocab, table, params,
+                                       use_dual=use_dual, dtype=dtype), gold)
 
 
 def node_confidences(relations, classifier):

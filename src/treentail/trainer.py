@@ -289,16 +289,14 @@ def evaluate(dataset, params, config, vocab, table):
     return accuracy, confusion
 
 
-def parameter_count(config, shared_reverse_scorer=None):
+def parameter_count(config):
     """Closed-form count of trainable non-embedding scalars.
 
     Cross-checked in the tests against enumerating an actual parameter
     set, so the formula and the allocation code cannot drift apart.
     """
-    if shared_reverse_scorer is None:
-        shared_reverse_scorer = not config.separate_reverse_scorer
     k, r, d = config.k, config.r, config.d
-    scorers = 1 if shared_reverse_scorer else 2
+    scorers = 2 if config.separate_reverse_scorer else 1
     return (
         (d + 2 * k + 1) * 5 * k
         + (2 * k + 2 * r + 1) * 5 * r
@@ -530,7 +528,10 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
     would flag healthy scalars whose gradients happen to be tiny.  The
     wider accumulator pushes the oracle's own noise three orders below
     the tolerance; ``fd_dtype=np.float64`` reproduces the noisy audit.
+    A NaN error on any pair makes the result NaN.
     """
+    if pairs < 1:
+        raise ValueError(f"need at least one pair to audit, got {pairs}")
     vocab, table, params, drawn = _audit_fixture(k, r, d, seed, pairs, leaf_range)
     checked = _trainable(params, table)
 
@@ -547,5 +548,5 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
             return plain_loss(premise, hypothesis, vocab, table, params, gold,
                               use_dual=use_dual, dtype=fd_dtype)
 
-        worst = max(worst, grad_check(build, checked, eps, loss_fn=fd_loss))
-    return worst
+        worst = np.maximum(worst, grad_check(build, checked, eps, loss_fn=fd_loss))
+    return float(worst)

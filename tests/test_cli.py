@@ -13,7 +13,7 @@ import pytest
 from treentail.cli import main
 from treentail.data import load_snli
 from treentail.inspection import read_pgm
-from treentail.trainer import MAGIC, load_checkpoint
+from treentail.trainer import MAGIC, load_checkpoint, save_checkpoint
 
 TRAIN_FLAGS = ["--k", "6", "--r", "5", "--d", "8", "--epochs", "2",
                "--batch-size", "8", "--dropout", "0.1", "--seed", "3",
@@ -116,6 +116,17 @@ class TestEval:
     def test_missing_checkpoint_is_a_data_error(self, tmp_path):
         assert main(["eval", "--checkpoint", str(tmp_path / "no.tent"),
                      "--data", str(tmp_path / "no.jsonl")]) == 2
+
+    def test_non_finite_parameters_are_a_numeric_failure(self, workdir, tmp_path,
+                                                         capsys):
+        config, vocab, table, params = load_checkpoint(
+            str(workdir / "run" / "checkpoint.tent"))
+        params.classifier.bias.value[0, 0] = np.nan
+        bad = tmp_path / "nan.tent"
+        save_checkpoint(str(bad), config, vocab, table, params)
+        assert main(["eval", "--checkpoint", str(bad),
+                     "--data", str(workdir / "toy.jsonl")]) == 3
+        assert "numeric failure" in capsys.readouterr().err
 
 
 def _extra_token(header):
@@ -275,4 +286,19 @@ class TestGradcheck:
     def test_hopeless_step_size_fails_with_numeric_exit(self, capsys):
         assert main(["gradcheck", "--k", "3", "--r", "3", "--d", "4",
                      "--pairs", "1", "--eps", "10.0"]) == 3
+        assert "FAIL" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "nan"],
+                                       ["--eps", "-0.001"], ["--pairs", "0"],
+                                       ["--pairs", "-3"]])
+    def test_vacuous_audit_is_a_usage_error(self, flags, capsys):
+        assert main(["gradcheck", "--k", "2", "--r", "2", "--d", "2", *flags]) == 1
+        captured = capsys.readouterr()
+        assert "usage error" in captured.err
+        assert "OK" not in captured.out
+
+    def test_nan_error_fails_with_numeric_exit(self, monkeypatch, capsys):
+        monkeypatch.setattr("treentail.cli.full_model_grad_check",
+                            lambda **kwargs: float("nan"))
+        assert main(["gradcheck", "--pairs", "1"]) == 3
         assert "FAIL" in capsys.readouterr().err

@@ -107,6 +107,20 @@ class TestLoadSnli:
         with pytest.raises(UnbalancedParens, match="line 2"):
             load_snli(path)
 
+    @pytest.mark.parametrize("field", ["sentence1_binary_parse",
+                                       "sentence2_binary_parse"])
+    @pytest.mark.parametrize("value", [7, None, ["a"]], ids=["int", "null", "list"])
+    def test_non_string_parse_names_line_and_field(self, tmp_path, field, value):
+        record = {"gold_label": "neutral", "sentence1_binary_parse": "( a b )",
+                  "sentence2_binary_parse": "c"}
+        good = json.dumps(record)
+        record[field] = value
+        path = tmp_path / "typed.jsonl"
+        path.write_text(good + "\n" + json.dumps(record) + "\n")
+        with pytest.raises(MalformedRecord, match=f"line 2: {field}") as exc:
+            load_snli(path)
+        assert exc.value.line_no == 2
+
     def test_error_carries_valueerror_lineage(self):
         assert issubclass(MalformedRecord, ValueError)
 

@@ -1,10 +1,11 @@
 """Relation composition, classification, and the end-to-end pipeline,
-including the tape-free twin used for fast evaluation and as the
+including the tape-free forward that serves all inference and is the
 difference-quotient reference."""
 
 import numpy as np
 import pytest
 
+from treentail.attention import reverse_attention
 from treentail.autodiff import AffineMap, Graph, ShapeMismatch
 from treentail.composer import LstmParameters
 from treentail.embeddings import empty_vocabulary, register_oov
@@ -128,14 +129,6 @@ class TestRunForward:
         assert run.final_attention is run.forward_attention
         assert run.reverse_attention is None
 
-    def test_want_reverse_is_a_diagnostic_only(self):
-        vocab, table, params = toy_model(3, 2, 4, 1)
-        prem, hyp = (parse_tree(s) for s in PAIRS[1])
-        g = Graph()
-        run = run_forward(g, prem, hyp, vocab, table, params, want_reverse=True)
-        assert run.reverse_attention.shape == (prem.node_count, hyp.node_count)
-        assert run.final_attention is run.forward_attention
-
     def test_dual_alignment_collapses_onto_forward(self):
         """The product-and-renormalize step is an identity here, by algebra.
 
@@ -197,39 +190,63 @@ class TestRunForward:
                         vocab, table, bad)
 
 
+def assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype):
+    """Every output of predict equals the tape's value bit for bit."""
+    g = Graph(dtype)
+    run = run_forward(g, prem, hyp, vocab, table, params, use_dual=use_dual)
+    out = predict(prem, hyp, vocab, table, params, use_dual=use_dual, dtype=dtype)
+    reverse = run.reverse_attention
+    if reverse is None:
+        # Without dual the tape records no reverse view; take the column
+        # softmax of the scores its forward attention normalized.
+        reverse = reverse_attention(g, run.forward_attention.parents[0])
+    relations = np.hstack([s.h.value for s in run.relation_states]).T
+    for got, want in ((out.distribution, run.distribution.value[:, 0]),
+                      (out.forward_attention, run.forward_attention.value),
+                      (out.reverse_attention, reverse.value),
+                      (out.final_attention, run.final_attention.value),
+                      (out.relations, relations)):
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, want)
+    assert out.label == LABELS[int(np.argmax(run.distribution.value))]
+    np.testing.assert_array_equal(
+        plain_forward(prem, hyp, vocab, table, params, use_dual=use_dual, dtype=dtype),
+        out.distribution)
+
+
 class TestPlainTwin:
-    """plain_forward re-implements the pipeline without a tape but with
-    the same operation order, so in float64 the two must agree bitwise."""
+    """predict (and plain_forward, its distribution) re-implements the
+    pipeline without a tape but with the same operation order, so in
+    float64 and float32 the two must agree bitwise."""
 
     @pytest.mark.parametrize("use_dual", [False, True])
     @pytest.mark.parametrize("with_reverse", [False, True])
     def test_distributions_are_bit_identical(self, use_dual, with_reverse):
-        for seed in range(6):
-            rng = np.random.default_rng(seed + 40)
-            k, r, d = rng.integers(2, 6), rng.integers(2, 6), rng.integers(2, 7)
-            vocab, table, params = toy_model(int(k), int(r), int(d), seed,
-                                             with_reverse=with_reverse)
-            for prem_s, hyp_s in PAIRS:
-                prem, hyp = parse_tree(prem_s), parse_tree(hyp_s)
-                run = run_forward(Graph(), prem, hyp, vocab, table, params,
-                                  use_dual=use_dual)
-                twin = plain_forward(prem, hyp, vocab, table, params,
-                                     use_dual=use_dual)
-                np.testing.assert_array_equal(run.distribution.value[:, 0], twin)
+        for dtype in (np.float64, np.float32):
+            for seed in range(6):
+                rng = np.random.default_rng(seed + 40)
+                k, r, d = rng.integers(2, 6), rng.integers(2, 6), rng.integers(2, 7)
+                vocab, table, params = toy_model(int(k), int(r), int(d), seed,
+                                                 with_reverse=with_reverse)
+                for prem_s, hyp_s in PAIRS:
+                    assert_matches_tape(parse_tree(prem_s), parse_tree(hyp_s),
+                                        vocab, table, params, use_dual, dtype)
 
     def test_ids_out_of_dfs_order_match_the_twin(self):
         """Node ids that are child-before-parent but not a DFS order."""
-        vocab, table, params = toy_model(3, 4, 5, 11)
         tokens = ("the", "cat", "dog", "sat", None, None, None)
         shuffled = BinaryTree(tokens=tokens,
                               lefts=(-1, -1, -1, -1, 0, 1, 4),
                               rights=(-1, -1, -1, -1, 2, 3, 5))
-        for use_dual in (False, True):
-            run = run_forward(Graph(), shuffled, shuffled, vocab, table, params,
-                              use_dual=use_dual)
-            twin = plain_forward(shuffled, shuffled, vocab, table, params,
-                                 use_dual=use_dual)
-            np.testing.assert_array_equal(run.distribution.value[:, 0], twin)
+        prem = parse_tree(PAIRS[1][0])
+        for with_reverse in (False, True):
+            vocab, table, params = toy_model(3, 4, 5, 11, with_reverse=with_reverse)
+            for dtype in (np.float64, np.float32):
+                for use_dual in (False, True):
+                    assert_matches_tape(shuffled, shuffled, vocab, table, params,
+                                        use_dual, dtype)
+                    assert_matches_tape(prem, shuffled, vocab, table, params,
+                                        use_dual, dtype)
 
     def test_loss_matches_tape_loss(self):
         vocab, table, params = toy_model(3, 4, 5, 9)

@@ -402,7 +402,8 @@ class TestParameterCount:
         # meaning 5x(1+2) + bias 5 = 20; relation 5x(2+2) + bias 5 = 25;
         # scorer 1x2 + 1 = 3; classifier 3x1 + 3 = 6
         assert parameter_count(config) == 54
-        assert parameter_count(config, shared_reverse_scorer=False) == 57
+        assert parameter_count(TrainConfig(k=1, r=1, d=1,
+                                           separate_reverse_scorer=True)) == 57
 
     @pytest.mark.parametrize("separate", [False, True])
     def test_formula_matches_an_actual_allocation(self, separate):

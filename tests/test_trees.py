@@ -1,7 +1,10 @@
 """Parsing, serialization, and traversal of binary s-expression trees."""
 
+import doctest
+
 import pytest
 
+import treentail.trees
 from treentail.trees import (
     BinaryTree,
     EmptyInput,
@@ -126,3 +129,10 @@ class TestStructure:
     def test_leaves_in_surface_order(self):
         t = parse_tree("( ( ( a b ) c ) ( d ( e f ) ) )")
         assert t.leaves() == list("abcdef")
+
+
+def test_docstring_examples_run():
+    """The examples in the module's docstrings are tests too."""
+    result = doctest.testmod(treentail.trees)
+    assert result.attempted >= 1
+    assert result.failed == 0
