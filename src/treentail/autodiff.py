@@ -7,12 +7,13 @@ reverse walk accumulates exact gradients into every parameter leaf.
 
 A backward rule may hand a parent its gradient in one of two factored
 forms instead of a dense array: :class:`OuterGrad` ``(u, v)`` for
-``u @ v.T`` and :class:`RowGrad` ``(i, g)`` for a zero matrix whose row
-``i`` is ``g.T``.  :func:`backward` collects them per receiving node and
-sums them once, just before it processes that node: all outer products
-in one GEMM, all rows in one scatter.  A weight shared by every node of
-a tree, or an embedding table read once per leaf, thus gets one dense
-gradient per graph instead of one per use.
+``u @ v.T`` and :class:`SliceGrad` ``(index, g)`` for a zero matrix
+whose ``[index]`` is ``g``.  :func:`backward` collects them per
+receiving node and sums them once, just before it processes that node:
+all outer products in one GEMM, then each slice added in place.  A
+weight shared by every node of a tree, or an embedding table read once
+per leaf, thus gets one dense gradient per graph instead of one per
+use; so does any matrix read one row, column or entry at a time.
 
 Every op checks its result for NaN/Inf and aborts the example by
 raising :class:`NonFiniteValue` naming the op, which turns silent
@@ -59,39 +60,39 @@ class OuterGrad(NamedTuple):
     v: np.ndarray
 
 
-class RowGrad(NamedTuple):
-    """Factored gradient of a matrix: zero except row ``i``, which is
-    ``g.T`` for the column ``g``."""
+class SliceGrad(NamedTuple):
+    """Factored gradient of a matrix: zero except ``out[index] = g``,
+    for a basic-indexing ``index`` such as ``np.s_[i:i + 1, :]``."""
 
-    i: int
+    index: tuple
     g: np.ndarray
 
 
 class _Factored:
     """The factored gradient parts one node has received so far."""
 
-    __slots__ = ("us", "vs", "rows", "row_grads")
+    __slots__ = ("us", "vs", "slices")
 
     def __init__(self):
-        self.us, self.vs, self.rows, self.row_grads = [], [], [], []
+        self.us, self.vs, self.slices = [], [], []
 
     def add(self, part):
         if type(part) is OuterGrad:
             self.us.append(part.u)
             self.vs.append(part.v)
         else:
-            self.rows.append(part.i)
-            self.row_grads.append(part.g)
+            self.slices.append(part)
 
     def materialize(self, shape, dtype, dense):
-        """One dense array: the outer products as one GEMM, then the rows
-        in one scatter (in arrival order), then ``dense`` if not None."""
+        """One dense array: the outer products as one GEMM, then each
+        slice added in place (in arrival order), then ``dense`` if not
+        None."""
         if self.us:
             out = (np.hstack(self.us) @ np.hstack(self.vs).T).astype(dtype, copy=False)
         else:
             out = np.zeros(shape, dtype=dtype)
-        if self.rows:
-            np.add.at(out, self.rows, np.hstack(self.row_grads).T)
+        for index, g in self.slices:
+            out[index] += g
         if dense is not None:
             out += dense
         return out
@@ -185,7 +186,7 @@ class Graph:
 
         ``vjp`` maps the output gradient to a tuple of parent gradients,
         one per parent: a dense array, an :class:`OuterGrad`, a
-        :class:`RowGrad` or ``None`` (skipped).  Dense arrays may be
+        :class:`SliceGrad` or ``None`` (skipped).  Dense arrays may be
         views of the incoming gradient.
         """
         value = np.asarray(value, dtype=self.dtype)
@@ -261,42 +262,34 @@ class Graph:
         if not 0 <= start < stop <= a.shape[0]:
             raise ShapeMismatch(f"slice_rows [{start}:{stop}] of {a.shape}")
 
-        def vjp(g):
-            out = np.zeros_like(a.value)
-            out[start:stop, :] = g
-            return (out,)
-
-        return self.record(a.value[start:stop, :], (a,), vjp, "slice_rows")
+        index = np.s_[start:stop, :]
+        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
+                           "slice_rows")
 
     def slice_cols(self, a, start, stop):
         if not 0 <= start < stop <= a.shape[1]:
             raise ShapeMismatch(f"slice_cols [{start}:{stop}] of {a.shape}")
 
-        def vjp(g):
-            out = np.zeros_like(a.value)
-            out[:, start:stop] = g
-            return (out,)
-
-        return self.record(a.value[:, start:stop], (a,), vjp, "slice_cols")
+        index = np.s_[:, start:stop]
+        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
+                           "slice_cols")
 
     def take_row(self, a, i):
         """Row ``i`` of a matrix, returned as a column vector."""
         if not 0 <= i < a.shape[0]:
             raise ShapeMismatch(f"take_row {i} of {a.shape}")
 
-        return self.record(a.value[i:i + 1, :].T, (a,), lambda g: (RowGrad(i, g),),
+        index = np.s_[i:i + 1, :]
+        return self.record(a.value[index].T, (a,), lambda g: (SliceGrad(index, g.T),),
                            "take_row")
 
     def take_col(self, a, j):
         if not 0 <= j < a.shape[1]:
             raise ShapeMismatch(f"take_col {j} of {a.shape}")
 
-        def vjp(g):
-            out = np.zeros_like(a.value)
-            out[:, j:j + 1] = g
-            return (out,)
-
-        return self.record(a.value[:, j:j + 1], (a,), vjp, "take_col")
+        index = np.s_[:, j:j + 1]
+        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
+                           "take_col")
 
     def stack_columns(self, cols):
         """Pack column vectors side by side into one matrix."""
@@ -336,26 +329,19 @@ class Graph:
 
         return self.record(wv @ xv + bn.value, (wn, bn, x), vjp, "affine")
 
-    def outer_sum(self, u, v, bias=None):
-        """Matrix with entry ``(i, j) = u[i] + v[j] (+ bias)``."""
+    def outer_sum(self, u, v, bias):
+        """Matrix with entry ``(i, j) = u[i] + v[j] + bias``."""
         if u.shape[1] != 1 or v.shape[1] != 1:
             raise ShapeMismatch("outer_sum expects column vectors")
-        value = u.value + v.value.T
-        parents = (u, v)
-        if bias is not None:
-            if bias.shape != (1, 1):
-                raise ShapeMismatch("outer_sum bias must be (1, 1)")
-            value = value + bias.value
-            parents = (u, v, bias)
+        if bias.shape != (1, 1):
+            raise ShapeMismatch("outer_sum bias must be (1, 1)")
 
         def vjp(g):
-            gu = g.sum(axis=1, keepdims=True)
-            gv = g.sum(axis=0).reshape(-1, 1)
-            if bias is None:
-                return (gu, gv)
-            return (gu, gv, g.sum().reshape(1, 1))
+            return (g.sum(axis=1, keepdims=True), g.sum(axis=0).reshape(-1, 1),
+                    g.sum().reshape(1, 1))
 
-        return self.record(value, parents, vjp, "outer_sum")
+        return self.record(u.value + v.value.T + bias.value, (u, v, bias), vjp,
+                           "outer_sum")
 
     # -- normalizers ------------------------------------------------------
 
@@ -407,12 +393,9 @@ class Graph:
         if not 0 <= i < v.shape[0]:
             raise ShapeMismatch(f"pick index {i} out of range for {v.shape}")
 
-        def vjp(g):
-            out = np.zeros_like(v.value)
-            out[i, 0] = g[0, 0]
-            return (out,)
-
-        return self.record(v.value[i:i + 1, 0:1], (v,), vjp, "pick")
+        index = np.s_[i:i + 1, 0:1]
+        return self.record(v.value[index], (v,), lambda g: (SliceGrad(index, g),),
+                           "pick")
 
     def total(self, a):
         """Sum of all entries as a (1, 1) scalar."""
@@ -431,10 +414,10 @@ def backward(graph, loss):
     topological order, so a single reverse pass with accumulation is
     exact.  Dense parent gradients are summed as they arrive, never in
     place, because vjps may return views of the incoming gradient.
-    Factored ones (:class:`OuterGrad`, :class:`RowGrad`) are kept until
+    Factored ones (:class:`OuterGrad`, :class:`SliceGrad`) are kept until
     the walk reaches the receiving node, which then gets one dense array
-    in the graph's dtype: the outer products' GEMM, plus the rows'
-    scatter, plus the dense sum.  Every returned gradient is a dense
+    in the graph's dtype: the outer products' GEMM, plus each slice in
+    arrival order, plus the dense sum.  Every returned gradient is a dense
     ndarray.
     """
     if loss.value.shape != (1, 1):
@@ -458,7 +441,7 @@ def backward(graph, loss):
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
                     continue
-                if isinstance(pg, (OuterGrad, RowGrad)):
+                if isinstance(pg, (OuterGrad, SliceGrad)):
                     factored.setdefault(parent.idx, _Factored()).add(pg)
                     continue
                 cur = grads[parent.idx]

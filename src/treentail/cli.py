@@ -90,9 +90,6 @@ def build_parser():
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--lr", type=float, default=0.001)
     p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--deterministic", action="store_true",
-                   help="accepted for compatibility; no effect, "
-                        "evaluation is always serial")
     _add_model_flags(p)
     p.set_defaults(func=cmd_train)
 

@@ -48,14 +48,21 @@ class ModelParameters:
     relation: LstmParameters
     scorer: AffineMap
     classifier: AffineMap
-    reverse_scorer: AffineMap | None = None
+
+    @classmethod
+    def build(cls, k, r, d, affine):
+        """The model's one layout at meaning width ``k``, relation width
+        ``r`` and word width ``d``.  ``affine(name, rows, cols)`` supplies
+        each map and is called in declaration order."""
+        return cls(
+            meaning=LstmParameters(affine("meaning", 5 * k, d + 2 * k)),
+            relation=LstmParameters(affine("relation", 5 * r, 2 * k + 2 * r)),
+            scorer=affine("scorer", 1, 2 * k),
+            classifier=affine("classifier", 3, r),
+        )
 
     def affine_maps(self):
-        maps = [self.meaning.block, self.relation.block, self.scorer]
-        if self.reverse_scorer is not None:
-            maps.append(self.reverse_scorer)
-        maps.append(self.classifier)
-        return maps
+        return [self.meaning.block, self.relation.block, self.scorer, self.classifier]
 
     def trainable(self):
         params = []
@@ -144,10 +151,7 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
     rev = None
     final = fwd
     if use_dual:
-        rev_scores = scores
-        if params.reverse_scorer is not None:
-            rev_scores = score_matrix(graph, hyp_h, prem_h, params.reverse_scorer)
-        rev = reverse_attention(graph, rev_scores)
+        rev = reverse_attention(graph, scores)
         final = dual_attention(graph, fwd, rev)
 
     contexts = attended_context(graph, final, prem_h)
@@ -230,18 +234,10 @@ def predict(premise, hypothesis, vocab, table, params, use_dual=False,
     prem_stack = np.concatenate(prem_h, axis=1)
     hyp_stack = np.concatenate(hyp_h, axis=1)
 
-    def scores_for(scorer):
-        sw, sb = cast(scorer.weight.value), cast(scorer.bias.value)
-        hyp_part = (sw[:, :k] @ hyp_stack).T
-        prem_part = (sw[:, k:] @ prem_stack).T
-        return hyp_part + prem_part.T + sb
-
-    scores = scores_for(params.scorer)
+    sw, sb = cast(params.scorer.weight.value), cast(params.scorer.bias.value)
+    scores = (sw[:, :k] @ hyp_stack).T + sw[:, k:] @ prem_stack + sb
     forward = final = _plain_row_softmax(scores)
-    rev_scores = scores
-    if use_dual and params.reverse_scorer is not None:
-        rev_scores = scores_for(params.reverse_scorer)
-    reverse = _plain_row_softmax(rev_scores.T)
+    reverse = _plain_row_softmax(scores.T)
     if use_dual:
         raw = forward * reverse.T + dtype(RENORM_FLOOR)
         final = raw / raw.sum(axis=1, keepdims=True)

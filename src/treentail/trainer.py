@@ -23,7 +23,6 @@ from .autodiff import (
     backward,
     grad_check,
 )
-from .composer import LstmParameters
 from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_oov
 from .entailment import (
     LABELS,
@@ -60,7 +59,6 @@ class TrainConfig:
     seed: int = 0
     use_dual: bool = False
     precision: str = "double"
-    separate_reverse_scorer: bool = False
 
     def __post_init__(self):
         if min(self.k, self.r, self.d) < 1:
@@ -81,10 +79,15 @@ class TrainConfig:
         return np.float64 if self.precision == "double" else np.float32
 
 
-def _uniform_affine(name, out_dim, in_dim, rng, dtype):
-    w = rng.uniform(-INIT_SCALE, INIT_SCALE, (out_dim, in_dim))
-    b = rng.uniform(-INIT_SCALE, INIT_SCALE, (out_dim, 1))
-    return AffineMap.from_arrays(name, w.astype(dtype), b.astype(dtype))
+def _uniform_parameters(k, r, d, rng, scale, dtype):
+    """Every map's weight, then bias, i.i.d. uniform on [-scale, scale]."""
+
+    def uniform(name, rows, cols):
+        w = rng.uniform(-scale, scale, (rows, cols))
+        b = rng.uniform(-scale, scale, (rows, 1))
+        return AffineMap.from_arrays(name, w.astype(dtype), b.astype(dtype))
+
+    return ModelParameters.build(k, r, d, uniform)
 
 
 def init_parameters(config, rng):
@@ -93,15 +96,8 @@ def init_parameters(config, rng):
     The draw order is fixed by declaration order, so one seed pins the
     whole parameter set.
     """
-    k, r, d, dt = config.k, config.r, config.d, config.dtype
-    meaning = LstmParameters(_uniform_affine("meaning", 5 * k, d + 2 * k, rng, dt))
-    relation = LstmParameters(_uniform_affine("relation", 5 * r, 2 * k + 2 * r, rng, dt))
-    scorer = _uniform_affine("scorer", 1, 2 * k, rng, dt)
-    reverse = None
-    if config.separate_reverse_scorer:
-        reverse = _uniform_affine("reverse_scorer", 1, 2 * k, rng, dt)
-    classifier = _uniform_affine("classifier", 3, r, rng, dt)
-    return ModelParameters(meaning, relation, scorer, classifier, reverse)
+    return _uniform_parameters(config.k, config.r, config.d, rng, INIT_SCALE,
+                               config.dtype)
 
 
 @dataclass
@@ -296,11 +292,10 @@ def parameter_count(config):
     set, so the formula and the allocation code cannot drift apart.
     """
     k, r, d = config.k, config.r, config.d
-    scorers = 2 if config.separate_reverse_scorer else 1
     return (
         (d + 2 * k + 1) * 5 * k
         + (2 * k + 2 * r + 1) * 5 * r
-        + (2 * k + 1) * scorers
+        + (2 * k + 1)
         + (r + 1) * 3
     )
 
@@ -368,7 +363,11 @@ def load_checkpoint(path):
             raise CheckpointError(f"unreadable header: {exc}") from None
 
         try:
-            config = TrainConfig(**header["config"])
+            fields = dict(header["config"])
+            # Files written while a separate reverse scorer was an option
+            # carry its switch; only its off state is this model.
+            legacy_reverse = fields.pop("separate_reverse_scorer", False)
+            config = TrainConfig(**fields)
             vocab_info = header["vocabulary"]
             tokens = list(vocab_info["tokens"])
             counts = (vocab_info["frozen_count"], vocab_info["oov_count"])
@@ -376,6 +375,9 @@ def load_checkpoint(path):
             manifest = list(header["tensors"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"incomplete header: {exc}") from None
+        if legacy_reverse is not False:
+            raise CheckpointError("separate_reverse_scorer is no longer supported; "
+                                  f"the header sets it to {legacy_reverse!r}")
 
         scalar = "<f8" if config.precision == "double" else "<f4"
         width = np.dtype(scalar).itemsize
@@ -412,16 +414,8 @@ def load_checkpoint(path):
                                   f"widths need ({rows}, {cols})")
         return AffineMap.from_arrays(name, weight, bias)
 
-    k, r, d = config.k, config.r, config.d
-    reverse = (affine("reverse_scorer", 1, 2 * k)
-               if config.separate_reverse_scorer else None)
-    params = ModelParameters(
-        meaning=LstmParameters(affine("meaning", 5 * k, d + 2 * k)),
-        relation=LstmParameters(affine("relation", 5 * r, 2 * k + 2 * r)),
-        scorer=affine("scorer", 1, 2 * k),
-        classifier=affine("classifier", 3, r),
-        reverse_scorer=reverse,
-    )
+    d = config.d
+    params = ModelParameters.build(config.k, config.r, d, affine)
 
     if "embeddings.frozen" not in arrays:
         raise CheckpointError("missing tensor 'embeddings.frozen'")
@@ -467,8 +461,6 @@ def _audit_fixture(k, r, d, seed, pairs, leaf_range):
     """
     from .data import random_tree  # local import: data builds on this module's sibling
 
-    scale = 0.3
-
     def bounded(shape, rng):
         return rng.choice([-1.0, 1.0], shape) * rng.uniform(0.3, 0.9, shape)
 
@@ -484,17 +476,7 @@ def _audit_fixture(k, r, d, seed, pairs, leaf_range):
     register_oov(vocab, table, ["q0", "q1"], rng)
     table.trainable.value[...] = bounded(table.trainable.value.shape, rng)
 
-    def wide(name, out_dim, in_dim):
-        w = rng.uniform(-scale, scale, (out_dim, in_dim))
-        b = rng.uniform(-scale, scale, (out_dim, 1))
-        return AffineMap.from_arrays(name, w, b)
-
-    params = ModelParameters(
-        meaning=LstmParameters(wide("meaning", 5 * k, d + 2 * k)),
-        relation=LstmParameters(wide("relation", 5 * r, 2 * k + 2 * r)),
-        scorer=wide("scorer", 1, 2 * k),
-        classifier=wide("classifier", 3, r),
-    )
+    params = _uniform_parameters(k, r, d, rng, 0.3, np.float64)
 
     all_tokens = frozen_tokens + ["q0", "q1"]
     lo, hi = leaf_range

@@ -9,6 +9,7 @@ every internal node are already computed.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 
@@ -26,6 +27,11 @@ class UnbalancedParens(TreeParseError):
 
 class NonBinaryNode(TreeParseError):
     pass
+
+
+class NestingTooDeep(TreeParseError, RecursionError):
+    """Nesting deeper than the parser's recursion can follow.  Also a
+    RecursionError, which is what such text raised before."""
 
 
 @dataclass(frozen=True)
@@ -76,8 +82,10 @@ def parse_tree(text):
     (5, 4)
 
     Raises :class:`EmptyInput` for blank text, :class:`UnbalancedParens`
-    for paren mismatches or trailing content, and :class:`NonBinaryNode`
-    for any internal node without exactly two constituents.
+    for paren mismatches or trailing content, :class:`NonBinaryNode`
+    for any internal node without exactly two constituents, and
+    :class:`NestingTooDeep` for nesting past the interpreter's recursion
+    limit (the parser recurses once per level).
     """
     toks = _tokenize(text)
     if not toks:
@@ -115,7 +123,12 @@ def parse_tree(text):
         rights.append(children[1])
         return len(tokens) - 1
 
-    parse_node()
+    try:
+        parse_node()
+    except RecursionError:
+        raise NestingTooDeep(
+            f"tree nests deeper than the parser's limit of about "
+            f"{sys.getrecursionlimit()} levels") from None
     if pos != len(toks):
         raise UnbalancedParens("trailing content after complete tree")
     return BinaryTree(tuple(tokens), tuple(lefts), tuple(rights))

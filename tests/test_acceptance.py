@@ -294,7 +294,6 @@ def test_criterion_8_deterministic_cli_runs(tmp_path):
             "train", "--data", str(corpus), "--dev", str(devfile),
             "--out", str(out), "--k", "6", "--r", "5", "--d", "8",
             "--epochs", "3", "--batch-size", "8", "--seed", "11",
-            "--deterministic",
         ])
         assert code == 0
         return ((out / "checkpoint.tent").read_bytes(),

@@ -195,7 +195,7 @@ def _matvec(graph, w, x, factored):
 
 
 class TestFactoredGradients:
-    """OuterGrad and RowGrad parts are summed once per receiving node."""
+    """OuterGrad and SliceGrad parts are summed once per receiving node."""
 
     def test_leaves_sharing_a_row_sum(self):
         table = Parameter("t", np.arange(12.0).reshape(4, 3))

@@ -10,14 +10,19 @@ import struct
 import numpy as np
 import pytest
 
+from treentail.autodiff import Graph
 from treentail.cli import main
 from treentail.data import load_snli
+from treentail.entailment import LABELS, run_forward
 from treentail.inspection import read_pgm
 from treentail.trainer import MAGIC, load_checkpoint, save_checkpoint
+from treentail.trees import parse_tree
 
 TRAIN_FLAGS = ["--k", "6", "--r", "5", "--d", "8", "--epochs", "2",
-               "--batch-size", "8", "--dropout", "0.1", "--seed", "3",
-               "--deterministic"]
+               "--batch-size", "8", "--dropout", "0.1", "--seed", "3"]
+
+# Deeper than the recursive tree parser can follow.
+DEEP_TREE = "( " * 1200 + "a" + " dog )" * 1200
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +109,24 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_too_deep_corpus_tree_is_a_data_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(json.dumps({"gold_label": "neutral",
+                                    "sentence1_binary_parse": "( a dog )",
+                                    "sentence2_binary_parse": DEEP_TREE}) + "\n")
+        assert main(["train", "--data", str(deep),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1: ") and "Traceback" not in err
+
+
+def tape_forward(checkpoint, premise, hypothesis):
+    """The training tape's view of one pair, as an independent reference
+    for what the commands print."""
+    config, vocab, table, params = load_checkpoint(checkpoint)
+    return run_forward(Graph(config.dtype), parse_tree(premise), parse_tree(hypothesis),
+                       vocab, table, params, use_dual=config.use_dual)
+
 
 class TestEval:
     def test_reports_accuracy_and_confusion(self, workdir, capsys):
@@ -166,6 +189,19 @@ def _no_fallback_row(header):
     header["vocabulary"]["unk_index"] = None
 
 
+def _dual_on(header):
+    header["config"]["use_dual"] = True
+
+
+def _legacy_reverse_scorer_off(header):
+    # What every checkpoint written while the option existed carries.
+    header["config"]["separate_reverse_scorer"] = False
+
+
+def _legacy_reverse_scorer_on(header):
+    header["config"]["separate_reverse_scorer"] = True
+
+
 def _rewrite_checkpoint(workdir, out, edit, tail=b""):
     """Copy of the shared checkpoint with its JSON header passed through
     ``edit`` and ``tail`` appended."""
@@ -192,6 +228,20 @@ class TestPredict:
         probs = [float(l.split(":")[1]) for l in lines[1:4]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("edit", [None, _dual_on, _legacy_reverse_scorer_off],
+                             ids=["as_trained", "dual_on", "legacy_header"])
+    def test_printed_prediction_matches_the_tape(self, workdir, tmp_path, capsys,
+                                                 edit):
+        ckpt = _rewrite_checkpoint(workdir, tmp_path / "model.tent", edit)
+        premise, hypothesis = "( ( a dog ) ( is sleeping ) )", "( a ( happy dog ) )"
+        assert main(["predict", "--checkpoint", str(ckpt), premise, hypothesis]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        dist = tape_forward(ckpt, premise, hypothesis).distribution.value[:, 0]
+        assert lines[0] == LABELS[int(np.argmax(dist))]
+        assert [l.split(":")[0].strip() for l in lines[1:]] == list(LABELS)
+        printed = [float(l.split(":")[1]) for l in lines[1:]]
+        np.testing.assert_allclose(printed, dist, rtol=0, atol=5e-7)
+
     def test_bad_tree_string_is_a_data_error(self, workdir, capsys):
         assert main(["predict",
                      "--checkpoint", str(workdir / "run" / "checkpoint.tent"),
@@ -207,9 +257,11 @@ class TestPredict:
         (_entry_without_cols, b""),
         (_entry_not_a_dict, b""),
         (_dropout_out_of_range, b""),
+        (_legacy_reverse_scorer_on, b""),
     ], ids=["extra_token", "miscounted_rows", "unk_out_of_range",
             "wrong_width", "trailing_bytes", "entry_without_name",
-            "entry_without_cols", "entry_not_a_dict", "dropout_out_of_range"])
+            "entry_without_cols", "entry_not_a_dict", "dropout_out_of_range",
+            "separate_reverse_scorer"])
     def test_inconsistent_checkpoint_is_a_data_error(self, workdir, tmp_path,
                                                      capsys, edit, tail):
         bad = _rewrite_checkpoint(workdir, tmp_path / "bad.tent", edit, tail)
@@ -229,6 +281,13 @@ class TestPredict:
                      "( a zebra )"]) == 2
         err = capsys.readouterr().err
         assert err == "error: token 'zebra' unknown and no fallback row registered\n"
+
+    def test_too_deep_tree_is_a_data_error(self, workdir, capsys):
+        assert main(["predict",
+                     "--checkpoint", str(workdir / "run" / "checkpoint.tent"),
+                     DEEP_TREE, "( a dog )"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 class TestInspect:
@@ -251,6 +310,16 @@ class TestInspect:
         # hypothesis has 5 nodes, premise 7: heatmap is |Q| x |P|
         pixels = read_pgm(out / "pair_0000.pgm")
         assert pixels.shape == (5, 7)
+
+        lines = text.splitlines()
+        run = tape_forward(workdir / "run" / "checkpoint.tent",
+                           "( ( a dog ) ( is sleeping ) )", "( a ( happy dog ) )")
+        dist = next(l for l in lines if l.startswith("distribution: "))
+        np.testing.assert_allclose([float(x) for x in dist.split()[1:]],
+                                   run.distribution.value[:, 0], rtol=0, atol=5e-10)
+        start = lines.index("attention-final: 5x7") + 1
+        final = [[float(x) for x in row.split()] for row in lines[start:start + 5]]
+        np.testing.assert_allclose(final, run.final_attention.value, rtol=0, atol=5e-10)
 
     def test_unknown_token_without_fallback_row_is_a_data_error(
             self, workdir, tmp_path, capsys):

@@ -96,15 +96,6 @@ class TestInitParameters:
         assert params.relation.block.weight.value.shape == (20, 12 + 8)
         assert params.scorer.weight.value.shape == (1, 12)
         assert params.classifier.weight.value.shape == (3, 4)
-        assert params.reverse_scorer is None
-
-    def test_separate_reverse_scorer_is_allocated_on_request(self):
-        config = small_config(separate_reverse_scorer=True)
-        params = init_parameters(config, np.random.default_rng(2))
-        assert params.reverse_scorer is not None
-        assert params.reverse_scorer.weight.value.shape == (1, 8)
-        assert not np.array_equal(params.reverse_scorer.weight.value,
-                                  params.scorer.weight.value)
 
     def test_draw_looks_uniform_at_scale(self):
         """~1e5 scalars: the sample mean of U(-0.05, 0.05) stays within
@@ -402,12 +393,9 @@ class TestParameterCount:
         # meaning 5x(1+2) + bias 5 = 20; relation 5x(2+2) + bias 5 = 25;
         # scorer 1x2 + 1 = 3; classifier 3x1 + 3 = 6
         assert parameter_count(config) == 54
-        assert parameter_count(TrainConfig(k=1, r=1, d=1,
-                                           separate_reverse_scorer=True)) == 57
 
-    @pytest.mark.parametrize("separate", [False, True])
-    def test_formula_matches_an_actual_allocation(self, separate):
-        config = small_config(k=5, r=4, d=7, separate_reverse_scorer=separate)
+    def test_formula_matches_an_actual_allocation(self):
+        config = small_config(k=5, r=4, d=7)
         params = init_parameters(config, np.random.default_rng(0))
         total = sum(p.value.size for p in params.trainable())
         assert total == parameter_count(config)
@@ -442,14 +430,6 @@ class TestCheckpoint:
         got_config, _, got_table, got_params = load_checkpoint(path)
         assert got_config.precision == "single"
         assert got_params.meaning.block.weight.value.dtype == np.float32
-
-    def test_separate_reverse_scorer_round_trips(self, tmp_path):
-        path, _, _, _, params = self.saved(tmp_path,
-                                           separate_reverse_scorer=True)
-        _, _, _, got = load_checkpoint(path)
-        assert got.reverse_scorer is not None
-        np.testing.assert_array_equal(got.reverse_scorer.weight.value,
-                                      params.reverse_scorer.weight.value)
 
     def test_bad_magic(self, tmp_path):
         path, *_ = self.saved(tmp_path)

@@ -8,6 +8,7 @@ import treentail.trees
 from treentail.trees import (
     BinaryTree,
     EmptyInput,
+    NestingTooDeep,
     NonBinaryNode,
     TreeParseError,
     UnbalancedParens,
@@ -78,6 +79,16 @@ class TestParse:
     def test_non_binary_nodes(self, bad):
         with pytest.raises(NonBinaryNode):
             parse_tree(bad)
+
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        """The parser recurses once per level; 1,200 levels must end in
+        a tree error, still catchable as the RecursionError it was."""
+        depth = 1200
+        text = "( " * depth + "a" + " b )" * depth
+        with pytest.raises(NestingTooDeep, match="nests deeper") as info:
+            parse_tree(text)
+        assert isinstance(info.value, TreeParseError)
+        assert isinstance(info.value, RecursionError)
 
     def test_errors_are_value_errors(self):
         # Callers catch the family root both as TreeParseError and ValueError.
