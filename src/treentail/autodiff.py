@@ -418,7 +418,8 @@ def backward(graph, loss):
     the walk reaches the receiving node, which then gets one dense array
     in the graph's dtype: the outer products' GEMM, plus each slice in
     arrival order, plus the dense sum.  Every returned gradient is a dense
-    ndarray.
+    ndarray.  :meth:`Graph.parameter` records one node per parameter, so
+    that node's gradient is the parameter's whole gradient.
     """
     if loss.value.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
@@ -435,8 +436,7 @@ def backward(graph, loss):
         if g is None:
             continue
         if node.param is not None:
-            prev = param_grads.get(node.param)
-            param_grads[node.param] = g if prev is None else prev + g
+            param_grads[node.param] = g
         if node.vjp is not None:
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:

@@ -9,8 +9,10 @@ streams, so a rerun with the same configuration is bit-identical.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -61,6 +63,12 @@ class TrainConfig:
     precision: str = "double"
 
     def __post_init__(self):
+        for name in ("k", "r", "d", "batch_size", "epochs", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if type(self.use_dual) is not bool:
+            raise ValueError(f"use_dual must be true or false, got {self.use_dual!r}")
         if min(self.k, self.r, self.d) < 1:
             raise ValueError("widths must be at least 1")
         if not 0.0 < self.learning_rate < 1.0:
@@ -320,6 +328,11 @@ def _checkpoint_tensors(params, table):
     return tensors
 
 
+def _manifest(tensors):
+    return [{"name": name, "rows": int(a.shape[0]), "cols": int(a.shape[1])}
+            for name, a in tensors]
+
+
 def save_checkpoint(path, config, vocab, table, params):
     tensors = _checkpoint_tensors(params, table)
     scalar = "<f8" if config.precision == "double" else "<f4"
@@ -333,10 +346,7 @@ def save_checkpoint(path, config, vocab, table, params):
             "oov_count": vocab.oov_count,
             "unk_index": vocab.unk_index,
         },
-        "tensors": [
-            {"name": name, "rows": int(a.shape[0]), "cols": int(a.shape[1])}
-            for name, a in tensors
-        ],
+        "tensors": _manifest(tensors),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     with open(path, "wb") as handle:
@@ -349,8 +359,17 @@ def save_checkpoint(path, config, vocab, table, params):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into ``(config, vocab, table, params)``."""
+    """Read a checkpoint back into ``(config, vocab, table, params)``.
+
+    The header's config and vocabulary counts fix the layout: the model
+    and table are built empty from them, laid out by the same
+    :func:`_checkpoint_tensors` that :func:`save_checkpoint` writes from,
+    and each tensor is read straight into its array.  A manifest, size,
+    tensor shape, label order or precision other than that layout's
+    raises :class:`CheckpointError`.
+    """
     with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
         if handle.read(len(MAGIC)) != MAGIC:
             raise CheckpointError("bad magic bytes")
         raw = handle.read(4)
@@ -358,7 +377,8 @@ def load_checkpoint(path):
             raise CheckpointError("truncated header length")
         (header_len,) = struct.unpack("<I", raw)
         try:
-            header = json.loads(handle.read(header_len).decode("utf-8"))
+            # min: a damaged length must not size a read past the file's end.
+            header = json.loads(handle.read(min(header_len, size)).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise CheckpointError(f"unreadable header: {exc}") from None
 
@@ -372,76 +392,65 @@ def load_checkpoint(path):
             tokens = list(vocab_info["tokens"])
             counts = (vocab_info["frozen_count"], vocab_info["oov_count"])
             unk = vocab_info["unk_index"]
+            labels, precision = header["labels"], header["precision"]
             manifest = list(header["tensors"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"incomplete header: {exc}") from None
         if legacy_reverse is not False:
             raise CheckpointError("separate_reverse_scorer is no longer supported; "
                                   f"the header sets it to {legacy_reverse!r}")
+        if labels != list(LABELS):
+            raise CheckpointError(f"labels {labels!r:.80} are not {list(LABELS)}")
+        if precision != config.precision:
+            raise CheckpointError(f"header precision {precision!r:.40} is not the "
+                                  f"config's {config.precision!r}")
+        if not (all(type(n) is int and n >= 0 for n in counts)
+                and len(tokens) == sum(counts)):
+            raise CheckpointError(
+                f"vocabulary of {len(tokens)} tokens does not split into "
+                f"{counts[0]!r:.20} frozen and {counts[1]!r:.20} trainable rows")
+        if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
+            raise CheckpointError("vocabulary tokens must be distinct strings")
+        if unk is not None and not (type(unk) is int and 0 <= unk < len(tokens)):
+            raise CheckpointError(f"unk_index {unk!r} is outside the vocabulary")
 
-        scalar = "<f8" if config.precision == "double" else "<f4"
-        width = np.dtype(scalar).itemsize
-        arrays = {}
-        for entry in manifest:
-            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                    and type(entry.get("rows")) is int and type(entry.get("cols")) is int):
-                raise CheckpointError(
-                    f"tensor manifest entry {entry!r:.80} needs a name, rows and cols")
-            name = entry["name"]
-            raw = handle.read(8)
-            if len(raw) != 8:
-                raise CheckpointError(f"truncated shape for {name}")
-            rows, cols = struct.unpack("<II", raw)
-            if (rows, cols) != (entry["rows"], entry["cols"]):
+        scalar = np.dtype("<f8" if config.precision == "double" else "<f4")
+        # Checked before anything sized by the header is allocated.
+        d, body = config.d, size - handle.tell()
+        scalars = parameter_count(config) + sum(counts) * d
+        if body < scalars * scalar.itemsize:
+            raise CheckpointError(f"truncated data: {body} bytes cannot hold the "
+                                  f"{scalars} scalars the header declares")
+
+        def empty(name, rows, cols):
+            return AffineMap.from_arrays(name, np.empty((rows, cols), scalar),
+                                         np.empty((rows, 1), scalar))
+
+        params = ModelParameters.build(config.k, config.r, d, empty)
+        table = EmbeddingTable(np.empty((counts[0], d), scalar))
+        if counts[1]:
+            table.trainable = Parameter("embeddings.oov",
+                                        np.empty((counts[1], d), scalar))
+        layout = _checkpoint_tensors(params, table)
+        expected = _manifest(layout)
+        if manifest != expected:
+            i, got, want = next(
+                (i, got, want) for i, (got, want)
+                in enumerate(zip_longest(manifest, expected, fillvalue="no entry"))
+                if got != want)
+            raise CheckpointError(f"tensor manifest entry {i} is {got!s:.80}; the "
+                                  f"config and vocabulary lay out {want}")
+        need = sum(8 + a.nbytes for _, a in layout)
+        if body != need:
+            problem = "truncated data" if body < need else "trailing bytes"
+            raise CheckpointError(f"{problem}: {body} bytes after the header, "
+                                  f"the layout takes {need}")
+        for name, a in layout:
+            if struct.unpack("<II", handle.read(8)) != a.shape:
                 raise CheckpointError(f"shape mismatch for {name}")
-            data = handle.read(rows * cols * width)
-            if len(data) != rows * cols * width:
-                raise CheckpointError(f"truncated data for {name}")
-            arrays[name] = (
-                np.frombuffer(data, dtype=scalar)
-                .reshape(rows, cols)
-                .astype(config.dtype)
-            )
-        trailing = handle.read(1)
+            handle.readinto(a)
 
-    def affine(name, rows, cols):
-        try:
-            weight, bias = arrays[name + ".weight"], arrays[name + ".bias"]
-        except KeyError as exc:
-            raise CheckpointError(f"missing tensor {exc}") from None
-        if weight.shape != (rows, cols) or bias.shape != (rows, 1):
-            raise CheckpointError(f"tensor {name} is {weight.shape}, the config "
-                                  f"widths need ({rows}, {cols})")
-        return AffineMap.from_arrays(name, weight, bias)
-
-    d = config.d
-    params = ModelParameters.build(config.k, config.r, d, affine)
-
-    if "embeddings.frozen" not in arrays:
-        raise CheckpointError("missing tensor 'embeddings.frozen'")
-    table = EmbeddingTable(arrays["embeddings.frozen"])
-    if "embeddings.oov" in arrays:
-        table.trainable = Parameter("embeddings.oov", arrays["embeddings.oov"])
-    oov = arrays.get("embeddings.oov", np.zeros((0, d)))
-    if table.dim != d or oov.shape[1] != d:
-        raise CheckpointError(f"embedding rows are not d = {d} wide")
-    table_rows = (table.frozen.shape[0], oov.shape[0])
-    if counts != table_rows or len(tokens) != sum(table_rows):
-        raise CheckpointError(
-            f"vocabulary of {len(tokens)} tokens with {counts[0]} frozen and "
-            f"{counts[1]} trainable does not match the table's {table_rows[0]} "
-            f"frozen and {table_rows[1]} trainable rows")
-    if unk is not None and not (type(unk) is int and 0 <= unk < len(tokens)):
-        raise CheckpointError(f"unk_index {unk!r} is outside the vocabulary")
-    if trailing:
-        raise CheckpointError("trailing bytes after the last tensor")
-    vocab = Vocabulary(
-        tokens=tokens,
-        index={t: i for i, t in enumerate(tokens)},
-        frozen_count=counts[0],
-        oov_count=counts[1],
-        unk_index=unk,
-    )
+    vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, *counts, unk)
     return config, vocab, table, params
 
 

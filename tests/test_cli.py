@@ -185,6 +185,42 @@ def _dropout_out_of_range(header):
     header["config"]["dropout_rate"] = 1.5
 
 
+def _junk_tensor(header):
+    header["tensors"].append({"name": "junk.weight", "rows": 2, "cols": 2})
+
+
+JUNK_BYTES = struct.pack("<II", 2, 2) + np.zeros((2, 2)).tobytes()
+
+
+def _float_width(header):
+    header["config"]["k"] = float(header["config"]["k"])
+
+
+def _dual_as_text(header):
+    header["config"]["use_dual"] = "false"
+
+
+def _huge_width(header):
+    header["config"]["k"] = 10**6
+
+
+def _reversed_labels(header):
+    header["labels"].reverse()
+
+
+def _precision_mismatch(header):
+    header["precision"] = "single"
+
+
+def _repeated_token(header):
+    tokens = header["vocabulary"]["tokens"]
+    tokens[-1] = tokens[-2]
+
+
+def _non_string_token(header):
+    header["vocabulary"]["tokens"][-1] = 7
+
+
 def _no_fallback_row(header):
     header["vocabulary"]["unk_index"] = None
 
@@ -258,10 +294,20 @@ class TestPredict:
         (_entry_not_a_dict, b""),
         (_dropout_out_of_range, b""),
         (_legacy_reverse_scorer_on, b""),
+        (_junk_tensor, JUNK_BYTES),
+        (_float_width, b""),
+        (_huge_width, b""),
+        (_reversed_labels, b""),
+        (_precision_mismatch, b""),
+        (_repeated_token, b""),
+        (_non_string_token, b""),
+        (_dual_as_text, b""),
     ], ids=["extra_token", "miscounted_rows", "unk_out_of_range",
             "wrong_width", "trailing_bytes", "entry_without_name",
             "entry_without_cols", "entry_not_a_dict", "dropout_out_of_range",
-            "separate_reverse_scorer"])
+            "separate_reverse_scorer", "junk_tensor", "float_width",
+            "huge_width", "reversed_labels", "precision_mismatch",
+            "repeated_token", "non_string_token", "dual_as_text"])
     def test_inconsistent_checkpoint_is_a_data_error(self, workdir, tmp_path,
                                                      capsys, edit, tail):
         bad = _rewrite_checkpoint(workdir, tmp_path / "bad.tent", edit, tail)

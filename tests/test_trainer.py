@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treentail.autodiff import Graph, NonFiniteValue, Parameter, ShapeMismatch, backward
 from treentail.composer import dropout
@@ -63,6 +65,9 @@ class TestTrainConfig:
         dict(dropout_rate=1.0), dict(dropout_rate=-0.1),
         dict(batch_size=0), dict(epochs=-1),
         dict(precision="half"),
+        dict(k=2.5), dict(k=True), dict(r=3.0), dict(d="8"),
+        dict(batch_size=2.0), dict(epochs=1.0), dict(seed=1.5),
+        dict(use_dual="no"),
     ])
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ValueError):
@@ -444,6 +449,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="truncated header"):
             load_checkpoint(path)
 
+    def test_header_length_past_the_end_allocates_nothing_for_it(self, tmp_path):
+        import tracemalloc
+
+        path, *_ = self.saved(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(MAGIC + struct.pack("<I", 2**31) + data[len(MAGIC) + 4:])
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointError, match="unreadable header"):
+                load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**24  # the whole file is 6 kB; the damaged length says 2 GB
+
     def test_unreadable_header(self, tmp_path):
         path = tmp_path / "junk.tent"
         blob = b"\xff\xfenot json"
@@ -490,3 +510,48 @@ class TestCheckpoint:
                          + data[start + header_len:])
         with pytest.raises(CheckpointError, match="embeddings.frozen"):
             load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def fuzz_checkpoint(tmp_path_factory):
+    """The bytes of one small saved checkpoint and a file to damage them in."""
+    config = small_config()
+    _, vocab, table, params = corpus_fixture(config)
+    path = tmp_path_factory.mktemp("fuzz") / "model.tent"
+    save_checkpoint(path, config, vocab, table, params)
+    return path, path.read_bytes()
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_damaged_checkpoint_loads_or_is_a_checkpoint_error(fuzz_checkpoint, data):
+    """Cut anywhere, or one byte overwritten in the header length, the
+    JSON header, its config, its tensor manifest or the tensor bytes: the
+    loader either reads the file or raises CheckpointError, never
+    anything else."""
+    path, blob = fuzz_checkpoint
+    start = len(MAGIC) + 4
+    (header_len,) = struct.unpack_from("<I", blob, len(MAGIC))
+    config = blob.index(b'"config": {', start)
+    manifest = blob.index(b'"tensors": [', start)
+    sections = {
+        "header length": (len(MAGIC), start),
+        "header": (start, start + header_len),
+        "config": (config, blob.index(b"}", config) + 1),
+        "manifest": (manifest, blob.index(b"]", manifest) + 1),
+        "tensors": (start + header_len, len(blob)),
+    }
+    damage = data.draw(st.sampled_from(["truncate", *sections]))
+    if damage == "truncate":
+        damaged = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        lo, hi = sections[damage]
+        at = data.draw(st.integers(lo, hi - 1))
+        # Digits keep a number a number, so the JSON often still parses.
+        byte = data.draw(st.sampled_from(b"0123456789") | st.integers(0, 255))
+        damaged = blob[:at] + bytes([byte]) + blob[at + 1:]
+    path.write_bytes(damaged)
+    try:
+        load_checkpoint(path)
+    except CheckpointError:
+        pass
