@@ -181,20 +181,21 @@ class Graph:
 
     # -- tape primitives -------------------------------------------------
 
-    def record(self, value, parents=(), vjp=None, op="const", param=None):
+    def record(self, value, parents=(), vjp=None, op="const"):
         """Append one op result.  The extension point for fused ops.
 
         ``vjp`` maps the output gradient to a tuple of parent gradients,
         one per parent: a dense array, an :class:`OuterGrad`, a
         :class:`SliceGrad` or ``None`` (skipped).  Dense arrays may be
-        views of the incoming gradient.
+        views of the incoming gradient.  Parameter leaves are made only
+        by :meth:`parameter`, which keeps one node per parameter.
         """
         value = np.asarray(value, dtype=self.dtype)
         if value.ndim != 2:
             raise ShapeMismatch(f"op '{op}' produced a non-2d value")
         if not np.isfinite(value).all():
             raise NonFiniteValue(f"non-finite value produced by op '{op}'")
-        node = Node(value, tuple(parents), vjp, op, param, len(self.nodes))
+        node = Node(value, tuple(parents), vjp, op, None, len(self.nodes))
         self.nodes.append(node)
         return node
 
@@ -206,7 +207,8 @@ class Graph:
         node = self._param_nodes.get(id(param))
         if node is None:
             value = param.value.astype(self.dtype, copy=False)
-            node = self.record(value, (), None, f"param:{param.name}", param=param)
+            node = self.record(value, (), None, f"param:{param.name}")
+            node.param = param
             self._param_nodes[id(param)] = node
         return node
 

@@ -142,14 +142,17 @@ def register_oov(vocab, table, corpus_tokens, rng):
 
     May run once per model; a second call raises :class:`CalledTwice`.
     Tokens already reachable through exact or lowercase match keep their
-    pretrained rows.  New rows are drawn uniform on [-0.05, 0.05] in
-    sorted token order so registration is reproducible.
+    pretrained rows.  A corpus token ``<unk>`` gets no row of its own: it
+    is the fallback row's name, and that row is the one it resolves to.
+    New rows are drawn uniform on [-0.05, 0.05] in sorted token order so
+    registration is reproducible.
     """
     if vocab.unk_index is not None:
         raise CalledTwice("out-of-vocabulary rows already registered")
 
     missing = sorted(
         {t for t in corpus_tokens if t not in vocab.index and t.lower() not in vocab.index}
+        - {UNK_TOKEN}
     )
     new_tokens = [UNK_TOKEN] + missing
     dtype = table.frozen.dtype

@@ -409,10 +409,14 @@ def load_checkpoint(path):
             raise CheckpointError(
                 f"vocabulary of {len(tokens)} tokens does not split into "
                 f"{counts[0]!r:.20} frozen and {counts[1]!r:.20} trainable rows")
-        if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
-            raise CheckpointError("vocabulary tokens must be distinct strings")
         if unk is not None and not (type(unk) is int and 0 <= unk < len(tokens)):
             raise CheckpointError(f"unk_index {unk!r} is outside the vocabulary")
+        # The fallback row's name (<unk>) may also name one other row; the
+        # index, like training's, maps that name to the later of the two.
+        named = [t for i, t in enumerate(tokens) if i != unk]
+        if not all(isinstance(t, str) for t in tokens) or len(set(named)) != len(named):
+            raise CheckpointError("vocabulary tokens must be distinct strings "
+                                  "apart from the fallback row")
 
         scalar = np.dtype("<f8" if config.precision == "double" else "<f4")
         # Checked before anything sized by the header is allocated.
@@ -450,7 +454,8 @@ def load_checkpoint(path):
                 raise CheckpointError(f"shape mismatch for {name}")
             handle.readinto(a)
 
-    vocab = Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, *counts, unk)
+    vocab = Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)},
+                       frozen_count=counts[0], oov_count=counts[1], unk_index=unk)
     return config, vocab, table, params
 
 

@@ -109,6 +109,31 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pretrained", [False, True],
+                             ids=["no_embeddings", "embeddings_with_unk"])
+    def test_corpus_with_unk_leaf_trains_a_loadable_checkpoint(
+            self, tmp_path, capsys, pretrained):
+        corpus = tmp_path / "unk.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"gold_label": label,
+                        "sentence1_binary_parse": "( ( a <unk> ) ( is sleeping ) )",
+                        "sentence2_binary_parse": f"( ( a {animal} ) ( is <UNK> ) )"})
+            + "\n" for label, animal in [("entailment", "dog"), ("neutral", "cat"),
+                                         ("contradiction", "<unk>")]))
+        flags = []
+        if pretrained:
+            vectors = tmp_path / "vectors.txt"
+            vectors.write_text("".join(f"{t} " + " ".join(["0.1"] * 8) + "\n"
+                                       for t in ["a", "<unk>", "dog"]))
+            flags = ["--embeddings", str(vectors)]
+        assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"),
+                     *TRAIN_FLAGS, *flags]) == 0
+        ckpt = tmp_path / "run" / "checkpoint.tent"
+        _, vocab, _, _ = load_checkpoint(ckpt)
+        assert vocab.index["<unk>"] == vocab.unk_index
+        assert main(["predict", "--checkpoint", str(ckpt),
+                     "( ( a <unk> ) ( is sleeping ) )", "( a cat )"]) == 0
+
     def test_too_deep_corpus_tree_is_a_data_error(self, tmp_path, capsys):
         deep = tmp_path / "deep.jsonl"
         deep.write_text(json.dumps({"gold_label": "neutral",
@@ -221,6 +246,11 @@ def _non_string_token(header):
     header["vocabulary"]["tokens"][-1] = 7
 
 
+def _fallback_name_repeated(header):
+    # A corpus <unk> row after the fallback row, as register_oov once wrote.
+    header["vocabulary"]["tokens"][-1] = "<unk>"
+
+
 def _no_fallback_row(header):
     header["vocabulary"]["unk_index"] = None
 
@@ -264,8 +294,10 @@ class TestPredict:
         probs = [float(l.split(":")[1]) for l in lines[1:4]]
         assert sum(probs) == pytest.approx(1.0, abs=1e-5)
 
-    @pytest.mark.parametrize("edit", [None, _dual_on, _legacy_reverse_scorer_off],
-                             ids=["as_trained", "dual_on", "legacy_header"])
+    @pytest.mark.parametrize("edit", [None, _dual_on, _legacy_reverse_scorer_off,
+                                      _fallback_name_repeated],
+                             ids=["as_trained", "dual_on", "legacy_header",
+                                  "fallback_name_repeated"])
     def test_printed_prediction_matches_the_tape(self, workdir, tmp_path, capsys,
                                                  edit):
         ckpt = _rewrite_checkpoint(workdir, tmp_path / "model.tent", edit)

@@ -133,6 +133,12 @@ class TestRegisterOov:
         # "The" and "CAT" fold onto pretrained rows; only "dog" is new.
         assert vocab.tokens[2:] == [UNK_TOKEN, "dog"]
 
+    def test_corpus_unk_resolves_to_the_fallback_row(self, tmp_path):
+        vocab, table = self.loaded(tmp_path)
+        register_oov(vocab, table, [UNK_TOKEN, "dog"], self.rng)
+        assert vocab.tokens[2:] == [UNK_TOKEN, "dog"]
+        assert resolve(vocab, UNK_TOKEN) == vocab.unk_index
+
     def test_second_call_refused(self, tmp_path):
         vocab, table = self.loaded(tmp_path)
         register_oov(vocab, table, ["dog"], self.rng)
