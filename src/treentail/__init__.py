@@ -37,7 +37,7 @@ from .trainer import (
     save_checkpoint,
     train,
 )
-from .trees import BinaryTree, parse_tree, post_order, serialize
+from .trees import BinaryTree, parse_tree, serialize
 
 __all__ = [
     "AffineMap",
@@ -75,7 +75,6 @@ __all__ = [
     "mix_alignments",
     "parameter_count",
     "parse_tree",
-    "post_order",
     "predict",
     "register_oov",
     "reverse_attention",

@@ -136,9 +136,8 @@ def walk_tree(graph, tree, params, input_at):
     """Run the cell bottom-up over ``tree``; returns a NodeState per node id.
 
     ``input_at(i)`` gives node ``i``'s input column.  Leaves start from
-    zero child states.  BinaryTree guarantees children-before-parent
-    ids, so a straight id sweep computes both children before their
-    parent.
+    zero child states.  BinaryTree ids are post-order, so the id sweep
+    computes both children before their parent.
     """
     k = params.k_out
     zero = NodeState(

@@ -184,8 +184,7 @@ def _plain_encode(tree, inputs, w, b, k, dtype):
     zero = np.zeros((k, 1), dtype)
     hs = [None] * tree.node_count
     cs = [None] * tree.node_count
-    # Node ids are child-before-parent by construction, so a straight
-    # id sweep visits every subtree bottom-up.
+    # BinaryTree ids are post-order: the id sweep is bottom-up.
     for i in range(tree.node_count):
         if tree.is_leaf(i):
             h, c = _plain_cell(w, b, inputs(i), zero, zero, zero, zero, k)

@@ -63,22 +63,24 @@ class TrainConfig:
     precision: str = "double"
 
     def __post_init__(self):
-        for name in ("k", "r", "d", "batch_size", "epochs", "seed"):
+        for name, least in (("k", 1), ("r", 1), ("d", 1), ("batch_size", 1),
+                            ("epochs", 0), ("seed", 0)):
             value = getattr(self, name)
-            if type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if type(value) is not int or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, "
+                                 f"got {value!r}")
         if type(self.use_dual) is not bool:
             raise ValueError(f"use_dual must be true or false, got {self.use_dual!r}")
-        if min(self.k, self.r, self.d) < 1:
-            raise ValueError("widths must be at least 1")
         if not 0.0 < self.learning_rate < 1.0:
             raise ValueError("learning_rate must lie in (0, 1)")
         if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise ValueError("betas must lie in (0, 1)")
+        if not (isinstance(self.adam_epsilon, float)
+                and 0.0 < self.adam_epsilon < float("inf")):
+            raise ValueError(f"adam_epsilon must be a positive finite float, "
+                             f"got {self.adam_epsilon!r}")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must lie in [0, 1)")
-        if self.batch_size < 1 or self.epochs < 0:
-            raise ValueError("batch_size must be positive and epochs nonnegative")
         if self.precision not in ("double", "single"):
             raise ValueError("precision must be 'double' or 'single'")
 
@@ -507,8 +509,7 @@ def _audit_fixture(k, r, d, seed, pairs, leaf_range):
 
 
 def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
-                          leaf_range=(3, 7), use_dual=True,
-                          fd_dtype=np.longdouble):
+                          leaf_range=(3, 7)):
     """Finite-difference audit of the whole pipeline.
 
     Builds a small model with both frozen and trainable embedding rows,
@@ -517,17 +518,19 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
     Dual attention is on so the renormalization backward is covered.
 
     The analytic side runs on the double-precision tape; the difference
-    quotients evaluate the independent tape-free forward, by default in
-    extended precision.  A central difference at this eps carries about
+    quotients evaluate the independent tape-free forward in extended
+    precision.  A central difference at this eps carries about
     1e-12 of float64 rounding noise, which against the 1e-8 relative-
     error floor is the tolerance itself, so a double-precision quotient
     would flag healthy scalars whose gradients happen to be tiny.  The
     wider accumulator pushes the oracle's own noise three orders below
-    the tolerance; ``fd_dtype=np.float64`` reproduces the noisy audit.
-    A NaN error on any pair makes the result NaN.
+    the tolerance.  A NaN error on any pair makes the result NaN.
     """
-    if pairs < 1:
-        raise ValueError(f"need at least one pair to audit, got {pairs}")
+    for name, value in (("k", k), ("r", r), ("d", d), ("pairs", pairs)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     vocab, table, params, drawn = _audit_fixture(k, r, d, seed, pairs, leaf_range)
     checked = _trainable(params, table)
 
@@ -537,12 +540,12 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
         def build():
             graph = Graph(np.float64)
             run = run_forward(graph, premise, hypothesis, vocab, table, params,
-                              use_dual=use_dual)
+                              use_dual=True)
             return graph, loss_node(graph, run.distribution, gold)
 
         def fd_loss():
             return plain_loss(premise, hypothesis, vocab, table, params, gold,
-                              use_dual=use_dual, dtype=fd_dtype)
+                              use_dual=True, dtype=np.longdouble)
 
         worst = np.maximum(worst, grad_check(build, checked, eps, loss_fn=fd_loss))
     return float(worst)

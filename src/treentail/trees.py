@@ -1,10 +1,10 @@
 """Binarized constituency trees and their s-expression text format.
 
-A tree is either a single token or ``( TREE TREE )``.  Parsing assigns
-dense post-order node ids, so children always carry smaller ids than
-their parent and the root is the last id.  That ordering is what lets
-the composer walk ``range(node_count)`` and trust that both children of
-every internal node are already computed.
+A tree is either a single token or ``( TREE TREE )``.  Its node ids are
+the post-order (left subtree, right subtree, parent) numbering, checked
+when a :class:`BinaryTree` is built, so every walk over a tree is a
+sweep over ``range(node_count)`` that reaches both children of a node
+before the node itself, and the root is the last id.
 """
 
 from __future__ import annotations
@@ -36,10 +36,15 @@ class NestingTooDeep(TreeParseError, RecursionError):
 
 @dataclass(frozen=True)
 class BinaryTree:
-    """Immutable binary tree over post-order node ids.
+    """Immutable binary tree whose node ids are its post-order.
 
     ``tokens[i]`` is the leaf token at node ``i`` (``None`` for internal
     nodes); ``lefts[i]``/``rights[i]`` are child ids (``-1`` for leaves).
+    Ids that are not one tree's post-order raise :class:`NonBinaryNode`:
+
+    >>> BinaryTree(("a", "b", None), (-1, -1, 0), (-1, -1, 0))
+    Traceback (most recent call last):
+    treentail.trees.NonBinaryNode: node 2 (token None, children (0, 0)) breaks post-order
     """
 
     tokens: tuple
@@ -47,11 +52,25 @@ class BinaryTree:
     rights: tuple
 
     def __post_init__(self):
-        for i in range(len(self.tokens)):
-            if self.is_leaf(i):
+        n = len(self.tokens)
+        if not n or len(self.lefts) != n or len(self.rights) != n:
+            raise NonBinaryNode(f"tokens, lefts and rights have lengths {n}, "
+                                f"{len(self.lefts)}, {len(self.rights)}")
+        size = []  # size[i]: node count of the subtree rooted at i
+        for i, token in enumerate(self.tokens):
+            children = (self.lefts[i], self.rights[i])
+            if token is not None and children == (-1, -1):
+                size.append(1)
                 continue
-            if not (0 <= self.lefts[i] < i and 0 <= self.rights[i] < i):
-                raise NonBinaryNode(f"node {i} has children out of post-order")
+            # Post-order: right subtree just before its parent, left before that.
+            right = i - 1
+            left = right - size[right] if i else -1
+            if token is not None or left < 0 or children != (left, right):
+                raise NonBinaryNode(f"node {i} (token {token!r}, children {children}) "
+                                    "breaks post-order")
+            size.append(1 + size[left] + size[right])
+        if size[-1] != n:
+            raise NonBinaryNode(f"the root covers {size[-1]} of {n} nodes")
 
     @property
     def node_count(self):
@@ -66,7 +85,7 @@ class BinaryTree:
 
     def leaves(self):
         """Leaf tokens in left-to-right surface order."""
-        return [self.tokens[i] for i in post_order(self) if self.is_leaf(i)]
+        return [token for token in self.tokens if token is not None]
 
 
 def _tokenize(text):
@@ -134,47 +153,24 @@ def parse_tree(text):
     return BinaryTree(tuple(tokens), tuple(lefts), tuple(rights))
 
 
+def _spans(tree, open_, close):
+    """Each node's leaves joined by spaces, internal nodes in open_/close."""
+    spans = []
+    for i, token in enumerate(tree.tokens):
+        if token is None:
+            token = open_ + spans[tree.lefts[i]] + " " + spans[tree.rights[i]] + close
+        spans.append(token)
+    return spans
+
+
 def serialize(tree):
     """Render the canonical s-expression: single spaces, spaced parens.
 
     ``parse_tree(serialize(t)) == t`` for every valid tree.
     """
-
-    def render(i):
-        if tree.is_leaf(i):
-            return tree.tokens[i]
-        return "( " + render(tree.lefts[i]) + " " + render(tree.rights[i]) + " )"
-
-    return render(tree.root)
-
-
-def post_order(tree):
-    """Node ids in left-right-parent order, computed by explicit DFS.
-
-    Because parsing assigns post-order ids, the result for a parsed tree
-    is always ``[0, 1, ..., node_count - 1]``; walking the structure
-    instead of returning ``range`` keeps this an independent check of
-    that invariant.
-    """
-    order = []
-    stack = [(tree.root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded or tree.is_leaf(node):
-            order.append(node)
-        else:
-            stack.append((node, True))
-            stack.append((tree.rights[node], False))
-            stack.append((tree.lefts[node], False))
-    return order
+    return _spans(tree, "( ", " )")[tree.root]
 
 
 def node_phrases(tree):
     """Surface phrase covered by each node, as one string per node id."""
-    phrases = [None] * tree.node_count
-    for i in post_order(tree):
-        if tree.is_leaf(i):
-            phrases[i] = tree.tokens[i]
-        else:
-            phrases[i] = phrases[tree.lefts[i]] + " " + phrases[tree.rights[i]]
-    return phrases
+    return _spans(tree, "", "")

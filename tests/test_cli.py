@@ -217,6 +217,10 @@ def _junk_tensor(header):
 JUNK_BYTES = struct.pack("<II", 2, 2) + np.zeros((2, 2)).tobytes()
 
 
+def _zero_adam_epsilon(header):
+    header["config"]["adam_epsilon"] = 0.0
+
+
 def _float_width(header):
     header["config"]["k"] = float(header["config"]["k"])
 
@@ -334,12 +338,14 @@ class TestPredict:
         (_repeated_token, b""),
         (_non_string_token, b""),
         (_dual_as_text, b""),
+        (_zero_adam_epsilon, b""),
     ], ids=["extra_token", "miscounted_rows", "unk_out_of_range",
             "wrong_width", "trailing_bytes", "entry_without_name",
             "entry_without_cols", "entry_not_a_dict", "dropout_out_of_range",
             "separate_reverse_scorer", "junk_tensor", "float_width",
             "huge_width", "reversed_labels", "precision_mismatch",
-            "repeated_token", "non_string_token", "dual_as_text"])
+            "repeated_token", "non_string_token", "dual_as_text",
+            "zero_adam_epsilon"])
     def test_inconsistent_checkpoint_is_a_data_error(self, workdir, tmp_path,
                                                      capsys, edit, tail):
         bad = _rewrite_checkpoint(workdir, tmp_path / "bad.tent", edit, tail)
@@ -437,11 +443,14 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "nan"],
                                        ["--eps", "-0.001"], ["--pairs", "0"],
-                                       ["--pairs", "-3"]])
+                                       ["--pairs", "-3"], ["--k", "0"],
+                                       ["--r", "0"], ["--d", "0"],
+                                       ["--seed", "-1"]])
     def test_vacuous_audit_is_a_usage_error(self, flags, capsys):
         assert main(["gradcheck", "--k", "2", "--r", "2", "--d", "2", *flags]) == 1
         captured = capsys.readouterr()
         assert "usage error" in captured.err
+        assert f"{flags[0].lstrip('-')} must" in captured.err
         assert "OK" not in captured.out
 
     def test_nan_error_fails_with_numeric_exit(self, monkeypatch, capsys):

@@ -23,7 +23,7 @@ from treentail.entailment import (
     run_forward,
 )
 from treentail.trainer import full_model_grad_check
-from treentail.trees import BinaryTree, parse_tree
+from treentail.trees import parse_tree
 
 
 def affine(name, out_dim, in_dim, rng, scale=0.4):
@@ -213,21 +213,6 @@ class TestPlainTwin:
                 for prem_s, hyp_s in PAIRS:
                     assert_matches_tape(parse_tree(prem_s), parse_tree(hyp_s),
                                         vocab, table, params, use_dual, dtype)
-
-    def test_ids_out_of_dfs_order_match_the_twin(self):
-        """Node ids that are child-before-parent but not a DFS order."""
-        tokens = ("the", "cat", "dog", "sat", None, None, None)
-        shuffled = BinaryTree(tokens=tokens,
-                              lefts=(-1, -1, -1, -1, 0, 1, 4),
-                              rights=(-1, -1, -1, -1, 2, 3, 5))
-        prem = parse_tree(PAIRS[1][0])
-        vocab, table, params = toy_model(3, 4, 5, 11)
-        for dtype in (np.float64, np.float32):
-            for use_dual in (False, True):
-                assert_matches_tape(shuffled, shuffled, vocab, table, params,
-                                    use_dual, dtype)
-                assert_matches_tape(prem, shuffled, vocab, table, params,
-                                    use_dual, dtype)
 
     def test_loss_matches_tape_loss(self):
         vocab, table, params = toy_model(3, 4, 5, 9)

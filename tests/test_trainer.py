@@ -67,7 +67,10 @@ class TestTrainConfig:
         dict(precision="half"),
         dict(k=2.5), dict(k=True), dict(r=3.0), dict(d="8"),
         dict(batch_size=2.0), dict(epochs=1.0), dict(seed=1.5),
-        dict(use_dual="no"),
+        dict(use_dual="no"), dict(seed=-1),
+        dict(adam_epsilon=0.0), dict(adam_epsilon=-1.0),
+        dict(adam_epsilon=float("nan")), dict(adam_epsilon=float("inf")),
+        dict(adam_epsilon="x"), dict(adam_epsilon=True),
     ])
     def test_rejects_bad_settings(self, bad):
         with pytest.raises(ValueError):

@@ -2,9 +2,13 @@
 
 import doctest
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treentail.trees
+from treentail.data import left_branching, random_tree
 from treentail.trees import (
     BinaryTree,
     EmptyInput,
@@ -14,7 +18,6 @@ from treentail.trees import (
     UnbalancedParens,
     node_phrases,
     parse_tree,
-    post_order,
     serialize,
 )
 
@@ -40,7 +43,6 @@ class TestParse:
             if not t.is_leaf(i):
                 assert t.lefts[i] < i
                 assert t.rights[i] < i
-        assert post_order(t) == list(range(t.node_count))
 
     def test_parens_flush_against_tokens(self):
         # SNLI-style binary parses have no guaranteed spacing.
@@ -115,18 +117,54 @@ class TestSerialize:
             t = parse_tree(text)
             assert parse_tree(serialize(t)) == t
 
+    def test_tree_deeper_than_the_parser_serializes(self):
+        """Serializing sweeps ids, so depth past the parser's recursion
+        limit is no obstacle: a 1,200-deep left-branching tree built in
+        code renders as the text its nesting spells."""
+        depth = 1200
+        tokens, lefts, rights = ["a"], [-1], [-1]
+        for _ in range(depth):
+            n = len(tokens)
+            tokens += ["b", None]
+            lefts += [-1, n - 1]
+            rights += [-1, n]
+        t = BinaryTree(tuple(tokens), tuple(lefts), tuple(rights))
+        assert serialize(t) == "( " * depth + "a" + " b )" * depth
+        assert node_phrases(t)[t.root] == "a" + " b" * depth
+
 
 class TestStructure:
-    def test_construction_rejects_forward_children(self):
+    @pytest.mark.parametrize("tokens, lefts, rights", [
+        ((None, "a", "b"), (1, -1, -1), (2, -1, -1)),
+        # children before parents, but not the post-order of ( ( a c ) ( b d ) )
+        (("a", "b", "c", "d", None, None, None),
+         (-1, -1, -1, -1, 0, 1, 4), (-1, -1, -1, -1, 2, 3, 5)),
+        (("a", "b", None), (-1, -1, 0), (-1, -1, 0)),
+        (("a", "b", None, "c"), (-1, -1, 0, -1), (-1, -1, 1, -1)),
+        (("a", None, None), (-1, -1, 0), (-1, -1, 1)),
+        (("a", "b", "c"), (-1, -1, 0), (-1, -1, 1)),
+        (("a", "b", None), (-1, -1, 0), (-1, -1)),
+        ((), (), ()),
+    ], ids=["forward_children", "shuffled_numbering", "shared_child",
+            "unreachable_node", "leaf_without_token", "internal_with_token",
+            "unequal_lengths", "no_nodes"])
+    def test_construction_rejects_forward_children(self, tokens, lefts, rights):
         with pytest.raises(NonBinaryNode):
-            BinaryTree(tokens=(None, "a", "b"), lefts=(1, -1, -1), rights=(2, -1, -1))
+            BinaryTree(tokens=tokens, lefts=lefts, rights=rights)
 
-    def test_post_order_walks_structure_not_indices(self):
-        t = parse_tree("( ( a b ) ( c d ) )")
-        order = post_order(t)
-        # Left subtree root (id 2) must precede the right subtree's leaves.
-        assert order.index(2) < order.index(3)
-        assert order == sorted(order)
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 80),
+           shape=st.sampled_from(["random", "left_branching"]))
+    def test_generated_trees_are_valid_and_round_trip(self, seed, n, shape):
+        drawn = [f"w{i}" for i in range(n)]
+        if shape == "random":
+            t = random_tree(np.random.default_rng(seed), drawn)
+        else:
+            t = left_branching(drawn)
+        assert parse_tree(serialize(t)) == t
+        assert BinaryTree(t.tokens, t.lefts, t.rights) == t
+        assert t.leaves() == drawn
+        assert node_phrases(t)[t.root] == " ".join(t.leaves())
 
     def test_node_phrases(self):
         t = parse_tree("( ( the cat ) ( eats fish ) )")
