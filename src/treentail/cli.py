@@ -66,13 +66,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _add_model_flags(p):
-    p.add_argument("--k", type=int, default=150, help="meaning-composer width")
-    p.add_argument("--r", type=int, default=150, help="relation-composer width")
-    p.add_argument("--d", type=int, default=300, help="word vector width")
-    p.add_argument("--dual", choices=("on", "off"), default="off",
-                   help="renormalized two-way attention")
-    p.add_argument("--precision", choices=("f32", "f64"), default="f64")
+class _Given(argparse.Action):
+    """Store the value and set ``args.<dest>_given``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        setattr(namespace, f"{self.dest}_given", True)
 
 
 def build_parser():
@@ -80,18 +79,36 @@ def build_parser():
                      description="Tree-structured attention entailment models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a model and write a checkpoint")
+    p = sub.add_parser("train", help="train a model and write a checkpoint",
+                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     p.add_argument("--data", required=True, help="training JSONL file")
-    p.add_argument("--dev", help="dev JSONL file (defaults to --data)")
+    p.add_argument("--dev", help="dev JSONL file; --data if not given")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--embeddings", help="pretrained vector text file")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--dropout", type=float, default=0.2)
-    _add_model_flags(p)
-    p.set_defaults(func=cmd_train)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="passes over the training set")
+    p.add_argument("--seed", type=int, default=TrainConfig.seed,
+                   help="seed of every random draw")
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size,
+                   help="examples per Adam step")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="Adam learning rate")
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout_rate,
+                   help="leaf dropout rate")
+    p.add_argument("--k", type=int, default=TrainConfig.k,
+                   help="meaning-composer width")
+    p.add_argument("--r", type=int, default=TrainConfig.r,
+                   help="relation-composer width")
+    p.add_argument("--d", type=int, default=TrainConfig.d, action=_Given,
+                   help="word vector width; with --embeddings, the vectors' width "
+                        "unless given")
+    p.add_argument("--dual", choices=("on", "off"),
+                   default="on" if TrainConfig.use_dual else "off",
+                   help="renormalized two-way attention")
+    p.add_argument("--precision", choices=("f32", "f64"),
+                   default="f64" if TrainConfig.precision == "double" else "f32",
+                   help="floating-point width")
+    p.set_defaults(func=cmd_train, d_given=False)
 
     p = sub.add_parser("eval", help="accuracy and confusion on a corpus")
     p.add_argument("--checkpoint", required=True)
@@ -161,6 +178,9 @@ def cmd_train(args):
         tokens.update(t.lower() for t in list(tokens))
         vocab, table = load_pretrained(args.embeddings, restrict_to=tokens,
                                        dtype=config.dtype)
+        if args.d_given and config.d != table.dim:
+            raise ValueError(f"--d {config.d} does not match the {table.dim}-wide "
+                             f"vectors in {args.embeddings}")
         config = replace(config, d=table.dim)
 
     params, vocab, table, metrics = train(train_pairs, dev_pairs, config, vocab, table)

@@ -27,9 +27,11 @@ SKIP_LABEL = "-"
 
 
 class MalformedRecord(ValueError):
-    def __init__(self, message, line_no):
+    def __init__(self, message, line_no=None):
         self.line_no = line_no
-        super().__init__(f"line {line_no}: {message}")
+        if line_no is not None:
+            message = f"line {line_no}: {message}"
+        super().__init__(message)
 
 
 @dataclass(frozen=True)
@@ -47,34 +49,38 @@ def load_snli(path):
     with the offending line number prepended.
     """
     pairs, skipped = [], 0
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
-            if not isinstance(record, dict):
-                raise MalformedRecord("record is not an object", line_no)
-            missing = [f for f in REQUIRED_FIELDS if f not in record]
-            if missing:
-                raise MalformedRecord(f"missing fields {missing}", line_no)
-            gold = record["gold_label"]
-            if gold == SKIP_LABEL:
-                skipped += 1
-                continue
-            if gold not in LABELS:
-                raise MalformedRecord(f"unknown gold label {gold!r}", line_no)
-            for name in REQUIRED_FIELDS[1:]:
-                if not isinstance(record[name], str):
-                    raise MalformedRecord(f"{name} is not a string", line_no)
-            try:
-                premise = parse_tree(record["sentence1_binary_parse"])
-                hypothesis = parse_tree(record["sentence2_binary_parse"])
-            except TreeParseError as exc:
-                raise type(exc)(f"line {line_no}: {exc}") from exc
-            pairs.append(ExamplePair(premise, hypothesis, gold))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecord(f"invalid JSON: {exc}", line_no) from None
+                if not isinstance(record, dict):
+                    raise MalformedRecord("record is not an object", line_no)
+                missing = [f for f in REQUIRED_FIELDS if f not in record]
+                if missing:
+                    raise MalformedRecord(f"missing fields {missing}", line_no)
+                gold = record["gold_label"]
+                if gold == SKIP_LABEL:
+                    skipped += 1
+                    continue
+                if gold not in LABELS:
+                    raise MalformedRecord(f"unknown gold label {gold!r}", line_no)
+                for name in REQUIRED_FIELDS[1:]:
+                    if not isinstance(record[name], str):
+                        raise MalformedRecord(f"{name} is not a string", line_no)
+                try:
+                    premise = parse_tree(record["sentence1_binary_parse"])
+                    hypothesis = parse_tree(record["sentence2_binary_parse"])
+                except TreeParseError as exc:
+                    raise type(exc)(f"line {line_no}: {exc}") from exc
+                pairs.append(ExamplePair(premise, hypothesis, gold))
+    except UnicodeDecodeError as exc:
+        raise MalformedRecord(f"{path} is not UTF-8: {exc.reason} "
+                              f"0x{exc.object[exc.start]:02x}") from None
     return pairs, skipped
 
 

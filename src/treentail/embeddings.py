@@ -99,31 +99,36 @@ def load_pretrained(path, restrict_to=None, dtype=np.float64):
 
     tokens, rows, dim = [], [], None
     seen = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, 1):
-            parts = line.split()
-            if not parts:
-                continue
-            token, fields = parts[0], parts[1:]
-            if dim is None:
-                dim = len(fields)
-                if dim == 0:
-                    raise InconsistentDimension("first line has no vector fields", line_no)
-            elif len(fields) != dim:
-                raise InconsistentDimension(
-                    f"expected {dim} fields, found {len(fields)}", line_no
-                )
-            if restrict_to is not None and token not in restrict_to:
-                continue
-            if token in seen:
-                continue
-            try:
-                row = [float(f) for f in fields]
-            except ValueError as exc:
-                raise UnreadableFloat(str(exc), line_no) from None
-            seen.add(token)
-            tokens.append(token)
-            rows.append(row)
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, 1):
+                parts = line.split()
+                if not parts:
+                    continue
+                token, fields = parts[0], parts[1:]
+                if dim is None:
+                    dim = len(fields)
+                    if dim == 0:
+                        raise InconsistentDimension("first line has no vector fields",
+                                                    line_no)
+                elif len(fields) != dim:
+                    raise InconsistentDimension(
+                        f"expected {dim} fields, found {len(fields)}", line_no
+                    )
+                if restrict_to is not None and token not in restrict_to:
+                    continue
+                if token in seen:
+                    continue
+                try:
+                    row = [float(f) for f in fields]
+                except ValueError as exc:
+                    raise UnreadableFloat(str(exc), line_no) from None
+                seen.add(token)
+                tokens.append(token)
+                rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise EmbeddingFileError(f"{path} is not UTF-8: {exc.reason} "
+                                 f"0x{exc.object[exc.start]:02x}") from None
 
     if dim is None:
         raise EmptyFile("no vector lines in file")

@@ -13,6 +13,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
+from typing import ClassVar
 
 import numpy as np
 
@@ -48,19 +49,23 @@ class CheckpointError(ValueError):
 
 @dataclass
 class TrainConfig:
+    """The training settings, one per ``train`` flag."""
+
     k: int = 150                 # meaning-composer width
     r: int = 150                 # relation-composer width
     d: int = 300                 # word vector width
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     batch_size: int = 32
     dropout_rate: float = 0.2
     epochs: int = 10
     seed: int = 0
     use_dual: bool = False
     precision: str = "double"
+
+    # Adam's constants, Kingma and Ba's defaults, are fixed.
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    adam_epsilon: ClassVar[float] = 1e-8
 
     def __post_init__(self):
         for name, least in (("k", 1), ("r", 1), ("d", 1), ("batch_size", 1),
@@ -71,16 +76,11 @@ class TrainConfig:
                                  f"got {value!r}")
         if type(self.use_dual) is not bool:
             raise ValueError(f"use_dual must be true or false, got {self.use_dual!r}")
-        if not 0.0 < self.learning_rate < 1.0:
-            raise ValueError("learning_rate must lie in (0, 1)")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("betas must lie in (0, 1)")
-        if not (isinstance(self.adam_epsilon, float)
-                and 0.0 < self.adam_epsilon < float("inf")):
-            raise ValueError(f"adam_epsilon must be a positive finite float, "
-                             f"got {self.adam_epsilon!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must lie in [0, 1)")
+        lr, rate = self.learning_rate, self.dropout_rate
+        if not (isinstance(lr, float) and 0.0 < lr < 1.0):
+            raise ValueError(f"learning_rate must be a float in (0, 1), got {lr!r}")
+        if not (isinstance(rate, float) and 0.0 <= rate < 1.0):
+            raise ValueError(f"dropout_rate must be a float in [0, 1), got {rate!r}")
         if self.precision not in ("double", "single"):
             raise ValueError("precision must be 'double' or 'single'")
 
@@ -337,7 +337,7 @@ def _manifest(tensors):
 
 def save_checkpoint(path, config, vocab, table, params):
     tensors = _checkpoint_tensors(params, table)
-    scalar = "<f8" if config.precision == "double" else "<f4"
+    scalar = np.dtype(config.dtype).newbyteorder("<")
     header = {
         "config": asdict(config),
         "labels": list(LABELS),
@@ -389,6 +389,9 @@ def load_checkpoint(path):
             # Files written while a separate reverse scorer was an option
             # carry its switch; only its off state is this model.
             legacy_reverse = fields.pop("separate_reverse_scorer", False)
+            # Adam's constants were settings in older files; nothing reads them.
+            for name in ("beta1", "beta2", "adam_epsilon"):
+                fields.pop(name, None)
             config = TrainConfig(**fields)
             vocab_info = header["vocabulary"]
             tokens = list(vocab_info["tokens"])
@@ -420,7 +423,7 @@ def load_checkpoint(path):
             raise CheckpointError("vocabulary tokens must be distinct strings "
                                   "apart from the fallback row")
 
-        scalar = np.dtype("<f8" if config.precision == "double" else "<f4")
+        scalar = np.dtype(config.dtype).newbyteorder("<")
         # Checked before anything sized by the header is allocated.
         d, body = config.d, size - handle.tell()
         scalars = parameter_count(config) + sum(counts) * d
@@ -526,11 +529,9 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
     wider accumulator pushes the oracle's own noise three orders below
     the tolerance.  A NaN error on any pair makes the result NaN.
     """
-    for name, value in (("k", k), ("r", r), ("d", d), ("pairs", pairs)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
+    TrainConfig(k=k, r=r, d=d, seed=seed)  # checks the widths and the seed
+    if pairs < 1:
+        raise ValueError(f"pairs must be at least 1, got {pairs}")
     vocab, table, params, drawn = _audit_fixture(k, r, d, seed, pairs, leaf_range)
     checked = _trainable(params, table)
 

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 from treentail.autodiff import Graph
-from treentail.cli import main
+from treentail.cli import _config_from_args, build_parser, main
 from treentail.data import load_snli
 from treentail.entailment import LABELS, run_forward
 from treentail.inspection import read_pgm
-from treentail.trainer import MAGIC, load_checkpoint, save_checkpoint
+from treentail.trainer import MAGIC, TrainConfig, load_checkpoint, save_checkpoint
 from treentail.trees import parse_tree
 
 TRAIN_FLAGS = ["--k", "6", "--r", "5", "--d", "8", "--epochs", "2",
@@ -55,6 +55,15 @@ class TestUsageErrors:
                      "--dropout", "1.0"])
         assert code == 1
         assert "usage error" in capsys.readouterr().err
+
+    def test_train_defaults_are_the_config_defaults(self):
+        args = build_parser().parse_args(["train", "--data", "x", "--out", "y"])
+        assert _config_from_args(args) == TrainConfig()
+
+    def test_train_help_shows_the_config_defaults(self, capsys):
+        assert main(["train", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"Adam learning rate (default: {TrainConfig.learning_rate})" in help_text
 
 
 class TestToydata:
@@ -134,6 +143,24 @@ class TestTrain:
         assert main(["predict", "--checkpoint", str(ckpt),
                      "( ( a <unk> ) ( is sleeping ) )", "( a cat )"]) == 0
 
+    def test_width_comes_from_the_vectors_unless_given(self, tmp_path, capsys):
+        corpus = tmp_path / "toy.jsonl"
+        main(["toydata", "--out", str(corpus), "--n", "6", "--seed", "0"])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("a 0.1 0.2 0.3\ndog 0.3 0.2 0.1\n")
+        small = ["--k", "3", "--r", "3", "--epochs", "1"]
+        assert main(["train", "--data", str(corpus), "--out", str(tmp_path / "run"),
+                     "--embeddings", str(vectors), *small]) == 0
+        config, _, _, _ = load_checkpoint(tmp_path / "run" / "checkpoint.tent")
+        assert config.d == 3
+
+        out = tmp_path / "mismatch"
+        assert main(["train", "--data", str(corpus), "--out", str(out),
+                     "--embeddings", str(vectors), "--d", "50", *small]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and "50" in err and "3-wide" in err
+        assert not out.exists()
+
     def test_too_deep_corpus_tree_is_a_data_error(self, tmp_path, capsys):
         deep = tmp_path / "deep.jsonl"
         deep.write_text(json.dumps({"gold_label": "neutral",
@@ -143,6 +170,30 @@ class TestTrain:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: line 1: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--data"), ("train", "--dev"), ("train", "--embeddings"),
+    ("eval", "--data")], ids=["train_data", "train_dev", "train_embeddings", "eval_data"])
+def test_input_that_is_not_utf8_is_a_data_error(workdir, tmp_path, capsys,
+                                                command, flag):
+    bad = tmp_path / "latin1.txt"
+    if flag == "--embeddings":
+        bad.write_bytes(b"a 0.1 0.2\ncaf\xe9 0.3 0.4\n")
+    else:
+        bad.write_bytes(b'{"gold_label": "neutral", "sentence1_binary_parse": '
+                        b'"( a caf\xe9 )", "sentence2_binary_parse": "a"}\n')
+    corpus = str(workdir / "toy.jsonl")
+    if command == "train":
+        inputs = {"--data": corpus, flag: str(bad)}
+        argv = ["train", "--out", str(tmp_path / "run"), *sum(inputs.items(), ()),
+                "--k", "2", "--r", "2", "--d", "2", "--epochs", "1"]
+    else:
+        argv = ["eval", "--checkpoint", str(workdir / "run" / "checkpoint.tent"),
+                "--data", str(bad)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(bad) in err and "UTF-8" in err
 
 
 def tape_forward(checkpoint, premise, hypothesis):
@@ -217,8 +268,8 @@ def _junk_tensor(header):
 JUNK_BYTES = struct.pack("<II", 2, 2) + np.zeros((2, 2)).tobytes()
 
 
-def _zero_adam_epsilon(header):
-    header["config"]["adam_epsilon"] = 0.0
+def _dropout_as_false(header):
+    header["config"]["dropout_rate"] = False
 
 
 def _float_width(header):
@@ -338,14 +389,14 @@ class TestPredict:
         (_repeated_token, b""),
         (_non_string_token, b""),
         (_dual_as_text, b""),
-        (_zero_adam_epsilon, b""),
+        (_dropout_as_false, b""),
     ], ids=["extra_token", "miscounted_rows", "unk_out_of_range",
             "wrong_width", "trailing_bytes", "entry_without_name",
             "entry_without_cols", "entry_not_a_dict", "dropout_out_of_range",
             "separate_reverse_scorer", "junk_tensor", "float_width",
             "huge_width", "reversed_labels", "precision_mismatch",
             "repeated_token", "non_string_token", "dual_as_text",
-            "zero_adam_epsilon"])
+            "dropout_as_false"])
     def test_inconsistent_checkpoint_is_a_data_error(self, workdir, tmp_path,
                                                      capsys, edit, tail):
         bad = _rewrite_checkpoint(workdir, tmp_path / "bad.tent", edit, tail)
@@ -354,6 +405,24 @@ class TestPredict:
                      "( ( a animal ) ( is sleeping ) )"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_header_with_adam_constants_predicts_as_without(self, workdir, tmp_path,
+                                                           capsys):
+        """Files written while Adam's constants were settings carry them,
+        whatever their value; the loader drops them."""
+
+        def with_constants(header):
+            header["config"].update(beta1=0.9, beta2=0.999, adam_epsilon=0.0)
+
+        plain = workdir / "run" / "checkpoint.tent"
+        legacy = _rewrite_checkpoint(workdir, tmp_path / "legacy.tent", with_constants)
+        pair = ["( ( a dog ) ( is sleeping ) )", "( a ( happy dog ) )"]
+        outputs = []
+        for ckpt in (plain, legacy):
+            assert main(["predict", "--checkpoint", str(ckpt), *pair]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert load_checkpoint(legacy)[0] == load_checkpoint(plain)[0]
 
     def test_unknown_token_without_fallback_row_is_a_data_error(
             self, workdir, tmp_path, capsys):
