@@ -245,13 +245,14 @@ class Graph:
         return self.record(np.log(av), (a,), lambda g: (g / av,), "log")
 
     def concat(self, parts):
-        """Stack column vectors vertically, preserving argument order."""
+        """Stack nodes with equal column counts vertically, preserving
+        argument order."""
         parts = list(parts)
         if not parts:
             raise EmptyVector("concat of no vectors")
         for p in parts:
-            if p.shape[1] != 1:
-                raise ShapeMismatch("concat expects column vectors")
+            if p.shape[1] != parts[0].shape[1]:
+                raise ShapeMismatch("concat expects equal column counts")
         sizes = [p.shape[0] for p in parts]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
 

@@ -8,6 +8,7 @@ exact match first, then the lowercased form, then the fallback row.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +17,9 @@ from .autodiff import Parameter
 
 UNK_TOKEN = "<unk>"
 INIT_SCALE = 0.05
+# A field of a vector line: a run of anything but ASCII whitespace, so
+# a token may hold a no-break space or any other Unicode space.
+_FIELD = re.compile(r"[^ \t\n\r\v\f]+")
 
 
 class EmbeddingFileError(ValueError):
@@ -88,9 +92,11 @@ def empty_vocabulary(dim, dtype=np.float64):
 
 
 def load_pretrained(path, restrict_to=None, dtype=np.float64):
-    """Read a text file of ``token v1 ... vd`` lines.
+    """Read a UTF-8 text file of ``token v1 ... vd`` lines.
 
-    The width ``d`` is fixed by the first line.  ``restrict_to`` keeps
+    Fields are separated by ASCII whitespace only, and a leading
+    byte-order mark is not part of the first token.  The width ``d`` is
+    fixed by the first line.  ``restrict_to`` keeps
     only the listed tokens, which makes loading a multi-gigabyte vector
     file affordable when the corpus vocabulary is known up front.
     """
@@ -100,9 +106,9 @@ def load_pretrained(path, restrict_to=None, dtype=np.float64):
     tokens, rows, dim = [], [], None
     seen = set()
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for line_no, line in enumerate(handle, 1):
-                parts = line.split()
+                parts = _FIELD.findall(line)
                 if not parts:
                     continue
                 token, fields = parts[0], parts[1:]

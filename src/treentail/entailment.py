@@ -28,8 +28,8 @@ from .attention import (
     reverse_attention,
     score_matrix,
 )
-from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch, sigmoid
-from .composer import LstmParameters, encode_tree, walk_tree
+from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
+from .composer import LstmParameters, cell_values, columns, encode_tree, walk_tree
 from .embeddings import lookup
 
 # Fixed label order; ties at prediction break toward the earlier label.
@@ -75,14 +75,19 @@ class ModelParameters:
 def compose_relations(graph, hypothesis, hyp_vectors, contexts, params):
     """Run the relation Tree-LSTM over the hypothesis tree.
 
-    Node ``i`` receives ``concat(hyp_vectors[i], contexts[i])`` as its
-    input; leaves start from zero child states.  Returns one NodeState
-    per node id (the relation vector is the ``h`` field).
+    Node ``i`` receives ``[hyp_vectors[i]; contexts[i]]`` as its input,
+    stacked a whole level at a time; leaves start from zero child
+    states.  Returns one NodeState per node id (the relation vector is
+    the ``h`` field).
     """
     if params.d_in != 2 * hyp_vectors[0].shape[0]:
         raise ShapeMismatch("relation block input must be twice the node width")
-    return walk_tree(graph, hypothesis, params,
-                     lambda i: graph.concat([hyp_vectors[i], contexts[i]]))
+
+    def inputs(ids):
+        return graph.concat([columns(graph, [hyp_vectors[i] for i in ids]),
+                             columns(graph, [contexts[i] for i in ids])])
+
+    return walk_tree(graph, hypothesis, params, inputs)
 
 
 def classify(graph, relation_vector, classifier):
@@ -172,26 +177,32 @@ class Prediction:
     relations: np.ndarray           # (|hyp|, r)
 
 
-def _plain_cell(w, b, x, h1, h2, c1, c2, k):
-    z = w @ np.concatenate((x, h1, h2)) + b
-    gates = sigmoid(z[:4 * k])
-    u = np.tanh(z[4 * k:])
-    c = gates[:k] * u + gates[k:2 * k] * c1 + gates[2 * k:3 * k] * c2
-    return gates[3 * k:] * np.tanh(c), c
+def _columns(arrays):
+    return arrays[0] if len(arrays) == 1 else np.hstack(arrays)
 
 
-def _plain_encode(tree, inputs, w, b, k, dtype):
-    zero = np.zeros((k, 1), dtype)
+def _plain_encode(tree, inputs, w, b, k):
+    """:func:`walk_tree` without a tape: one :func:`cell_values` per level
+    of ``tree.levels``, on operands stacked exactly as the tape stacks
+    them.  The last bit of each state depends on that grouping (BLAS
+    rounds a product over several columns differently from one column
+    at a time), so the tape and this twin round alike only because they
+    share the schedule and the memory layouts.  ``inputs(ids)`` is the
+    level's input array or None.  Returns the ``(k, 1)`` state ``h`` of
+    each node id.
+    """
     hs = [None] * tree.node_count
     cs = [None] * tree.node_count
-    # BinaryTree ids are post-order: the id sweep is bottom-up.
-    for i in range(tree.node_count):
-        if tree.is_leaf(i):
-            h, c = _plain_cell(w, b, inputs(i), zero, zero, zero, zero, k)
-        else:
-            lt, rt = tree.lefts[i], tree.rights[i]
-            h, c = _plain_cell(w, b, inputs(i), hs[lt], hs[rt], cs[lt], cs[rt], k)
-        hs[i], cs[i] = h, c
+    for height, ids in enumerate(tree.levels):
+        h1 = h2 = c1 = c2 = None
+        if height:
+            lt = [tree.lefts[i] for i in ids]
+            rt = [tree.rights[i] for i in ids]
+            h1, h2 = _columns([hs[i] for i in lt]), _columns([hs[i] for i in rt])
+            c1, c2 = _columns([cs[i] for i in lt]), _columns([cs[i] for i in rt])
+        h, c = cell_values(w, b, inputs(ids), h1, h2, c1, c2, k)[:2]
+        for j, i in enumerate(ids):
+            hs[i], cs[i] = h[:, j:j + 1], c[:, j:j + 1]
     return hs
 
 
@@ -220,16 +231,15 @@ def predict(premise, hypothesis, vocab, table, params, use_dual=False,
     rw, rb = cast(params.relation.block.weight.value), cast(params.relation.block.bias.value)
 
     def word(tree):
-        zero_x = np.zeros((params.meaning.d_in, 1), dtype)
-
-        def inputs(i):
-            if not tree.is_leaf(i):
-                return zero_x
-            return cast(lookup(vocab, table, tree.tokens[i])).reshape(-1, 1)
+        def inputs(ids):
+            if not tree.is_leaf(ids[0]):
+                return None
+            return cast(np.stack([lookup(vocab, table, tree.tokens[i]) for i in ids],
+                                 axis=1))
         return inputs
 
-    prem_h = _plain_encode(premise, word(premise), mw, mb, k, dtype)
-    hyp_h = _plain_encode(hypothesis, word(hypothesis), mw, mb, k, dtype)
+    prem_h = _plain_encode(premise, word(premise), mw, mb, k)
+    hyp_h = _plain_encode(hypothesis, word(hypothesis), mw, mb, k)
     prem_stack = np.concatenate(prem_h, axis=1)
     hyp_stack = np.concatenate(hyp_h, axis=1)
 
@@ -243,11 +253,10 @@ def predict(premise, hypothesis, vocab, table, params, use_dual=False,
 
     contexts = prem_stack @ final.T
 
-    def relation_input(i):
-        return np.concatenate((hyp_h[i], contexts[:, i:i + 1]))
+    def relation_input(ids):
+        return np.concatenate((hyp_stack.take(ids, axis=1), contexts.take(ids, axis=1)))
 
-    relations = _plain_encode(hypothesis, relation_input, rw, rb,
-                              params.relation.k_out, dtype)
+    relations = _plain_encode(hypothesis, relation_input, rw, rb, params.relation.k_out)
 
     cw, cb = cast(params.classifier.weight.value), cast(params.classifier.bias.value)
     logits = np.tanh(cw @ relations[hypothesis.root] + cb)

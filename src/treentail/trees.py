@@ -4,13 +4,16 @@ A tree is either a single token or ``( TREE TREE )``.  Its node ids are
 the post-order (left subtree, right subtree, parent) numbering, checked
 when a :class:`BinaryTree` is built, so every walk over a tree is a
 sweep over ``range(node_count)`` that reaches both children of a node
-before the node itself, and the root is the last id.
+before the node itself, and the root is the last id.  The Tree-LSTM
+walks go a level at a time instead (:attr:`BinaryTree.levels`), a
+grouping that one such sweep computes.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class TreeParseError(ValueError):
@@ -86,6 +89,27 @@ class BinaryTree:
     def leaves(self):
         """Leaf tokens in left-to-right surface order."""
         return [token for token in self.tokens if token is not None]
+
+    @cached_property
+    def levels(self):
+        """Node ids grouped by height, lowest first, each group in id order.
+
+        ``levels[0]`` holds every leaf, and an internal node sits one level
+        above the higher of its two children, so each level depends only
+        on the levels below it and the root is alone in the last one.
+
+        >>> parse_tree("( ( a b ) ( c ( d e ) ) )").levels
+        ((0, 1, 3, 4, 5), (2, 6), (7,), (8,))
+        """
+        height, levels = [], []
+        for i in range(self.node_count):
+            h = 0 if self.is_leaf(i) else 1 + max(height[self.lefts[i]],
+                                                  height[self.rights[i]])
+            height.append(h)
+            if h == len(levels):
+                levels.append([])
+            levels[h].append(i)
+        return tuple(tuple(ids) for ids in levels)
 
 
 def _tokenize(text):

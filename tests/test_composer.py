@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, grad_check
-from treentail.composer import LstmParameters, encode_tree, lstm_cell
+from treentail.composer import LstmParameters, NodeState, encode_tree, lstm_cell
+from treentail.data import random_tree
 from treentail.embeddings import empty_vocabulary, register_oov
 from treentail.trees import parse_tree
 
@@ -124,6 +127,21 @@ class TestCellValues:
             LstmParameters(AffineMap.from_arrays("w", np.zeros((10, 4)), np.zeros((10, 1))))
 
 
+    def test_level_guards(self):
+        """A level cell takes m columns of input, of child states, or of
+        both, and every part must have the same m."""
+        block = make_block(2, 3, np.random.default_rng(0))
+        g = Graph()
+        pair = FakeState(g, np.zeros((2, 2)), np.zeros((2, 2)))
+        x2, x3 = g.constant(np.zeros((3, 2))), g.constant(np.zeros((3, 3)))
+        assert lstm_cell(g, block, x2, None, None).h.shape == (2, 2)
+        assert lstm_cell(g, block, None, pair, pair).c.shape == (2, 2)
+        for x, left, right in ((None, None, None), (x2, pair, None), (None, None, pair),
+                               (x3, pair, pair)):
+            with pytest.raises(ShapeMismatch):
+                lstm_cell(g, block, x, left, right)
+
+
 class TestCellGradients:
     def test_all_seven_input_paths_pass_grad_check(self):
         """Weights, bias, x, both child vectors, both child memories."""
@@ -156,6 +174,33 @@ class TestCellGradients:
             checked = [block.block.weight, block.block.bias, *leaves.values()]
             worst = grad_check(build, checked, eps=1e-5)
             assert worst < 1e-4, f"seed {seed}: {worst:.3e}"
+
+
+    @pytest.mark.parametrize("has_x, has_children", [(True, False), (False, True),
+                                                     (True, True)])
+    def test_level_of_three_columns_passes_grad_check(self, has_x, has_children):
+        """A level cell over m = 3 columns, with each column block of the
+        gate weight that a level can use."""
+        k, d, m = 3, 4, 3
+        rng = np.random.default_rng(31)
+        block = make_block(k, d, rng, scale=0.7)
+        leaves = {name: Parameter(name, rng.uniform(-0.9, 0.9, (rows, m)))
+                  for name, rows in (("x", d), ("h1", k), ("h2", k), ("c1", k), ("c2", k))}
+
+        def build():
+            g = Graph()
+            x = g.parameter(leaves["x"]) if has_x else None
+            left = right = None
+            if has_children:
+                left = NodeState(g.parameter(leaves["h1"]), g.parameter(leaves["c1"]))
+                right = NodeState(g.parameter(leaves["h2"]), g.parameter(leaves["c2"]))
+            out = lstm_cell(g, block, x, left, right)
+            assert out.h.shape == out.c.shape == (k, m)
+            return g, g.total(g.tanh(g.concat([out.h, out.c])))
+
+        used = ["x"] * has_x + ["h1", "h2", "c1", "c2"] * has_children
+        checked = [block.block.weight, block.block.bias, *(leaves[n] for n in used)]
+        assert grad_check(build, checked, eps=1e-5) < 1e-4
 
 
 def toy_vocab(d, tokens, seed=0, scale=0.5):
@@ -236,3 +281,32 @@ class TestEncodeTree:
         a = encode(0.5, np.random.default_rng(123))
         b = encode(0.5, np.random.default_rng(123))
         np.testing.assert_array_equal(a, b)
+
+
+class TestLevels:
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
+    def test_one_cell_per_level_over_a_height_schedule(self, seed, n):
+        """The schedule covers every id once, each node above both of its
+        children; the tape walk records one lstm_cell per level."""
+        leaves = [("a", "b", "c")[i % 3] for i in range(n)]
+        tree = random_tree(np.random.default_rng(seed), leaves)
+        level_of = {}
+        for height, ids in enumerate(tree.levels):
+            assert list(ids) == sorted(ids)
+            for i in ids:
+                assert i not in level_of
+                level_of[i] = height
+        assert sorted(level_of) == list(range(tree.node_count))
+        for i in range(tree.node_count):
+            if tree.is_leaf(i):
+                assert level_of[i] == 0
+            else:
+                assert level_of[i] > max(level_of[tree.lefts[i]], level_of[tree.rights[i]])
+
+        vocab, table = toy_vocab(3, ["a", "b", "c"])
+        g = Graph()
+        block = make_block(2, 3, np.random.default_rng(1))
+        states = encode_tree(g, tree, vocab, table, block)
+        assert sum(node.op == "lstm_cell" for node in g.nodes) == len(tree.levels)
+        assert [s.h.shape for s in states] == [(2, 1)] * tree.node_count

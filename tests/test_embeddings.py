@@ -99,6 +99,25 @@ class TestLoadPretrained:
         with pytest.raises(InconsistentDimension):
             load_pretrained(p, restrict_to={"a"})
 
+    def test_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        p = tmp_path / "v.txt"
+        p.write_bytes(b"\xef\xbb\xbfdog 0.5 -0.5\ncat 1.0 2.0\n")
+        vocab, table = load_pretrained(str(p))
+        assert vocab.tokens == ["dog", "cat"]
+        register_oov(vocab, table, ["dog", "cat", "bird"], np.random.default_rng(0))
+        assert resolve(vocab, "dog") == 0
+        np.testing.assert_array_equal(lookup(vocab, table, "dog"), [0.5, -0.5])
+
+    def test_fields_split_on_ascii_whitespace_only(self, tmp_path):
+        p = write_vectors(tmp_path / "v.txt", [
+            "a\u00a0b 0.1 0.2",
+            "c\u2003d\t0.3\x0b0.4\r",
+        ])
+        vocab, table = load_pretrained(p)
+        assert vocab.tokens == ["a\u00a0b", "c\u2003d"]
+        assert table.dim == 2
+        np.testing.assert_array_equal(table.frozen, [[0.1, 0.2], [0.3, 0.4]])
+
     def test_errors_are_value_errors(self, tmp_path):
         p = tmp_path / "v.txt"
         p.write_text("", encoding="utf-8")

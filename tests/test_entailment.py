@@ -22,6 +22,7 @@ from treentail.entailment import (
     predict,
     run_forward,
 )
+from treentail.data import random_tree
 from treentail.trainer import full_model_grad_check
 from treentail.trees import parse_tree
 
@@ -213,6 +214,23 @@ class TestPlainTwin:
                 for prem_s, hyp_s in PAIRS:
                     assert_matches_tape(parse_tree(prem_s), parse_tree(hyp_s),
                                         vocab, table, params, use_dual, dtype)
+
+    @pytest.mark.parametrize("use_dual", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k, d", [(32, 300), (150, 300)])
+    def test_random_shapes_at_benchmark_widths(self, k, d, dtype, use_dual):
+        """Random trees of 1-40 leaves, whose levels hold several nodes,
+        at the widths the benchmark runs (k = r)."""
+        vocab, table, params = toy_model(k, k, d, k + d, scale=0.1)
+        rng = np.random.default_rng(k)
+        words = ["cat", "dog", "sat", "ran", "the", "unseen"]
+        widest = 0
+        for _ in range(3):
+            prem, hyp = (random_tree(rng, list(rng.choice(words, rng.integers(1, 41))))
+                         for _ in range(2))
+            widest = max(widest, *(len(ids) for ids in hyp.levels[1:]), 0)
+            assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype)
+        assert widest > 1
 
     def test_loss_matches_tape_loss(self):
         vocab, table, params = toy_model(3, 4, 5, 9)
