@@ -6,7 +6,8 @@ hypothesis side first.  Normalizing scores per hypothesis row gives the
 forward alignment; normalizing per premise column (and transposing)
 gives the reverse alignment.  The dual alignment multiplies the two
 views elementwise and renormalizes each row, which suppresses premise
-nodes the reverse view does not support.
+nodes the reverse view does not support.  The attended contexts form
+one ``(k, |hyp|)`` matrix node, a column per hypothesis node.
 """
 
 from __future__ import annotations
@@ -81,14 +82,13 @@ def dual_attention(graph, forward, reverse):
 def attended_context(graph, attention, prem_vectors):
     """Expected premise vector under each hypothesis row's alignment.
 
-    Returns one ``(k, 1)`` node per hypothesis node ``i``, equal to
-    ``sum_j attention[i, j] * h_j``.
+    Returns the ``(k, |hyp|)`` context matrix node whose column ``i``
+    is ``sum_j attention[i, j] * h_j``.
     """
     prem = graph.stack_columns(prem_vectors)
     if attention.shape[1] != prem.shape[1]:
         raise ShapeMismatch("attention columns do not match premise nodes")
-    contexts = graph.matmul(prem, graph.transpose(attention))
-    return [graph.take_col(contexts, i) for i in range(attention.shape[0])]
+    return graph.matmul(prem, graph.transpose(attention))
 
 
 def mix_alignments(alignments, probs):

@@ -62,7 +62,8 @@ class OuterGrad(NamedTuple):
 
 class SliceGrad(NamedTuple):
     """Factored gradient of a matrix: zero except ``out[index] = g``,
-    for a basic-indexing ``index`` such as ``np.s_[i:i + 1, :]``."""
+    for a basic-indexing ``index`` such as ``np.s_[i:i + 1, :]`` or
+    ``(slice(None), ids)`` with distinct column ids."""
 
     index: tuple
     g: np.ndarray
@@ -229,10 +230,6 @@ class Graph:
         av, bv = a.value, b.value
         return self.record(av * bv, (a, b), lambda g: (g * bv, g * av), "hadamard")
 
-    def sigmoid(self, a):
-        y = sigmoid(a.value)
-        return self.record(y, (a,), lambda g: (g * y * (1.0 - y),), "sigmoid")
-
     def tanh(self, a):
         y = np.tanh(a.value)
         return self.record(y, (a,), lambda g: (g * (1.0 - y * y),), "tanh")
@@ -277,22 +274,18 @@ class Graph:
         return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
                            "slice_cols")
 
-    def take_row(self, a, i):
-        """Row ``i`` of a matrix, returned as a column vector."""
-        if not 0 <= i < a.shape[0]:
-            raise ShapeMismatch(f"take_row {i} of {a.shape}")
-
-        index = np.s_[i:i + 1, :]
-        return self.record(a.value[index].T, (a,), lambda g: (SliceGrad(index, g.T),),
-                           "take_row")
-
     def take_col(self, a, j):
-        if not 0 <= j < a.shape[1]:
+        """Column ``j`` of a matrix, or for a sequence ``j`` of distinct
+        ids those columns side by side, in the sequence's order."""
+        ids = [j] if isinstance(j, (int, np.integer)) else list(j)
+        if not ids or len(set(ids)) < len(ids) or not all(
+                0 <= i < a.shape[1] for i in ids):
             raise ShapeMismatch(f"take_col {j} of {a.shape}")
 
-        index = np.s_[:, j:j + 1]
-        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
-                           "take_col")
+        # backward adds a basic slice faster than an id list
+        index = np.s_[:, ids[0]:ids[0] + 1] if len(ids) == 1 else (slice(None), ids)
+        return self.record(a.value.take(ids, axis=1), (a,),
+                           lambda g: (SliceGrad(index, g),), "take_col")
 
     def stack_columns(self, cols):
         """Pack column vectors side by side into one matrix."""

@@ -66,14 +66,6 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-class _Given(argparse.Action):
-    """Store the value and set ``args.<dest>_given``."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        setattr(namespace, f"{self.dest}_given", True)
-
-
 def build_parser():
     parser = _Parser(prog="treentail",
                      description="Tree-structured attention entailment models")
@@ -99,16 +91,16 @@ def build_parser():
                    help="meaning-composer width")
     p.add_argument("--r", type=int, default=TrainConfig.r,
                    help="relation-composer width")
-    p.add_argument("--d", type=int, default=TrainConfig.d, action=_Given,
-                   help="word vector width; with --embeddings, the vectors' width "
-                        "unless given")
+    p.add_argument("--d", type=int,
+                   help=f"word vector width; if not given, the vectors' width with "
+                        f"--embeddings, else {TrainConfig.d}")
     p.add_argument("--dual", choices=("on", "off"),
                    default="on" if TrainConfig.use_dual else "off",
                    help="renormalized two-way attention")
     p.add_argument("--precision", choices=("f32", "f64"),
                    default="f64" if TrainConfig.precision == "double" else "f32",
                    help="floating-point width")
-    p.set_defaults(func=cmd_train, d_given=False)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="accuracy and confusion on a corpus")
     p.add_argument("--checkpoint", required=True)
@@ -149,7 +141,7 @@ def _config_from_args(args):
     return TrainConfig(
         k=args.k,
         r=args.r,
-        d=args.d,
+        d=TrainConfig.d if args.d is None else args.d,
         learning_rate=args.lr,
         batch_size=args.batch_size,
         dropout_rate=args.dropout,
@@ -178,7 +170,7 @@ def cmd_train(args):
         tokens.update(t.lower() for t in list(tokens))
         vocab, table = load_pretrained(args.embeddings, restrict_to=tokens,
                                        dtype=config.dtype)
-        if args.d_given and config.d != table.dim:
+        if args.d is not None and args.d != table.dim:
             raise ValueError(f"--d {config.d} does not match the {table.dim}-wide "
                              f"vectors in {args.embeddings}")
         config = replace(config, d=table.dim)

@@ -2,7 +2,8 @@
 
 Each node applies one affine block to ``[x; h_left; h_right]`` and
 splits the result into five gates (input, one forget gate per child,
-output, candidate).  Leaves feed their word vector as ``x`` and have no
+output, candidate).  Leaves feed their word vector as ``x`` (a leaf level
+reads its vectors with one embedding op and one dropout op) and have no
 child states; internal nodes of the meaning encoder have no ``x``.  An
 absent part is zero, so the cell multiplies only the column block of
 the gate weight that is present: ``W[:, :d_in]`` for leaves,
@@ -164,17 +165,19 @@ def lstm_cell(graph, params, x, left, right):
 
 
 def dropout(graph, x, rate, rng=None):
-    """Inverted dropout on a column node: each entry is zeroed with
-    probability ``rate`` and survivors are scaled by 1/(1 - rate), so the
-    expectation is unchanged.  Evaluation passes ``rng=None``, which
-    like ``rate == 0`` returns ``x`` itself and draws nothing.
+    """Inverted dropout on a ``(d, m)`` level node, a mask per level,
+    drawn leaf by leaf (column ``j`` takes the ``d`` draws after column
+    ``j - 1``'s): each entry is zeroed with probability ``rate`` and
+    survivors are scaled by 1/(1 - rate), so the expectation is
+    unchanged.  Evaluation passes ``rng=None``, which like ``rate == 0``
+    returns ``x`` itself and draws nothing.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
     if rate == 0.0 or rng is None:
         return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return graph.hadamard(x, graph.constant(mask, op="dropout_mask"))
+    keep = np.ascontiguousarray(rng.random(x.shape[::-1]).T) >= rate
+    return graph.hadamard(x, graph.constant(keep / (1.0 - rate), op="dropout_mask"))
 
 
 def columns(graph, nodes):
@@ -218,9 +221,9 @@ def _gather(graph, states):
 def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
     """Encode every node of ``tree``; returns a NodeState per node id.
 
-    Leaves feed their word vector, with an independent dropout mask per
-    leaf (drawn in id order) when ``rng`` is given; internal nodes feed
-    no input.
+    The leaf level reads its word vectors with one :func:`embedding_node`
+    and, when ``rng`` is given, applies one :func:`dropout` mask, drawn
+    leaf by leaf in id order; internal nodes feed no input.
     """
     d = params.d_in
     if table.dim != d:
@@ -229,9 +232,7 @@ def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
     def inputs(ids):
         if not tree.is_leaf(ids[0]):
             return None
-        return columns(graph, [
-            dropout(graph, embedding_node(graph, vocab, table, tree.tokens[i]),
-                    dropout_rate, rng)
-            for i in ids])
+        words = embedding_node(graph, vocab, table, [tree.tokens[i] for i in ids])
+        return dropout(graph, words, dropout_rate, rng)
 
     return walk_tree(graph, tree, params, inputs)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import Parameter, SliceGrad
 
 UNK_TOKEN = "<unk>"
 INIT_SCALE = 0.05
@@ -197,10 +197,23 @@ def lookup(vocab, table, token):
     return table.trainable.value[idx - vocab.frozen_count, :]
 
 
-def embedding_node(graph, vocab, table, token):
-    """Graph leaf for a token: a constant for pretrained rows, a
-    differentiable row of the trainable table otherwise."""
-    idx = resolve(vocab, token)
-    if idx < vocab.frozen_count:
-        return graph.constant(table.frozen[idx].reshape(-1, 1), op=f"embed:{token}")
-    return graph.take_row(graph.parameter(table.trainable), idx - vocab.frozen_count)
+def lookup_rows(vocab, table, tokens):
+    """The ``(dim, m)`` array whose column ``j`` is ``tokens[j]``'s row."""
+    return np.stack([lookup(vocab, table, t) for t in tokens], axis=1)
+
+
+def embedding_node(graph, vocab, table, tokens):
+    """:func:`lookup_rows` as one ``take_row`` graph node.  Each trainable
+    row hands the table its own one-row gradient slice, last token first;
+    pretrained rows are constant."""
+    rows = [resolve(vocab, t) - vocab.frozen_count for t in tokens]
+    trained = [(j, i) for j, i in enumerate(rows) if i >= 0][::-1]
+    value = lookup_rows(vocab, table, tokens)
+    if not trained:
+        return graph.constant(value, op="take_row")
+    tn = graph.parameter(table.trainable)
+
+    def vjp(g):
+        return tuple(SliceGrad(np.s_[i:i + 1, :], g[:, j:j + 1].T) for j, i in trained)
+
+    return graph.record(value, (tn,) * len(trained), vjp, "take_row")

@@ -30,7 +30,7 @@ from .attention import (
 )
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
 from .composer import LstmParameters, cell_values, columns, encode_tree, walk_tree
-from .embeddings import lookup
+from .embeddings import lookup_rows
 
 # Fixed label order; ties at prediction break toward the earlier label.
 LABELS = ("contradiction", "neutral", "entailment")
@@ -75,17 +75,18 @@ class ModelParameters:
 def compose_relations(graph, hypothesis, hyp_vectors, contexts, params):
     """Run the relation Tree-LSTM over the hypothesis tree.
 
-    Node ``i`` receives ``[hyp_vectors[i]; contexts[i]]`` as its input,
-    stacked a whole level at a time; leaves start from zero child
-    states.  Returns one NodeState per node id (the relation vector is
-    the ``h`` field).
+    Node ``i`` receives ``[hyp_vectors[i]; contexts[:, i]]`` as its
+    input, where ``contexts`` is :func:`attended_context`'s matrix; a
+    level stacks its nodes' inputs side by side and reads its contexts
+    with one column op.  Leaves start from zero child states.  Returns
+    one NodeState per node id (the relation vector is the ``h`` field).
     """
     if params.d_in != 2 * hyp_vectors[0].shape[0]:
         raise ShapeMismatch("relation block input must be twice the node width")
 
     def inputs(ids):
         return graph.concat([columns(graph, [hyp_vectors[i] for i in ids]),
-                             columns(graph, [contexts[i] for i in ids])])
+                             graph.take_col(contexts, ids)])
 
     return walk_tree(graph, hypothesis, params, inputs)
 
@@ -234,8 +235,7 @@ def predict(premise, hypothesis, vocab, table, params, use_dual=False,
         def inputs(ids):
             if not tree.is_leaf(ids[0]):
                 return None
-            return cast(np.stack([lookup(vocab, table, tree.tokens[i]) for i in ids],
-                                 axis=1))
+            return cast(lookup_rows(vocab, table, [tree.tokens[i] for i in ids]))
         return inputs
 
     prem_h = _plain_encode(premise, word(premise), mw, mb, k)

@@ -132,8 +132,9 @@ class TestAttendedContext:
         att = np.eye(4)[[3, 1]]
         g = Graph()
         ctx = attended_context(g, g.constant(att), constant_vectors(g, prem))
-        np.testing.assert_array_equal(ctx[0].value, prem[3])
-        np.testing.assert_array_equal(ctx[1].value, prem[1])
+        assert ctx.shape == (3, 2)
+        np.testing.assert_array_equal(ctx.value[:, :1], prem[3])
+        np.testing.assert_array_equal(ctx.value[:, 1:], prem[1])
 
     def test_matches_manual_weighted_sum(self):
         rng = np.random.default_rng(21)
@@ -143,7 +144,7 @@ class TestAttendedContext:
         ctx = attended_context(g, g.constant(att), constant_vectors(g, prem))
         for i in range(4):
             expected = sum(att[i, j] * prem[j] for j in range(3))
-            np.testing.assert_allclose(ctx[i].value, expected, atol=1e-12)
+            np.testing.assert_allclose(ctx.value[:, i:i + 1], expected, atol=1e-12)
 
     def test_rejects_column_count_mismatch(self):
         g = Graph()

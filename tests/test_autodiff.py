@@ -24,6 +24,7 @@ from treentail.autodiff import (
     sigmoid,
 )
 from treentail.composer import LstmParameters, NodeState, lstm_cell
+from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
 
 
 def test_sigmoid_matches_logistic_definition():
@@ -100,9 +101,10 @@ class TestForwardValues:
     def test_structural_ops_round_trip(self):
         g = Graph()
         m = g.constant(np.arange(12.0).reshape(3, 4))
-        assert g.take_row(m, 1).value.shape == (4, 1)
-        np.testing.assert_array_equal(g.take_row(m, 1).value[:, 0], [4, 5, 6, 7])
         np.testing.assert_array_equal(g.take_col(m, 2).value[:, 0], [2, 6, 10])
+        picked = g.take_col(m, [3, 0, 2]).value
+        np.testing.assert_array_equal(picked, m.value[:, [3, 0, 2]])
+        assert picked.flags["C_CONTIGUOUS"]
         cols = [g.take_col(m, j) for j in range(4)]
         np.testing.assert_array_equal(g.stack_columns(cols).value, m.value)
         np.testing.assert_array_equal(g.transpose(m).value, m.value.T)
@@ -182,6 +184,11 @@ class TestBackward:
         assert backward(g, loss)[p].item() == pytest.approx(4.0)
 
 
+def _row(graph, a, i):
+    """Row ``i`` of ``a`` as a column, read through a one-row slice."""
+    return graph.transpose(graph.slice_rows(a, i, i + 1))
+
+
 def _matvec(graph, w, x, factored):
     """``w @ x`` for a column ``x``, whose vjp hands ``w`` its gradient as
     an OuterGrad or, for the dense reference, as the outer product."""
@@ -203,7 +210,7 @@ class TestFactoredGradients:
         rows = [1, 2, 1, 1]
         g = Graph()
         tn = g.parameter(table)
-        leaves = [g.hadamard(g.take_row(tn, i), g.constant(weights[j].reshape(3, 1)))
+        leaves = [g.hadamard(_row(g, tn, i), g.constant(weights[j].reshape(3, 1)))
                   for j, i in enumerate(rows)]
         grad = backward(g, g.total(g.concat(leaves)))[table]
         expected = np.zeros((4, 3))
@@ -216,7 +223,7 @@ class TestFactoredGradients:
         p = Parameter("p", rng.uniform(-1, 1, (4, 3)))
         g = Graph()
         th = g.tanh(g.parameter(p))
-        loss = g.total(g.add(g.take_row(th, 2), g.take_row(th, 0)))
+        loss = g.total(g.add(_row(g, th, 2), _row(g, th, 0)))
         expected = np.zeros((4, 3))
         expected[[0, 2]] = 1.0 - np.tanh(p.value[[0, 2]]) ** 2
         np.testing.assert_allclose(backward(g, loss)[p], expected, rtol=0, atol=1e-15)
@@ -224,7 +231,7 @@ class TestFactoredGradients:
         def build():
             g = Graph()
             th = g.tanh(g.parameter(p))
-            return g, g.total(g.hadamard(g.take_row(th, 1), g.take_row(th, 1)))
+            return g, g.total(g.hadamard(_row(g, th, 1), _row(g, th, 1)))
 
         assert grad_check(build, [p]) < 1e-7
 
@@ -240,7 +247,7 @@ class TestFactoredGradients:
             wn = g.parameter(w)
             parts = [g.tanh(_matvec(g, wn, g.constant(x), factored)) for x in xs]
             for _ in range(2):
-                parts.append(g.take_row(wn, 2) if factored else
+                parts.append(_row(g, wn, 2) if factored else
                              g.transpose(g.matmul(g.constant(np.eye(4)[2:3]), wn)))
             dense = g.total(g.hadamard(g.tanh(wn), g.constant(scale)))
             loss = g.add(g.total(g.concat(parts)), dense)
@@ -258,9 +265,9 @@ class TestFactoredGradients:
         g = Graph(np.float32)
         zero = NodeState(g.constant(np.zeros((k, 1))), g.constant(np.zeros((k, 1))))
         tn = g.parameter(table)
-        left = lstm_cell(g, block, g.take_row(tn, 4), zero, zero)
-        right = lstm_cell(g, block, g.take_row(tn, 1), zero, zero)
-        root = lstm_cell(g, block, g.take_row(tn, 4), left, right)
+        left = lstm_cell(g, block, _row(g, tn, 4), zero, zero)
+        right = lstm_cell(g, block, _row(g, tn, 1), zero, zero)
+        root = lstm_cell(g, block, _row(g, tn, 4), left, right)
         loss = g.total(g.hadamard(root.h, g.parameter(scale)))
         grads = backward(g, loss)
         assert set(grads) == {block.block.weight, block.block.bias, table, scale}
@@ -270,21 +277,22 @@ class TestFactoredGradients:
             assert grad.shape == p.value.shape
 
     def test_take_row_backward_stays_near_one_table(self):
-        """Forty leaves of one table must not cost forty table-sized
+        """A level of forty leaves must not cost forty table-sized
         arrays: backward's peak allocation stays below three tables."""
         rng = np.random.default_rng(0)
-        table = Parameter("t", rng.uniform(-1, 1, (5000, 64)))
+        vocab, table = empty_vocabulary(64)
+        register_oov(vocab, table, [f"w{i:04d}" for i in range(1, 5000)], rng)
+        assert table.trainable.value.shape == (5000, 64)
+        tokens = [vocab.tokens[i] for i in rng.integers(0, 5000, 40)]
         g = Graph()
-        tn = g.parameter(table)
-        leaves = [g.take_row(tn, int(i)) for i in rng.integers(0, 5000, 40)]
-        loss = g.total(g.concat(leaves))
+        loss = g.total(embedding_node(g, vocab, table, tokens))
         tracemalloc.start()
         try:
-            grad = backward(g, loss)[table]
+            grad = backward(g, loss)[table.trainable]
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * table.value.nbytes
+        assert peak < 3 * table.trainable.value.nbytes
         assert grad.sum() == 40 * 64
 
 
@@ -303,17 +311,17 @@ def _everything_build(seed):
         mm = g.matmul(a, g.constant(x_const))        # (3, 2)
         sm = g.row_softmax(g.transpose(mm))          # (2, 3)
         rn = g.row_normalize(g.add_const(sm, 0.1))   # (2, 3)
-        cc = g.concat([g.take_col(rn, 0), g.take_row(rn, 1)])  # (5, 1)
+        cc = g.concat([g.take_col(rn, 0), _row(g, rn, 1)])  # (5, 1)
         sc = g.slice_rows(cc, 1, 4)                  # (3, 1)
         st = g.stack_columns([sc, g.neg(sc)])        # (3, 2)
         h = g.hadamard(st, st)
         os_ = g.outer_sum(g.take_col(h, 0), g.take_col(h, 1),
                           g.parameter(b_p))          # (3, 3)
-        th = g.tanh(g.sigmoid(os_))
+        th = g.tanh(os_)
         sl = g.slice_cols(th, 0, 2)                  # (3, 2)
         af = g.affine(amap, g.take_col(sl, 1))       # (4, 1)
         nll = g.neg(g.log(g.pick(g.softmax(af), 1)))
-        loss = g.total(g.add(nll, g.total(h)))
+        loss = g.total(g.add(nll, g.total(g.take_col(h, [1, 0]))))
         return g, loss
 
     params = [a_p, b_p, amap.weight, amap.bias]
@@ -426,8 +434,9 @@ class TestNumericGuards:
             g.matmul(a, b)
         with pytest.raises(ShapeMismatch):
             g.slice_rows(a, 1, 5)
-        with pytest.raises(ShapeMismatch):
-            g.take_row(a, 2)
+        for cols in (2, [0, 2], [1, 1], []):
+            with pytest.raises(ShapeMismatch):
+                g.take_col(a, cols)
         with pytest.raises(ShapeMismatch):
             g.pick(a, 0)  # not a column vector
         with pytest.raises(ShapeMismatch):

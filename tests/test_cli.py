@@ -65,6 +65,18 @@ class TestUsageErrors:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"Adam learning rate (default: {TrainConfig.learning_rate})" in help_text
 
+    def test_word_width_names_both_defaults_and_rejects_zero(self, tmp_path, capsys):
+        assert main(["train", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert ("word vector width; if not given, the vectors' width with "
+                f"--embeddings, else {TrainConfig.d} (default: None)") in help_text
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("a 0.1 0.2\n")
+        for extra in ([], ["--embeddings", str(vectors)]):
+            assert main(["train", "--data", "x", "--out", str(tmp_path / "run"),
+                         "--d", "0", *extra]) == 1
+            assert "d must be an integer of at least 1" in capsys.readouterr().err
+
 
 class TestToydata:
     def test_writes_loadable_corpus(self, tmp_path, capsys):

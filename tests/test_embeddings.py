@@ -232,9 +232,9 @@ class TestEmbeddingNodes:
     def test_pretrained_row_is_a_constant(self, tmp_path):
         vocab, table = self.make(tmp_path)
         g = Graph()
-        node = embedding_node(g, vocab, table, "frozen")
-        assert node.value.shape == (2, 1)
-        assert node.param is None
+        node = embedding_node(g, vocab, table, ["frozen", "Frozen"])
+        np.testing.assert_array_equal(node.value, [[0.3, 0.3], [0.6, 0.6]])
+        assert node.parents == () and node.op == "take_row"
 
         loss = g.total(node)
         assert backward(g, loss) == {}
@@ -242,12 +242,14 @@ class TestEmbeddingNodes:
     def test_oov_row_gets_gradient_only_on_its_row(self, tmp_path):
         vocab, table = self.make(tmp_path)
         g = Graph()
-        node = embedding_node(g, vocab, table, "new")
+        node = embedding_node(g, vocab, table, ["new", "frozen", "new"])
+        np.testing.assert_array_equal(node.value[:, 1], [0.3, 0.6])
+        np.testing.assert_array_equal(node.value[:, 0], table.trainable.value[1])
         grads = backward(g, g.total(node))
         grad = grads[table.trainable]
         assert grad.shape == table.trainable.value.shape
         np.testing.assert_array_equal(grad[0], 0.0)   # fallback row untouched
-        np.testing.assert_array_equal(grad[1], 1.0)   # d(sum)/d(row) = 1
+        np.testing.assert_array_equal(grad[1], 2.0)   # read twice, d(sum)/d(row) = 1
 
     def test_frozen_rows_survive_training_updates(self, tmp_path):
         """Frozen storage is a plain array: nothing that takes gradients

@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from treentail.attention import reverse_attention
-from treentail.autodiff import AffineMap, Graph, ShapeMismatch
+from treentail.autodiff import AffineMap, Graph, ShapeMismatch, backward
 from treentail.composer import LstmParameters
-from treentail.embeddings import empty_vocabulary, register_oov
+from treentail.embeddings import (
+    EmbeddingTable,
+    Vocabulary,
+    empty_vocabulary,
+    register_oov,
+)
 from treentail.entailment import (
     LABELS,
     InvalidLabel,
@@ -45,6 +50,20 @@ def toy_model(k, r, d, seed, scale=0.4, zero=False):
     if not zero:
         table.trainable.value[...] = rng.uniform(
             -0.7, 0.7, table.trainable.value.shape)
+    return vocab, table, params
+
+
+def pretrained_model(k, r, d, seed):
+    """toy_model's maps over a vocabulary whose "the" and "cat" rows are
+    pretrained (frozen), so one leaf level mixes constant and trainable
+    rows."""
+    _, _, params = toy_model(k, r, d, seed)
+    rng = np.random.default_rng(seed + 100)
+    vocab = Vocabulary(tokens=["the", "cat"], index={"the": 0, "cat": 1},
+                       frozen_count=2)
+    table = EmbeddingTable(rng.uniform(-0.7, 0.7, (2, d)))
+    register_oov(vocab, table, ["cat", "dog", "sat", "ran", "the"], rng)
+    table.trainable.value[...] = rng.uniform(-0.7, 0.7, table.trainable.value.shape)
     return vocab, table, params
 
 
@@ -162,6 +181,37 @@ class TestRunForward:
         assert any(not np.array_equal(base, t) for t in trained)
         np.testing.assert_array_equal(base, dist(0.0, np.random.default_rng(0)))
 
+    def test_table_gradient_adds_leaf_slices_in_tape_order(self):
+        """"cat" is read twice in the premise and once in the hypothesis.
+        Its table row sums the slices of its leaves in the order the
+        reverse walk meets them: hypothesis leaves last to first, then
+        premise leaves last to first."""
+        vocab, table, params = toy_model(3, 4, 64, 12)
+        prem, hyp = parse_tree("( ( cat sat ) ( the cat ) )"), parse_tree("( dog cat )")
+        g = Graph()
+        run = run_forward(g, prem, hyp, vocab, table, params,
+                          dropout_rate=0.3, rng=np.random.default_rng(4))
+        received = {}
+        for node in (n for n in g.nodes if n.op == "take_row"):
+            def keep(grad, node=node, vjp=node.vjp):
+                received[node.idx] = grad
+                return vjp(grad)
+            node.vjp = keep
+        grad = backward(g, loss_node(g, run.distribution, "neutral"))[table.trainable]
+        prem_level, hyp_level = sorted(received)
+
+        def summed(order):
+            out = np.zeros_like(table.trainable.value)
+            for tree, idx in order:
+                for j, token in reversed(list(enumerate(tree.leaves()))):
+                    out[vocab.index[token]] += received[idx][:, j]
+            return out
+
+        assert summed([(hyp, hyp_level), (prem, prem_level)]).tobytes() == grad.tobytes()
+        # Across 64 entries the sum order shows in the bits, so a
+        # reordering of the slices would fail the check above.
+        assert summed([(prem, prem_level), (hyp, hyp_level)]).tobytes() != grad.tobytes()
+
     def test_relation_width_mismatch_rejected(self):
         vocab, table, params = toy_model(3, 2, 4, 5)
         bad = ModelParameters(
@@ -231,6 +281,21 @@ class TestPlainTwin:
             widest = max(widest, *(len(ids) for ids in hyp.levels[1:]), 0)
             assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype)
         assert widest > 1
+
+    @pytest.mark.parametrize("use_dual", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_pretrained_and_trainable_rows_in_one_leaf_level(self, dtype, use_dual):
+        rng = np.random.default_rng(7)
+        words = ["cat", "dog", "sat", "ran", "the", "The", "unseen"]
+        for seed in range(3):
+            vocab, table, params = pretrained_model(3, 4, 5, seed)
+            assert vocab.frozen_count == 2
+            for prem_s, hyp_s in PAIRS:
+                assert_matches_tape(parse_tree(prem_s), parse_tree(hyp_s),
+                                    vocab, table, params, use_dual, dtype)
+            prem, hyp = (random_tree(rng, list(rng.choice(words, rng.integers(1, 30))))
+                         for _ in range(2))
+            assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype)
 
     def test_loss_matches_tape_loss(self):
         vocab, table, params = toy_model(3, 4, 5, 9)

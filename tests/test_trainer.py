@@ -192,6 +192,17 @@ class TestDropout:
             out.value, (rng.random((d, 1)) >= rate) / (1 - rate))
 
 
+    def test_level_mask_is_drawn_leaf_by_leaf(self):
+        """A (d, m) leaf level's mask is the m per-leaf (d, 1) draws side
+        by side, so each leaf keeps the draws it would get alone."""
+        d, m, rate = 5, 4, 0.4
+        _, out = self.drop(np.ones((d, m)), rate, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        per_leaf = [(rng.random((d, 1)) >= rate) / (1 - rate) for _ in range(m)]
+        np.testing.assert_array_equal(out.value, np.hstack(per_leaf))
+        assert out.value.flags["C_CONTIGUOUS"]
+
+
 class TestAdam:
     def config(self):
         return small_config(learning_rate=0.01)
