@@ -17,7 +17,9 @@ use; so does any matrix read one row, column or entry at a time.
 
 Every op checks its result for NaN/Inf and aborts the example by
 raising :class:`NonFiniteValue` naming the op, which turns silent
-numeric corruption into a loud diagnostic.
+numeric corruption into a loud diagnostic.  Parameter leaves are not
+checked here: a graph only reads them, and the optimizer checks each
+parameter after it changes it.
 """
 
 from __future__ import annotations
@@ -204,21 +206,17 @@ class Graph:
         return self.record(value, (), None, op)
 
     def parameter(self, param):
-        """Leaf node for a trainable tensor, memoized per graph."""
+        """Leaf node for a trainable tensor, memoized per graph.  Its value
+        is not checked for NaN/Inf (see the module docstring)."""
         node = self._param_nodes.get(id(param))
         if node is None:
             value = param.value.astype(self.dtype, copy=False)
-            node = self.record(value, (), None, f"param:{param.name}")
-            node.param = param
+            node = Node(value, (), None, f"param:{param.name}", param, len(self.nodes))
+            self.nodes.append(node)
             self._param_nodes[id(param)] = node
         return node
 
     # -- elementwise and structural ops ----------------------------------
-
-    def add(self, a, b):
-        if a.shape != b.shape:
-            raise ShapeMismatch(f"add {a.shape} vs {b.shape}")
-        return self.record(a.value + b.value, (a, b), lambda g: (g, g), "add")
 
     def add_const(self, a, c):
         """Shift every entry by the Python float ``c``."""
@@ -392,15 +390,6 @@ class Graph:
         index = np.s_[i:i + 1, 0:1]
         return self.record(v.value[index], (v,), lambda g: (SliceGrad(index, g),),
                            "pick")
-
-    def total(self, a):
-        """Sum of all entries as a (1, 1) scalar."""
-        value = np.full((1, 1), a.value.sum(), dtype=self.dtype)
-
-        def vjp(g):
-            return (np.full(a.shape, g[0, 0], dtype=self.dtype),)
-
-        return self.record(value, (a,), vjp, "total")
 
 
 def backward(graph, loss):

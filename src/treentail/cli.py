@@ -66,13 +66,22 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+class _DefaultsFormatter(argparse.ArgumentDefaultsHelpFormatter):
+    """Appends an option's default to its help only where it has one."""
+
+    def _get_help_string(self, action):
+        if action.default is None:
+            return action.help
+        return super()._get_help_string(action)
+
+
 def build_parser():
     parser = _Parser(prog="treentail",
                      description="Tree-structured attention entailment models")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model and write a checkpoint",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+                       formatter_class=_DefaultsFormatter)
     p.add_argument("--data", required=True, help="training JSONL file")
     p.add_argument("--dev", help="dev JSONL file; --data if not given")
     p.add_argument("--out", required=True, help="output directory")

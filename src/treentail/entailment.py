@@ -9,9 +9,13 @@ mapped to three logits, and normalized; because tanh bounds every
 logit in (-1, 1), no class probability can leave a fixed band no
 matter the parameters.
 
-The tape (:func:`run_forward`) serves training and the gradient audits;
-all inference runs the same operations in the same order tape-free
-(:func:`predict`), which in extended precision is the audits' oracle.
+The tape (:func:`run_forward`) serves training and the gradient audits.
+All inference runs the same operations tape-free, on a list of pairs
+at once (:func:`plain_distributions`): the pairs' premises walk as one
+forest and their hypotheses as another, so each tree height is one cell
+call over every pair.  :func:`predict` is that forward on a batch of
+one, whose grouping is the tape's, so it matches the tape bit for bit;
+in extended precision it is the audits' oracle.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from .attention import (
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
 from .composer import LstmParameters, cell_values, columns, encode_tree, walk_tree
 from .embeddings import lookup_rows
+from .trees import forest_schedule
 
 # Fixed label order; ties at prediction break toward the earlier label.
 LABELS = ("contradiction", "neutral", "entailment")
@@ -178,32 +183,31 @@ class Prediction:
     relations: np.ndarray           # (|hyp|, r)
 
 
-def _columns(arrays):
-    return arrays[0] if len(arrays) == 1 else np.hstack(arrays)
+def _cols(a, ix):
+    """Columns ``ix`` of ``a``: a view for a slice, else a C-ordered copy
+    (``a[:, ids]`` would be Fortran-ordered, and BLAS may round a product
+    of the two layouts differently)."""
+    return a[:, ix] if isinstance(ix, slice) else a.take(ix, axis=1)
 
 
-def _plain_encode(tree, inputs, w, b, k):
-    """:func:`walk_tree` without a tape: one :func:`cell_values` per level
-    of ``tree.levels``, on operands stacked exactly as the tape stacks
-    them.  The last bit of each state depends on that grouping (BLAS
-    rounds a product over several columns differently from one column
-    at a time), so the tape and this twin round alike only because they
-    share the schedule and the memory layouts.  ``inputs(ids)`` is the
-    level's input array or None.  Returns the ``(k, 1)`` state ``h`` of
-    each node id.
+def _plain_walk(schedule, inputs, w, b, k):
+    """:func:`walk_tree` without a tape, over a forest's ``schedule``
+    (see :func:`~treentail.trees.forest_schedule`): one
+    :func:`cell_values` per height, on operands laid out as the tape lays
+    them out for one tree.  ``inputs(ids, leaf)`` is the input array of
+    the level holding ``ids`` or None.  Returns the ``(k, n)`` matrix
+    whose column ``i`` is forest node ``i``'s ``h``.
     """
-    hs = [None] * tree.node_count
-    cs = [None] * tree.node_count
-    for height, ids in enumerate(tree.levels):
+    offsets, levels = schedule
+    hs = np.empty((k, offsets[-1]), w.dtype)
+    cs = np.empty_like(hs)
+    for ids, lefts, rights in levels:
         h1 = h2 = c1 = c2 = None
-        if height:
-            lt = [tree.lefts[i] for i in ids]
-            rt = [tree.rights[i] for i in ids]
-            h1, h2 = _columns([hs[i] for i in lt]), _columns([hs[i] for i in rt])
-            c1, c2 = _columns([cs[i] for i in lt]), _columns([cs[i] for i in rt])
-        h, c = cell_values(w, b, inputs(ids), h1, h2, c1, c2, k)[:2]
-        for j, i in enumerate(ids):
-            hs[i], cs[i] = h[:, j:j + 1], c[:, j:j + 1]
+        if lefts is not None:
+            h1, h2 = _cols(hs, lefts), _cols(hs, rights)
+            c1, c2 = _cols(cs, lefts), _cols(cs, rights)
+        x = inputs(ids, lefts is None)
+        hs[:, ids], cs[:, ids] = cell_values(w, b, x, h1, h2, c1, c2, k)[:2]
     return hs
 
 
@@ -212,66 +216,111 @@ def _plain_row_softmax(m):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def predict(premise, hypothesis, vocab, table, params, use_dual=False,
-            dtype=np.float64):
-    """Evaluate one pair without a tape or dropout; returns a Prediction.
+def _forest(trees):
+    """A forest's schedule (a lone tree's is cached on the tree) and its
+    leaf tokens in leaf-level order."""
+    schedule = trees[0].schedule if len(trees) == 1 else forest_schedule(trees)
+    return schedule, [token for tree in trees for token in tree.leaves()]
 
-    The one inference forward, behind ``eval``, ``predict`` and
-    ``inspect``.  Its outputs equal :func:`run_forward`'s bit for bit.
-    Without ``use_dual``, where the tape records no reverse view, the
-    reverse attention is the column softmax of the forward scores.
-    Equal probabilities resolve to the earliest label in LABELS order.
-    Raises :class:`NonFiniteValue` if the distribution is not finite.
+
+def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
+    """The tape-free forward of a list of ``(premise, hypothesis)`` pairs.
+
+    All premises walk as one forest and all hypotheses as another, so a
+    height of either walk is one :func:`cell_values` call over every pair;
+    each pair's attention and contexts are small products on column
+    slices of the two state matrices; the relation walk covers every
+    hypothesis as one forest; and one product classifies every root.
+    Returns the ``(len(pairs), 3)`` distributions and, with
+    ``attention``, each pair's ``(forward, reverse, final, relations)``;
+    without ``use_dual`` the reverse view is the column softmax of the
+    forward scores.  A batch of one lays out every operand as the tape
+    does and so equals :func:`run_forward` bit for bit.  A wider batch
+    groups more columns per product, and BLAS may round those products'
+    last bits differently.
     """
     k = params.meaning.k_out
 
     def cast(value):
         return np.asarray(value, dtype)
 
+    prem_schedule, prem_words = _forest([p for p, _ in pairs])
+    hyp_schedule, hyp_words = _forest([h for _, h in pairs])
     mw, mb = cast(params.meaning.block.weight.value), cast(params.meaning.block.bias.value)
-    rw, rb = cast(params.relation.block.weight.value), cast(params.relation.block.bias.value)
 
-    def word(tree):
-        def inputs(ids):
-            if not tree.is_leaf(ids[0]):
-                return None
-            return cast(lookup_rows(vocab, table, [tree.tokens[i] for i in ids]))
-        return inputs
+    def encode(schedule, words):
+        x = cast(lookup_rows(vocab, table, words))
+        return _plain_walk(schedule, lambda ids, leaf: x if leaf else None, mw, mb, k)
 
-    prem_h = _plain_encode(premise, word(premise), mw, mb, k)
-    hyp_h = _plain_encode(hypothesis, word(hypothesis), mw, mb, k)
-    prem_stack = np.concatenate(prem_h, axis=1)
-    hyp_stack = np.concatenate(hyp_h, axis=1)
+    prem = encode(prem_schedule, prem_words)
+    hyp = encode(hyp_schedule, hyp_words)
 
     sw, sb = cast(params.scorer.weight.value), cast(params.scorer.bias.value)
-    scores = (sw[:, :k] @ hyp_stack).T + sw[:, k:] @ prem_stack + sb
-    forward = final = _plain_row_softmax(scores)
-    reverse = _plain_row_softmax(scores.T)
-    if use_dual:
-        raw = forward * reverse.T + dtype(RENORM_FLOOR)
-        final = raw / raw.sum(axis=1, keepdims=True)
+    hyp_scores = (sw[:, :k] @ hyp).T
+    prem_scores = sw[:, k:] @ prem
+    prem_at, hyp_at = prem_schedule[0], hyp_schedule[0]
+    contexts, views = [], []
+    for j in range(len(pairs)):
+        ps = slice(prem_at[j], prem_at[j + 1])
+        scores = hyp_scores[hyp_at[j]:hyp_at[j + 1]] + prem_scores[:, ps] + sb
+        forward = final = _plain_row_softmax(scores)
+        reverse = _plain_row_softmax(scores.T) if use_dual or attention else None
+        if use_dual:
+            raw = forward * reverse.T + dtype(RENORM_FLOOR)
+            final = raw / raw.sum(axis=1, keepdims=True)
+        contexts.append(prem[:, ps] @ final.T)
+        if attention:
+            views.append((forward, reverse, final))
+    context = contexts[0] if len(contexts) == 1 else np.hstack(contexts)
 
-    contexts = prem_stack @ final.T
+    def relation_input(ids, leaf):
+        return np.concatenate((_cols(hyp, ids), _cols(context, ids)))
 
-    def relation_input(ids):
-        return np.concatenate((hyp_stack.take(ids, axis=1), contexts.take(ids, axis=1)))
-
-    relations = _plain_encode(hypothesis, relation_input, rw, rb, params.relation.k_out)
+    rw, rb = cast(params.relation.block.weight.value), cast(params.relation.block.bias.value)
+    relations = _plain_walk(hyp_schedule, relation_input, rw, rb, params.relation.k_out)
 
     cw, cb = cast(params.classifier.weight.value), cast(params.classifier.bias.value)
-    logits = np.tanh(cw @ relations[hypothesis.root] + cb)
-    e = np.exp(logits - logits.max())
-    dist = (e / e.sum()).reshape(-1)
-    if not np.isfinite(dist).all():
+    roots = relations.take([n - 1 for n in hyp_at[1:]], axis=1)
+    dists = _plain_row_softmax(np.ascontiguousarray(np.tanh(cw @ roots + cb).T))
+    if not np.isfinite(dists).all():
         raise NonFiniteValue("non-finite class distribution")
+    views = [v + (relations[:, hyp_at[j]:hyp_at[j + 1]].T,) for j, v in enumerate(views)]
+    return dists, views
+
+
+def predict(premise, hypothesis, vocab, table, params, use_dual=False,
+            dtype=np.float64):
+    """Evaluate one pair without a tape or dropout; returns a Prediction.
+
+    The batch of one of the one inference forward (:func:`plain_distributions`
+    runs it on many pairs), behind ``predict`` and ``inspect``.  Its
+    outputs equal :func:`run_forward`'s bit for bit.  Without
+    ``use_dual``, where the tape records no reverse view, the reverse
+    attention is the column softmax of the forward scores.  Equal
+    probabilities resolve to the earliest label in LABELS order.  Raises
+    :class:`NonFiniteValue` if the distribution is not finite.
+    """
+    dists, views = _wavefront([(premise, hypothesis)], vocab, table, params,
+                              use_dual, dtype, attention=True)
+    forward, reverse, final, relations = views[0]
     return Prediction(
-        label=LABELS[int(np.argmax(dist))],
-        distribution=dist,
+        label=LABELS[int(np.argmax(dists[0]))],
+        distribution=dists[0],
         forward_attention=forward,
         reverse_attention=reverse,
         final_attention=final,
-        relations=np.hstack(relations).T,
+        relations=relations,
     )
+
+
+def plain_distributions(pairs, vocab, table, params, use_dual=False,
+                        dtype=np.float64):
+    """The ``(len(pairs), 3)`` class distributions of a non-empty list of
+    ``(premise, hypothesis)`` pairs, walked together level by level.
+    Row ``j`` is pair ``j``'s :func:`plain_forward` to the last bit or
+    so, and exactly that for a list of one.  Raises
+    :class:`NonFiniteValue` if any distribution is not finite."""
+    return _wavefront(pairs, vocab, table, params, use_dual, dtype, attention=False)[0]
 
 
 def plain_forward(premise, hypothesis, vocab, table, params,
@@ -279,8 +328,8 @@ def plain_forward(premise, hypothesis, vocab, table, params,
     """The ``(3,)`` class distribution of :func:`predict`.  The
     finite-difference audit runs it in extended precision, keeping the
     oracle's own rounding error far below the tolerance it enforces."""
-    return predict(premise, hypothesis, vocab, table, params,
-                   use_dual=use_dual, dtype=dtype).distribution
+    return plain_distributions([(premise, hypothesis)], vocab, table, params,
+                               use_dual=use_dual, dtype=dtype)[0]
 
 
 def plain_loss(premise, hypothesis, vocab, table, params, gold,

@@ -31,12 +31,15 @@ from .entailment import (
     LABELS,
     ModelParameters,
     loss_node,
-    plain_forward,
+    plain_distributions,
     plain_loss,
     run_forward,
 )
 
 INIT_SCALE = 0.05
+# Pairs per tape-free forward in `evaluate`; not a training setting, so a
+# model evaluates alike however it was trained.
+EVAL_CHUNK = 32
 
 
 class EmptyDataset(ValueError):
@@ -149,6 +152,8 @@ def adam_step(params, grads, state, config):
         p -= lr * (m / c1) / (sqrt(v / c2) + eps)
 
     so the result is bit-identical to evaluating it with temporaries.
+    Raises :class:`NonFiniteValue` naming the first parameter the update
+    leaves with a NaN or Inf; graphs read parameters unchecked.
     """
     state.step += 1
     b1, b2 = config.beta1, config.beta2
@@ -177,6 +182,9 @@ def adam_step(params, grads, state, config):
         np.add(b, eps, out=b)
         np.divide(a, b, out=a)
         p.value -= a
+        if not np.isfinite(p.value).all():
+            raise NonFiniteValue(f"non-finite value in parameter '{p.name}' after "
+                                 f"update {state.step}")
 
 
 @dataclass
@@ -263,7 +271,10 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
             scale = 1.0 / len(chunk)
             for g in grad_sum.values():
                 g *= scale
-            adam_step(optimized, grad_sum, state, config)
+            try:
+                adam_step(optimized, grad_sum, state, config)
+            except NonFiniteValue as exc:
+                raise NonFiniteValue(f"epoch {epoch}: {exc}") from None
 
         train_acc, _ = evaluate(dataset, params, config, vocab, table)
         dev_acc, _ = evaluate(dev_set, params, config, vocab, table)
@@ -281,16 +292,22 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
 def evaluate(dataset, params, config, vocab, table):
     """Accuracy and gold-by-predicted confusion counts, without dropout.
 
-    Pairs run one after another through the tape-free :func:`plain_forward`.
+    Consecutive chunks of ``EVAL_CHUNK`` pairs each run through the
+    tape-free forward as one :func:`plain_distributions` call, which
+    walks the chunk's trees level by level together.  A probability may
+    differ from the pair's own :func:`plain_forward` in the last bit.
     """
     if not dataset:
         raise EmptyDataset("no examples to evaluate")
 
     confusion = np.zeros((len(LABELS), len(LABELS)), dtype=int)
-    for pair in dataset:
-        dist = plain_forward(pair.premise, pair.hypothesis, vocab, table, params,
-                             use_dual=config.use_dual, dtype=config.dtype)
-        confusion[LABELS.index(pair.gold), int(np.argmax(dist))] += 1
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        chunk = dataset[start:start + EVAL_CHUNK]
+        dists = plain_distributions([(p.premise, p.hypothesis) for p in chunk],
+                                    vocab, table, params,
+                                    use_dual=config.use_dual, dtype=config.dtype)
+        for pair, predicted in zip(chunk, np.argmax(dists, axis=1).tolist()):
+            confusion[LABELS.index(pair.gold), predicted] += 1
     accuracy = float(np.trace(confusion)) / len(dataset)
     return accuracy, confusion
 

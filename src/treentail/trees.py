@@ -6,7 +6,8 @@ when a :class:`BinaryTree` is built, so every walk over a tree is a
 sweep over ``range(node_count)`` that reaches both children of a node
 before the node itself, and the root is the last id.  The Tree-LSTM
 walks go a level at a time instead (:attr:`BinaryTree.levels`), a
-grouping that one such sweep computes.
+grouping that one such sweep computes; :func:`forest_schedule` lays
+several trees end to end and groups all their nodes of one height.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+
+import numpy as np
 
 
 class TreeParseError(ValueError):
@@ -110,6 +113,47 @@ class BinaryTree:
                 levels.append([])
             levels[h].append(i)
         return tuple(tuple(ids) for ids in levels)
+
+    @cached_property
+    def schedule(self):
+        """``forest_schedule((self,))``, kept for the walks of one tree."""
+        return forest_schedule((self,))
+
+
+def forest_schedule(trees):
+    """The level schedule of ``trees`` laid end to end.
+
+    Node ``i`` of ``trees[t]`` is node ``offsets[t] + i`` of the forest.
+    Returns ``(offsets, levels)``: ``offsets`` is a list of one start per
+    tree and then the forest's node count; ``levels[h]`` is ``(ids, lefts,
+    rights)`` for height ``h``: every tree's ``levels[h]`` in forest ids,
+    tree by tree, and their children's ids (None on the leaf level).  A
+    level of one node gives one-node slices, every other level integer
+    arrays, so a column gather can be a view where it selects one column.
+
+    >>> offsets, levels = forest_schedule([parse_tree("( a b )"), parse_tree("c")])
+    >>> offsets, levels[0][0].tolist(), levels[1]
+    ([0, 3, 4], [0, 1, 3], (slice(2, 3, None), slice(0, 1, None), slice(1, 2, None)))
+    """
+    offsets = [0]
+    for tree in trees:
+        offsets.append(offsets[-1] + tree.node_count)
+    placed = list(zip(trees, offsets))
+    ids = [start + i for tree, start in placed for i in tree.levels[0]]
+    levels = [(slice(ids[0], ids[0] + 1) if len(ids) == 1 else np.array(ids), None, None)]
+    for height in range(1, max(len(tree.levels) for tree in trees)):
+        ids, lefts, rights = [], [], []
+        for tree, start in placed:
+            for i in tree.levels[height] if height < len(tree.levels) else ():
+                ids.append(start + i)
+                lefts.append(start + tree.lefts[i])
+                rights.append(start + tree.rights[i])
+        if len(ids) == 1:
+            i, left, right = ids[0], lefts[0], rights[0]
+            levels.append((slice(i, i + 1), slice(left, left + 1), slice(right, right + 1)))
+        else:
+            levels.append((np.array(ids), np.array(lefts), np.array(rights)))
+    return offsets, tuple(levels)
 
 
 def _tokenize(text):

@@ -18,6 +18,8 @@ from treentail.attention import (
 )
 from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, grad_check
 
+from tape_helpers import total
+
 
 def random_scorer(k, rng, name="scorer"):
     return AffineMap.from_arrays(
@@ -243,7 +245,7 @@ class TestGradientFlow:
                                       [g.parameter(p) for p in prem], scorer)
                 dual = dual_attention(g, forward_attention(g, scores),
                                       reverse_attention(g, scores))
-                return g, g.total(g.hadamard(dual, g.constant(probe)))
+                return g, total(g, g.hadamard(dual, g.constant(probe)))
 
             def plain(dtype=np.float64):
                 w = np.asarray(scorer.weight.value, dtype)

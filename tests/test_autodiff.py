@@ -26,6 +26,8 @@ from treentail.autodiff import (
 from treentail.composer import LstmParameters, NodeState, lstm_cell
 from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
 
+from tape_helpers import total
+
 
 def test_sigmoid_matches_logistic_definition():
     x = np.linspace(-30.0, 30.0, 401)
@@ -130,7 +132,7 @@ class TestForwardValues:
         g = Graph()
         v = g.constant(np.array([[1.0], [5.0], [9.0]]))
         assert g.pick(v, 1).value.item() == 5.0
-        assert g.total(v).value.item() == 15.0
+        assert total(g, v).value.item() == 15.0
 
 
 class TestBackward:
@@ -146,7 +148,7 @@ class TestBackward:
         b = Parameter("b", np.array([5.0, 7.0]))
         g = Graph()
         an, bn = g.parameter(a), g.parameter(b)
-        loss = g.total(g.add(g.hadamard(an, bn), an))
+        loss = total(g, g.concat([g.hadamard(an, bn), an]))
         grads = backward(g, loss)
         # d/da (a*b + a) = b + 1, d/db = a
         np.testing.assert_array_equal(grads[a][:, 0], [6.0, 8.0])
@@ -158,7 +160,7 @@ class TestBackward:
         p = Parameter("x", np.array([3.0]))
         g = Graph()
         xn = g.parameter(p)
-        grads = backward(g, g.total(g.hadamard(xn, xn)))
+        grads = backward(g, total(g, g.hadamard(xn, xn)))
         assert grads[p].item() == pytest.approx(6.0)
 
     def test_parameter_reused_across_ops_accumulates(self):
@@ -166,7 +168,7 @@ class TestBackward:
         g = Graph()
         xn = g.parameter(p)
         # loss = x + x^2 -> grad = 1 + 2x = 4
-        loss = g.total(g.add(xn, g.hadamard(xn, xn)))
+        loss = total(g, g.concat([xn, g.hadamard(xn, xn)]))
         assert backward(g, loss)[p].item() == pytest.approx(4.0)
 
     def test_rejects_non_scalar_loss(self):
@@ -180,7 +182,7 @@ class TestBackward:
         g = Graph()
         pn = g.parameter(p)
         g.tanh(g.constant(np.ones((4, 1))))  # dangling branch
-        loss = g.total(g.hadamard(pn, pn))
+        loss = total(g, g.hadamard(pn, pn))
         assert backward(g, loss)[p].item() == pytest.approx(4.0)
 
 
@@ -212,7 +214,7 @@ class TestFactoredGradients:
         tn = g.parameter(table)
         leaves = [g.hadamard(_row(g, tn, i), g.constant(weights[j].reshape(3, 1)))
                   for j, i in enumerate(rows)]
-        grad = backward(g, g.total(g.concat(leaves)))[table]
+        grad = backward(g, total(g, g.concat(leaves)))[table]
         expected = np.zeros((4, 3))
         for j, i in enumerate(rows):
             expected[i] += weights[j]
@@ -223,7 +225,7 @@ class TestFactoredGradients:
         p = Parameter("p", rng.uniform(-1, 1, (4, 3)))
         g = Graph()
         th = g.tanh(g.parameter(p))
-        loss = g.total(g.add(_row(g, th, 2), _row(g, th, 0)))
+        loss = total(g, g.concat([_row(g, th, 2), _row(g, th, 0)]))
         expected = np.zeros((4, 3))
         expected[[0, 2]] = 1.0 - np.tanh(p.value[[0, 2]]) ** 2
         np.testing.assert_allclose(backward(g, loss)[p], expected, rtol=0, atol=1e-15)
@@ -231,7 +233,7 @@ class TestFactoredGradients:
         def build():
             g = Graph()
             th = g.tanh(g.parameter(p))
-            return g, g.total(g.hadamard(_row(g, th, 1), _row(g, th, 1)))
+            return g, total(g, g.hadamard(_row(g, th, 1), _row(g, th, 1)))
 
         assert grad_check(build, [p]) < 1e-7
 
@@ -249,8 +251,8 @@ class TestFactoredGradients:
             for _ in range(2):
                 parts.append(_row(g, wn, 2) if factored else
                              g.transpose(g.matmul(g.constant(np.eye(4)[2:3]), wn)))
-            dense = g.total(g.hadamard(g.tanh(wn), g.constant(scale)))
-            loss = g.add(g.total(g.concat(parts)), dense)
+            dense = total(g, g.hadamard(g.tanh(wn), g.constant(scale)))
+            loss = total(g, g.concat([total(g, g.concat(parts)), dense]))
             return backward(g, loss)[w]
 
         np.testing.assert_allclose(grads(True), grads(False), rtol=0, atol=1e-12)
@@ -268,7 +270,7 @@ class TestFactoredGradients:
         left = lstm_cell(g, block, _row(g, tn, 4), zero, zero)
         right = lstm_cell(g, block, _row(g, tn, 1), zero, zero)
         root = lstm_cell(g, block, _row(g, tn, 4), left, right)
-        loss = g.total(g.hadamard(root.h, g.parameter(scale)))
+        loss = total(g, g.hadamard(root.h, g.parameter(scale)))
         grads = backward(g, loss)
         assert set(grads) == {block.block.weight, block.block.bias, table, scale}
         for p, grad in grads.items():
@@ -285,7 +287,7 @@ class TestFactoredGradients:
         assert table.trainable.value.shape == (5000, 64)
         tokens = [vocab.tokens[i] for i in rng.integers(0, 5000, 40)]
         g = Graph()
-        loss = g.total(embedding_node(g, vocab, table, tokens))
+        loss = total(g, embedding_node(g, vocab, table, tokens))
         tracemalloc.start()
         try:
             grad = backward(g, loss)[table.trainable]
@@ -321,7 +323,7 @@ def _everything_build(seed):
         sl = g.slice_cols(th, 0, 2)                  # (3, 2)
         af = g.affine(amap, g.take_col(sl, 1))       # (4, 1)
         nll = g.neg(g.log(g.pick(g.softmax(af), 1)))
-        loss = g.total(g.add(nll, g.total(g.take_col(h, [1, 0]))))
+        loss = total(g, g.concat([nll, total(g, g.take_col(h, [1, 0]))]))
         return g, loss
 
     params = [a_p, b_p, amap.weight, amap.bias]
@@ -335,7 +337,7 @@ class TestGradCheck:
         def build():
             g = Graph()
             pn = g.parameter(p)
-            return g, g.total(g.hadamard(pn, pn))
+            return g, total(g, g.hadamard(pn, pn))
 
         assert grad_check(build, [p], eps=1e-5) < 1e-9
 
@@ -348,7 +350,7 @@ class TestGradCheck:
 
         def build():
             g = Graph()
-            return g, g.total(g.tanh(g.affine(amap, g.constant(x))))
+            return g, total(g, g.tanh(g.affine(amap, g.constant(x))))
 
         assert grad_check(build, [amap.weight, amap.bias], eps=1e-5) < 1e-6
 
@@ -374,7 +376,7 @@ class TestGradCheck:
             pn = g.parameter(p)
             # Deliberately wrong rule: claims d(2x)/dx = 3.
             y = g.record(pn.value * 2.0, (pn,), lambda gr: (gr * 3.0,), "bad_scale")
-            return g, g.total(y)
+            return g, total(g, y)
 
         assert grad_check(build, [p], eps=1e-5) > 1e-2
 
@@ -384,7 +386,7 @@ class TestGradCheck:
 
         def build():
             g = Graph()
-            return g, g.total(g.hadamard(g.parameter(used), g.parameter(used)))
+            return g, total(g, g.hadamard(g.parameter(used), g.parameter(used)))
 
         assert grad_check(build, [unused], eps=1e-5) == 0.0
 
@@ -395,7 +397,7 @@ class TestGradCheck:
 
         def build():
             g = Graph()
-            return g, g.total(g.hadamard(g.parameter(p), g.parameter(p)))
+            return g, total(g, g.hadamard(g.parameter(p), g.parameter(p)))
 
         def loss_fn():
             # NaN only while the middle scalar is perturbed.
@@ -409,7 +411,7 @@ class TestGradCheck:
 
         def build():
             g = Graph()
-            return g, g.total(g.parameter(p))
+            return g, total(g, g.parameter(p))
 
         with pytest.raises(ValueError, match="eps"):
             grad_check(build, [p], eps=eps)
@@ -427,7 +429,7 @@ class TestNumericGuards:
         a = g.constant(np.ones((2, 2)))
         b = g.constant(np.ones((3, 2)))
         with pytest.raises(ShapeMismatch):
-            g.add(a, b)
+            g.concat([a, g.transpose(b)])  # column counts 2 and 3
         with pytest.raises(ShapeMismatch):
             g.hadamard(a, b)
         with pytest.raises(ShapeMismatch):
@@ -471,5 +473,5 @@ class TestDeterminism:
         g = Graph(np.float32)
         node = g.parameter(p)
         assert node.value.dtype == np.float32
-        loss = g.total(g.tanh(node))
+        loss = total(g, g.tanh(node))
         assert backward(g, loss)[p].dtype == np.float32

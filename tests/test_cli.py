@@ -65,11 +65,29 @@ class TestUsageErrors:
         help_text = " ".join(capsys.readouterr().out.split())
         assert f"Adam learning rate (default: {TrainConfig.learning_rate})" in help_text
 
+    def test_train_help_shows_no_default_of_none(self, capsys):
+        assert main(["train", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "(default: None)" not in help_text
+        for line in ("--data DATA training JSONL file --dev",
+                     "--dev DEV dev JSONL file; --data if not given --out",
+                     "--out OUT output directory --embeddings",
+                     "pretrained vector text file --epochs",
+                     f"passes over the training set (default: {TrainConfig.epochs})",
+                     f"seed of every random draw (default: {TrainConfig.seed})",
+                     f"examples per Adam step (default: {TrainConfig.batch_size})",
+                     f"leaf dropout rate (default: {TrainConfig.dropout_rate})",
+                     f"meaning-composer width (default: {TrainConfig.k})",
+                     f"relation-composer width (default: {TrainConfig.r})",
+                     "two-way attention (default: off)",
+                     "floating-point width (default: f64)"):
+            assert line in help_text
+
     def test_word_width_names_both_defaults_and_rejects_zero(self, tmp_path, capsys):
         assert main(["train", "--help"]) == 0
         help_text = " ".join(capsys.readouterr().out.split())
         assert ("word vector width; if not given, the vectors' width with "
-                f"--embeddings, else {TrainConfig.d} (default: None)") in help_text
+                f"--embeddings, else {TrainConfig.d} --dual") in help_text
         vectors = tmp_path / "vectors.txt"
         vectors.write_text("a 0.1 0.2\n")
         for extra in ([], ["--embeddings", str(vectors)]):

@@ -19,6 +19,8 @@ from treentail.data import random_tree
 from treentail.embeddings import empty_vocabulary, register_oov
 from treentail.trees import parse_tree
 
+from tape_helpers import total
+
 
 def make_block(k, d, rng, scale=1.0):
     w = rng.standard_normal((5 * k, d + 2 * k)) * scale
@@ -169,7 +171,7 @@ class TestCellGradients:
                 right.h = g.parameter(leaves["h2"])
                 right.c = g.parameter(leaves["c2"])
                 out = lstm_cell(g, block, g.parameter(leaves["x"]), left, right)
-                return g, g.total(g.tanh(g.concat([out.h, out.c])))
+                return g, total(g, g.tanh(g.concat([out.h, out.c])))
 
             checked = [block.block.weight, block.block.bias, *leaves.values()]
             worst = grad_check(build, checked, eps=1e-5)
@@ -196,7 +198,7 @@ class TestCellGradients:
                 right = NodeState(g.parameter(leaves["h2"]), g.parameter(leaves["c2"]))
             out = lstm_cell(g, block, x, left, right)
             assert out.h.shape == out.c.shape == (k, m)
-            return g, g.total(g.tanh(g.concat([out.h, out.c])))
+            return g, total(g, g.tanh(g.concat([out.h, out.c])))
 
         used = ["x"] * has_x + ["h1", "h2", "c1", "c2"] * has_children
         checked = [block.block.weight, block.block.bias, *(leaves[n] for n in used)]
@@ -252,7 +254,7 @@ class TestEncodeTree:
         def build():
             g = Graph()
             states = encode_tree(g, tree, vocab, table, block)
-            return g, g.total(states[tree.root].h)
+            return g, total(g, states[tree.root].h)
 
         worst = grad_check(
             build, [block.block.weight, block.block.bias, table.trainable],

@@ -19,6 +19,8 @@ from treentail.embeddings import (
     resolve,
 )
 
+from tape_helpers import total
+
 
 def write_vectors(path, lines):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -236,7 +238,7 @@ class TestEmbeddingNodes:
         np.testing.assert_array_equal(node.value, [[0.3, 0.3], [0.6, 0.6]])
         assert node.parents == () and node.op == "take_row"
 
-        loss = g.total(node)
+        loss = total(g, node)
         assert backward(g, loss) == {}
 
     def test_oov_row_gets_gradient_only_on_its_row(self, tmp_path):
@@ -245,7 +247,7 @@ class TestEmbeddingNodes:
         node = embedding_node(g, vocab, table, ["new", "frozen", "new"])
         np.testing.assert_array_equal(node.value[:, 1], [0.3, 0.6])
         np.testing.assert_array_equal(node.value[:, 0], table.trainable.value[1])
-        grads = backward(g, g.total(node))
+        grads = backward(g, total(g, node))
         grad = grads[table.trainable]
         assert grad.shape == table.trainable.value.shape
         np.testing.assert_array_equal(grad[0], 0.0)   # fallback row untouched

@@ -12,9 +12,18 @@ from hypothesis import strategies as st
 
 from treentail.autodiff import Graph, NonFiniteValue, Parameter, ShapeMismatch, backward
 from treentail.composer import dropout
-from treentail.data import generate_toy
+from treentail import trainer
+from treentail.data import ExamplePair, generate_toy, random_tree
 from treentail.embeddings import empty_vocabulary, load_pretrained, register_oov
-from treentail.entailment import loss_node, plain_loss, run_forward
+from treentail.entailment import (
+    LABELS,
+    loss_node,
+    plain_distributions,
+    plain_forward,
+    plain_loss,
+    predict,
+    run_forward,
+)
 from treentail.trainer import (
     MAGIC,
     CheckpointError,
@@ -283,6 +292,17 @@ class TestAdam:
                 np.testing.assert_array_equal(state.first[p], m[j])
                 np.testing.assert_array_equal(state.second[p], v2[j])
 
+    def test_update_from_an_overflowed_gradient_raises(self):
+        """An infinite gradient entry makes its Adam update inf / inf, so
+        the step leaves a NaN in the parameter and must say which one."""
+        fine, hit = Parameter("fine", np.array([0.5])), Parameter("hit", np.array([0.5, -0.5]))
+        state = init_optimizer([fine, hit])
+        grads = {fine: np.array([[1.0]]), hit: np.array([[1.0], [np.inf]])}
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(NonFiniteValue, match="parameter 'hit' after update 1"):
+            adam_step([fine, hit], grads, state, small_config())
+        assert np.isnan(hit.value[1, 0])
+
     def test_rejects_misshapen_gradient(self):
         p = Parameter("p", np.zeros((2, 2)))
         state = init_optimizer([p])
@@ -400,6 +420,22 @@ class TestTrain:
         with pytest.raises(NonFiniteValue, match=f"^epoch 0, example {bad}: "):
             train(pairs, pairs, config, vocab=vocab, table=table)
 
+    def test_non_finite_update_names_epoch_and_parameter(self, monkeypatch):
+        config = small_config()
+        pairs, vocab, table, params = corpus_fixture(config)
+        bias = params.classifier.bias
+
+        def overflowed(graph, loss):
+            grads = backward(graph, loss)
+            grads[bias] = np.full(bias.value.shape, np.inf)
+            return grads
+
+        monkeypatch.setattr(trainer, "backward", overflowed)
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteValue,
+                match=r"^epoch 0: non-finite value in parameter 'classifier.bias'"):
+            train(pairs, pairs, config, vocab, table, initial_params=params)
+
     def test_empty_datasets_are_rejected(self):
         config = small_config()
         pairs = generate_toy(0, 3)
@@ -409,7 +445,82 @@ class TestTrain:
             train(pairs, [], config)
 
 
+def random_corpus(config, leaf_counts, seed):
+    """Pairs of random trees with the given leaf counts, gold labels drawn
+    uniformly, and a model whose weights are 8x the training init box."""
+    rng = np.random.default_rng(seed)
+    words = ["cat", "dog", "sat", "ran", "the", "a"]
+    pairs = [ExamplePair(*(random_tree(rng, list(rng.choice(words, n))) for n in counts),
+                         gold=LABELS[int(rng.integers(3))])
+             for counts in leaf_counts]
+    vocab, table = empty_vocabulary(config.d, config.dtype)
+    register_oov(vocab, table, words, rng)
+    params = init_parameters(config, rng)
+    for p in params.trainable():
+        p.value *= 8
+    return pairs, vocab, table, params
+
+
 class TestEvaluate:
+    @settings(max_examples=60, deadline=None)
+    @given(leaf_counts=st.lists(st.tuples(st.integers(1, 40), st.integers(1, 40)),
+                                min_size=1, max_size=40),
+           chunk=st.sampled_from([1, 3, 32]),
+           precision=st.sampled_from(["double", "single"]),
+           use_dual=st.booleans(),
+           width=st.sampled_from([3, 32]),
+           seed=st.integers(0, 2**16))
+    def test_chunked_distributions_match_per_pair_prediction(
+            self, leaf_counts, chunk, precision, use_dual, width, seed):
+        """Chunks of pairs walk their trees together; every chunk's
+        distributions match the pairs' own predictions, exactly in a
+        chunk of one, and evaluate counts the argmax of its own chunks."""
+        config = small_config(k=width, r=width, d=width + 1,
+                              precision=precision, use_dual=use_dual)
+        pairs, vocab, table, params = random_corpus(config, leaf_counts, seed)
+        dtype = config.dtype
+        trees = [(p.premise, p.hypothesis) for p in pairs]
+        single = np.array([predict(*t, vocab, table, params, use_dual=use_dual,
+                                   dtype=dtype).distribution for t in trees])
+
+        def chunked(size):
+            return np.vstack([plain_distributions(trees[i:i + size], vocab, table, params,
+                                                  use_dual=use_dual, dtype=dtype)
+                              for i in range(0, len(trees), size)])
+
+        dists = chunked(chunk)
+        assert dists.dtype == single.dtype == dtype
+        if chunk == 1:
+            assert dists.tobytes() == single.tobytes()
+        np.testing.assert_allclose(dists, single, rtol=0,
+                                   atol=1e-12 if dtype == np.float64 else 1e-6)
+        assert chunked(chunk).tobytes() == dists.tobytes()
+
+        # Compared with evaluate's own chunking, not per-pair labels: where
+        # a pair's top two probabilities tie to the last bit, a chunk may
+        # round them the other way.
+        expected = np.zeros((3, 3), dtype=int)
+        for pair, predicted in zip(pairs, np.argmax(chunked(trainer.EVAL_CHUNK), axis=1)):
+            expected[LABELS.index(pair.gold), predicted] += 1
+        accuracy, confusion = evaluate(pairs, params, config, vocab, table)
+        np.testing.assert_array_equal(confusion, expected)
+        assert accuracy == np.trace(expected) / len(pairs)
+
+    def test_chunks_at_benchmark_widths_round_like_single_pairs(self):
+        """At k = r = 150, where BLAS groups a chunk's columns into other
+        blocks than one pair's, chunked distributions stay within 1e-12."""
+        config = small_config(k=150, r=150, d=300, batch_size=32, use_dual=True)
+        counts = [(int(a), int(b)) for a, b in
+                  np.random.default_rng(5).integers(1, 41, (40, 2))]
+        pairs, vocab, table, params = random_corpus(config, counts, 5)
+        trees = [(p.premise, p.hypothesis) for p in pairs]
+        single = np.array([plain_forward(*t, vocab, table, params, use_dual=True)
+                           for t in trees])
+        dists = np.vstack([plain_distributions(trees[i:i + 32], vocab, table, params,
+                                               use_dual=True)
+                           for i in (0, 32)])
+        np.testing.assert_allclose(dists, single, rtol=0, atol=1e-12)
+
     def test_zero_model_predicts_the_first_label_everywhere(self):
         config = small_config()
         pairs, vocab, table, params = corpus_fixture(config, n=6)

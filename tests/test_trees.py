@@ -180,6 +180,38 @@ class TestStructure:
         assert t.leaves() == list("abcdef")
 
 
+class TestForestSchedule:
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8))
+    def test_levels_are_each_trees_levels_with_offset_ids(self, seed, sizes):
+        """Height h of the forest holds every tree's level h, tree by tree,
+        with each id and child id shifted by the nodes before its tree."""
+        rng = np.random.default_rng(seed)
+        trees = [random_tree(rng, [f"w{i}" for i in range(n)]) for n in sizes]
+        offsets, levels = treentail.trees.forest_schedule(trees)
+        assert offsets == [sum(t.node_count for t in trees[:i])
+                           for i in range(len(trees) + 1)]
+        assert len(levels) == max(len(t.levels) for t in trees)
+        for height, (ids, lefts, rights) in enumerate(levels):
+            want = ([], [], [])
+            for tree, start in zip(trees, offsets):
+                for i in tree.levels[height] if height < len(tree.levels) else ():
+                    want[0].append(start + i)
+                    want[1].append(start + tree.lefts[i])
+                    want[2].append(start + tree.rights[i])
+            got = (ids, lefts, rights)
+            if height == 0:
+                assert (lefts, rights) == (None, None)
+                got, want = got[:1], want[:1]
+            for column, expected in zip(got, want):
+                if len(expected) == 1:
+                    assert column == slice(expected[0], expected[0] + 1)
+                else:
+                    assert column.tolist() == expected
+        assert trees[0].schedule[0] == [0, trees[0].node_count]
+
+
 def test_docstring_examples_run():
     """The examples in the module's docstrings are tests too."""
     result = doctest.testmod(treentail.trees)
