@@ -28,6 +28,7 @@ from .entailment import (
     predict,
 )
 from .trainer import (
+    RowGrad,
     TrainConfig,
     adam_step,
     evaluate,
@@ -50,6 +51,7 @@ __all__ = [
     "ModelParameters",
     "NodeState",
     "Parameter",
+    "RowGrad",
     "TrainConfig",
     "Vocabulary",
     "adam_step",

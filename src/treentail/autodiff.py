@@ -181,6 +181,7 @@ class Graph:
         self.dtype = np.dtype(dtype)
         self.nodes = []
         self._param_nodes = {}
+        self.rows_read = {}
 
     # -- tape primitives -------------------------------------------------
 
@@ -205,15 +206,29 @@ class Graph:
     def constant(self, value, op="const"):
         return self.record(value, (), None, op)
 
-    def parameter(self, param):
+    def parameter(self, param, rows=None):
         """Leaf node for a trainable tensor, memoized per graph.  Its value
-        is not checked for NaN/Inf (see the module docstring)."""
+        is not checked for NaN/Inf (see the module docstring).
+
+        An op that reads only some rows of ``param`` names them in
+        ``rows``.  The graph keeps their union in ``rows_read[param]``,
+        and ``param``'s gradient is zero outside those rows.  One graph
+        reads a parameter either by rows or whole, never both: mixing
+        the two raises :class:`ShapeMismatch`.
+        """
         node = self._param_nodes.get(id(param))
+        read = self.rows_read.get(param)
         if node is None:
             value = param.value.astype(self.dtype, copy=False)
             node = Node(value, (), None, f"param:{param.name}", param, len(self.nodes))
             self.nodes.append(node)
             self._param_nodes[id(param)] = node
+            if rows is not None:
+                read = self.rows_read[param] = set()
+        elif (rows is None) != (read is None):
+            raise ShapeMismatch(f"parameter '{param.name}' read both whole and by rows")
+        if rows is not None:
+            read.update(rows)
         return node
 
     # -- elementwise and structural ops ----------------------------------

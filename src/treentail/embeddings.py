@@ -4,6 +4,12 @@ Pretrained rows are loaded once and never updated; tokens outside the
 pretrained file (plus one shared fallback row) get trainable rows.
 Tokens are stored verbatim and case-folding happens only at lookup:
 exact match first, then the lowercased form, then the fallback row.
+
+:func:`embedding_node` is the only op that reads ``table.trainable``
+on a tape, and it reads it by rows: it records on the graph
+(``Graph.rows_read``) the rows its tokens resolve to, and the graph's
+gradient for the table is zero outside them.  The trainer reads that
+record to hand the optimizer those rows alone.
 """
 
 from __future__ import annotations
@@ -197,21 +203,45 @@ def lookup(vocab, table, token):
     return table.trainable.value[idx - vocab.frozen_count, :]
 
 
+def trainable_rows(vocab, tokens):
+    """Each token's row counted from the first trainable row, resolved
+    once per token: ``i >= 0`` is row ``i`` of ``table.trainable``, and a
+    pretrained row is ``i + vocab.frozen_count`` of ``table.frozen``."""
+    first = vocab.frozen_count
+    return np.array([resolve(vocab, t) - first for t in tokens], np.intp)
+
+
+def _read_rows(vocab, table, rows):
+    """The ``(dim, m)`` array of the rows :func:`trainable_rows` gave,
+    with one ``take`` from each table part."""
+    trained = np.flatnonzero(rows >= 0)
+    if trained.size == rows.size:
+        out = table.trainable.value.take(rows, axis=0)
+    else:
+        # A trainable row's id clips to the last pretrained row, and the
+        # trainable take below overwrites it.
+        out = table.frozen.take(rows + vocab.frozen_count, axis=0, mode="clip")
+        if trained.size:
+            out[trained] = table.trainable.value.take(rows[trained], axis=0)
+    return np.ascontiguousarray(out.T)
+
+
 def lookup_rows(vocab, table, tokens):
     """The ``(dim, m)`` array whose column ``j`` is ``tokens[j]``'s row."""
-    return np.stack([lookup(vocab, table, t) for t in tokens], axis=1)
+    return _read_rows(vocab, table, trainable_rows(vocab, tokens))
 
 
 def embedding_node(graph, vocab, table, tokens):
     """:func:`lookup_rows` as one ``take_row`` graph node.  Each trainable
-    row hands the table its own one-row gradient slice, last token first;
-    pretrained rows are constant."""
-    rows = [resolve(vocab, t) - vocab.frozen_count for t in tokens]
-    trained = [(j, i) for j, i in enumerate(rows) if i >= 0][::-1]
-    value = lookup_rows(vocab, table, tokens)
+    row hands the table its own one-row gradient slice, last token first,
+    and is recorded in ``graph.rows_read``; pretrained rows are
+    constant."""
+    rows = trainable_rows(vocab, tokens)
+    value = _read_rows(vocab, table, rows)
+    trained = [(j, i) for j, i in enumerate(rows.tolist()) if i >= 0][::-1]
     if not trained:
         return graph.constant(value, op="take_row")
-    tn = graph.parameter(table.trainable)
+    tn = graph.parameter(table.trainable, rows=[i for _, i in trained])
 
     def vjp(g):
         return tuple(SliceGrad(np.s_[i:i + 1, :], g[:, j:j + 1].T) for j, i in trained)

@@ -58,6 +58,23 @@ class TestParameter:
         assert g.parameter(p) is g.parameter(p)
         assert len(g.nodes) == 1
 
+    def test_rows_read_are_the_union_of_each_read(self):
+        p = Parameter("t", np.zeros((5, 2)))
+        g = Graph()
+        assert g.parameter(p, rows=[3, 1]) is g.parameter(p, rows=[1, 4])
+        assert g.rows_read == {p: {1, 3, 4}}
+
+    def test_a_parameter_is_read_by_rows_or_whole(self):
+        by_rows, whole = Parameter("t", np.zeros((5, 2))), Parameter("w", np.zeros((5, 2)))
+        g = Graph()
+        g.parameter(by_rows, rows=[0])
+        g.parameter(whole)
+        with pytest.raises(ShapeMismatch, match="'t'"):
+            g.parameter(by_rows)
+        with pytest.raises(ShapeMismatch, match="'w'"):
+            g.parameter(whole, rows=[0])
+        assert g.rows_read == {by_rows: {0}}
+
 
 class TestForwardValues:
     """Hand-checkable values for the ops with any arithmetic content."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from treentail import embeddings
 from treentail.autodiff import Graph, backward
 from treentail.embeddings import (
     CalledTwice,
@@ -15,8 +16,10 @@ from treentail.embeddings import (
     empty_vocabulary,
     load_pretrained,
     lookup,
+    lookup_rows,
     register_oov,
     resolve,
+    trainable_rows,
 )
 
 from tape_helpers import total
@@ -221,6 +224,21 @@ class TestResolveAndLookup:
         with pytest.raises(KeyError):
             resolve(vocab, "b")
 
+    def test_trainable_rows_count_from_the_first_trainable_row(self, model):
+        vocab, _ = model
+        rows = trainable_rows(vocab, ["dog", "the", "xylophone", "CAT", "dog"])
+        assert rows.tolist() == [1, -2, 0, -1, 1]
+
+    def test_rows_are_the_per_token_lookups_side_by_side(self, model):
+        vocab, table = model
+        tokens = ["dog", "the", "xylophone", "CAT", "dog", "The"]
+        rows = lookup_rows(vocab, table, tokens)
+        expected = np.stack([lookup(vocab, table, t) for t in tokens], axis=1)
+        assert rows.tobytes() == expected.tobytes()
+        assert rows.shape == (2, 6) and rows.flags["C_CONTIGUOUS"]
+        frozen_only = lookup_rows(vocab, table, ["cat", "the"])
+        np.testing.assert_array_equal(frozen_only, [[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestEmbeddingNodes:
     def make(self, tmp_path):
@@ -240,6 +258,27 @@ class TestEmbeddingNodes:
 
         loss = total(g, node)
         assert backward(g, loss) == {}
+
+    def test_each_token_is_resolved_once(self, tmp_path, monkeypatch):
+        vocab, table = self.make(tmp_path)
+        calls = []
+
+        def counted(vocab, token):
+            calls.append(token)
+            return resolve(vocab, token)
+
+        monkeypatch.setattr(embeddings, "resolve", counted)
+        embedding_node(Graph(), vocab, table, ["new", "frozen", "new", "other"])
+        assert calls == ["new", "frozen", "new", "other"]
+
+    def test_trainable_rows_read_are_recorded_on_the_graph(self, tmp_path):
+        vocab, table = self.make(tmp_path)
+        g = Graph()
+        embedding_node(g, vocab, table, ["new", "frozen", "new"])
+        embedding_node(g, vocab, table, ["frozen"])
+        assert g.rows_read == {table.trainable: {1}}
+        embedding_node(g, vocab, table, ["other", "new"])
+        assert g.rows_read == {table.trainable: {0, 1}}
 
     def test_oov_row_gets_gradient_only_on_its_row(self, tmp_path):
         vocab, table = self.make(tmp_path)

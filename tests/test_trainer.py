@@ -4,6 +4,7 @@ parameter count, and the checkpoint container."""
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from treentail.trainer import (
     MAGIC,
     CheckpointError,
     EmptyDataset,
+    EpochMetrics,
+    RowGrad,
     TrainConfig,
     adam_step,
     evaluate,
@@ -38,6 +41,7 @@ from treentail.trainer import (
     save_checkpoint,
     train,
 )
+from treentail.trees import parse_tree
 
 
 def small_config(**overrides):
@@ -309,6 +313,94 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             adam_step([p], {p: np.zeros((3, 3))}, state, self.config())
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_gradients_step_like_zero_filled_dense_ones(self, dtype):
+        """Row-sparse steps give the bits of the same steps with the rows
+        scattered into a zero gradient: through changing, unsorted and
+        empty row sets, an absent gradient, the switch to whole-array
+        updates past half the rows, and a dense gradient at the end."""
+        config = self.config()
+        rng = np.random.default_rng(11)
+        start = rng.standard_normal((30, 4)).astype(dtype)
+        sparse, dense = Parameter("t", start.copy()), Parameter("t", start.copy())
+        weight = rng.standard_normal((3, 2)).astype(dtype)
+        w_sparse, w_dense = Parameter("w", weight.copy()), Parameter("w", weight.copy())
+        s_state = init_optimizer([w_sparse, sparse])
+        d_state = init_optimizer([w_dense, dense])
+        row_sets = [[3, 7], [20, 1, 7], [], None, [5], list(range(8, 22)), [0, 29],
+                    None, "dense"]
+        for rows in row_sets:
+            wg = rng.standard_normal((3, 2)).astype(dtype)
+            s_grads, d_grads = {w_sparse: wg}, {w_dense: wg.copy()}
+            if rows == "dense":
+                # Until now the rows no gradient reached kept zero moments.
+                np.testing.assert_array_equal(
+                    s_state.first[sparse][[2, 4, 6, *range(22, 29)]], 0.0)
+                g = rng.standard_normal((30, 4)).astype(dtype)
+                s_grads[sparse], d_grads[dense] = g, g.copy()
+            elif rows is not None:
+                values = rng.standard_normal((len(rows), 4)).astype(dtype)
+                full = np.zeros((30, 4), dtype)
+                full[rows] = values
+                s_grads[sparse] = RowGrad(np.array(rows, dtype=np.intp), values)
+                d_grads[dense] = full
+            adam_step([w_sparse, sparse], s_grads, s_state, config)
+            adam_step([w_dense, dense], d_grads, d_state, config)
+            for got, want in ((sparse, dense), (w_sparse, w_dense)):
+                assert got.value.dtype == dtype
+                assert got.value.tobytes() == want.value.tobytes()
+                assert s_state.first[got].tobytes() == d_state.first[want].tobytes()
+                assert s_state.second[got].tobytes() == d_state.second[want].tobytes()
+
+    @pytest.mark.parametrize("rows, values_shape", [
+        ([3], (1, 2)), ([-1], (1, 2)), ([1, 1], (2, 2)), ([[0, 1]], (2, 2)),
+        (np.array([0.0]), (1, 2)), ([0, 1], (3, 2)), ([0], (1, 3)),
+    ])
+    def test_rejects_rows_outside_the_parameter(self, rows, values_shape):
+        """Out-of-range, repeated or non-integer rows, and values that do
+        not hold one row per index, fail before anything moves."""
+        p = Parameter("p", np.ones((3, 2)))
+        state = init_optimizer([p])
+        with pytest.raises(ShapeMismatch, match="'?p'?"):
+            adam_step([p], {p: RowGrad(rows, np.ones(values_shape))}, state,
+                      self.config())
+        np.testing.assert_array_equal(p.value, 1.0)
+        assert not state.live[p].any()
+
+    def test_rejects_row_values_of_another_dtype(self):
+        p = Parameter("p", np.ones((3, 2)))
+        p.value = p.value.astype(np.float32)
+        state = init_optimizer([p])
+        with pytest.raises(ShapeMismatch, match="dtype float64 for p of dtype float32"):
+            adam_step([p], {p: RowGrad(np.array([1]), np.ones((1, 2)))}, state,
+                      self.config())
+        np.testing.assert_array_equal(p.value, 1.0)
+
+    def test_overflowed_row_gradient_names_its_parameter(self):
+        p = Parameter("embeddings.oov", np.zeros((50, 3)))
+        state = init_optimizer([p])
+        values = np.array([[1.0, 2.0, 3.0], [1.0, np.inf, 1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(
+                NonFiniteValue, match="parameter 'embeddings.oov' after update 1"):
+            adam_step([p], {p: RowGrad(np.array([4, 9]), values)}, state,
+                      self.config())
+        assert np.isnan(p.value[9, 1])
+
+    def test_a_few_rows_step_in_memory_sized_to_those_rows(self):
+        """Three rows of a 5,000-row table: the step allocates well under
+        a tenth of the table."""
+        p = Parameter("table", np.random.default_rng(2).standard_normal((5000, 64)))
+        state = init_optimizer([p])
+        grad = RowGrad(np.array([4000, 7, 123]), np.ones((3, 64)))
+        tracemalloc.start()
+        try:
+            adam_step([p], {p: grad}, state, self.config())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < p.value.nbytes / 10
+        assert np.flatnonzero(state.live[p]).tolist() == [7, 123, 4000]
+
 
 class TestTrain:
     def test_loss_decreases_on_a_learnable_corpus(self):
@@ -355,6 +447,86 @@ class TestTrain:
         np.testing.assert_array_equal(table.trainable.value,
                                       table2.trainable.value)
         assert metrics[0].train_loss == float(np.mean(losses))
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    @pytest.mark.parametrize("spare_rows", [0, 80])
+    def test_row_sparse_training_equals_the_dense_replay(self, tmp_path, precision,
+                                                         spare_rows):
+        """`train` hands Adam the table's gradient on the rows a batch
+        read; a hand replay with dense gradients and dense Adam steps
+        ends with the same bits in every parameter, the table and the
+        epoch metrics.  One token occurs in one pair of the first batch
+        only, so later steps move its row with a zero gradient; tokens
+        repeat within pairs and across them, and two have pretrained
+        rows.  Unread spare rows keep the tracked rows under half the
+        table, so the row-gathered update runs throughout; without them
+        it turns into the whole-table update partway."""
+        config = small_config(epochs=3, batch_size=2, dropout_rate=0.2,
+                              learning_rate=0.01, precision=precision)
+        texts = [("( ( a b ) ( a c ) )", "( a d )"), ("( b ( c PRE ) )", "( e e )"),
+                 ("( ( f g ) h )", "( h ( pre a ) )"), ("( c d )", "( ( b g ) f )"),
+                 ("( e ( f ( g h ) ) )", "( a c )"), ("( ( d d ) d )", "( b h )"),
+                 ("( a ( e f ) )", "( g c )")]
+        order = np.random.default_rng(
+            np.random.SeedSequence(config.seed).spawn(4)[2]).permutation(len(texts))
+        first = int(order[0])
+        texts[first] = (f"( solo {texts[first][0]} )", texts[first][1])
+        pairs = [ExamplePair(parse_tree(p), parse_tree(h), LABELS[i % 3])
+                 for i, (p, h) in enumerate(texts)]
+        path = tmp_path / "vectors.txt"
+        path.write_text("pre 0.1 0.2 -0.3 0.4 0.5\nh -0.2 0.1 0.0 0.3 -0.1\n")
+        tokens = sorted({t for p in pairs for t in p.premise.leaves() + p.hypothesis.leaves()})
+        spare = [f"spare{i}" for i in range(spare_rows)]
+
+        def model():
+            vocab, table = load_pretrained(path, dtype=config.dtype)
+            register_oov(vocab, table, tokens + spare, np.random.default_rng(3))
+            return vocab, table, init_parameters(config, np.random.default_rng(4))
+
+        vocab, table, params = model()
+        _, _, _, metrics = train(pairs, pairs[:4], config, vocab, table, params)
+
+        vocab2, table2, params2 = model()
+        streams = np.random.SeedSequence(config.seed).spawn(4)
+        shuffle_rng, mask_rng = (np.random.default_rng(s) for s in streams[2:])
+        optimized = params2.trainable() + [table2.trainable]
+        state = init_optimizer(optimized)
+        replayed, best, best_values = [], -1.0, None
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(pairs))
+            losses = []
+            for start in range(0, len(pairs), config.batch_size):
+                chunk = order[start:start + config.batch_size]
+                grad_sum = {}
+                for idx in chunk:
+                    graph = Graph(config.dtype)
+                    run = run_forward(graph, pairs[idx].premise, pairs[idx].hypothesis,
+                                      vocab2, table2, params2, dropout_rate=0.2,
+                                      rng=mask_rng)
+                    loss = loss_node(graph, run.distribution, pairs[idx].gold)
+                    losses.append(float(loss.value[0, 0]))
+                    for p, g in backward(graph, loss).items():
+                        grad_sum[p] = g if p not in grad_sum else grad_sum[p] + g
+                if epoch == 0 and start == 0:
+                    assert first in chunk
+                    assert grad_sum[table2.trainable][vocab2.index["solo"]
+                                                      - vocab2.frozen_count].any()
+                scale = 1.0 / len(chunk)
+                adam_step(optimized, {p: g * scale for p, g in grad_sum.items()},
+                          state, config)
+            train_acc, _ = evaluate(pairs, params2, config, vocab2, table2)
+            dev_acc, _ = evaluate(pairs[:4], params2, config, vocab2, table2)
+            replayed.append(EpochMetrics(epoch, float(np.mean(losses)), train_acc, dev_acc))
+            if dev_acc > best:
+                best, best_values = dev_acc, [p.value.copy() for p in optimized]
+        for p, value in zip(optimized, best_values):
+            p.value[...] = value
+
+        assert metrics == replayed
+        for got, want in zip(params.trainable() + [table.trainable], optimized):
+            assert got.value.dtype == config.dtype
+            assert got.value.tobytes() == want.value.tobytes()
+        assert table.frozen.tobytes() == table2.frozen.tobytes()
 
     def test_same_seed_is_bit_identical(self):
         config = small_config(epochs=2, batch_size=2)
