@@ -4,10 +4,12 @@ Scores are produced for every node pair (leaves and internal phrases
 alike) by one shared affine scorer over the concatenated node vectors,
 hypothesis side first.  Normalizing scores per hypothesis row gives the
 forward alignment; normalizing per premise column (and transposing)
-gives the reverse alignment.  The dual alignment multiplies the two
-views elementwise and renormalizes each row, which suppresses premise
-nodes the reverse view does not support.  The attended contexts form
-one ``(k, |hyp|)`` matrix node, a column per hypothesis node.
+gives the reverse alignment; each is one row softmax.  The dual
+alignment multiplies the two views elementwise and renormalizes each
+row, which suppresses premise nodes the reverse view does not support;
+``row_normalize`` adds :data:`RENORM_FLOOR` to every entry before it
+divides.  The attended contexts form one ``(k, |hyp|)`` matrix node, a
+column per hypothesis node.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .autodiff import ShapeMismatch
 
-# Additive floor applied before renormalizing dual rows, so a row whose
+# Additive floor that row_normalize applies to dual rows, so a row whose
 # forward and reverse masses have disjoint support still normalizes.
 RENORM_FLOOR = 1e-12
 
@@ -35,7 +37,8 @@ def score_matrix(graph, hyp_vectors, prem_vectors, scorer):
 
     Computed by splitting the scorer weight across the two halves of its
     input, which matches the per-pair affine definition up to float
-    rounding while touching each node vector once.
+    rounding while touching each node vector once: a column of
+    hypothesis terms plus a row of premise terms plus the bias.
     """
     if scorer.out_dim != 1 or scorer.in_dim % 2 != 0:
         raise ShapeMismatch("scorer must map 2k inputs to one score")
@@ -45,30 +48,31 @@ def score_matrix(graph, hyp_vectors, prem_vectors, scorer):
             raise ShapeMismatch(f"node vector shape {v.shape}, expected ({k}, 1)")
 
     weight = graph.parameter(scorer.weight)
-    w_hyp = graph.slice_cols(weight, 0, k)
-    w_prem = graph.slice_cols(weight, k, 2 * k)
+    w_hyp = graph.take_col(weight, range(k))
+    w_prem = graph.take_col(weight, range(k, 2 * k))
     hyp_part = graph.transpose(graph.matmul(w_hyp, graph.stack_columns(hyp_vectors)))
-    prem_part = graph.transpose(graph.matmul(w_prem, graph.stack_columns(prem_vectors)))
+    prem_part = graph.matmul(w_prem, graph.stack_columns(prem_vectors))
     return graph.outer_sum(hyp_part, prem_part, graph.parameter(scorer.bias))
 
 
 def forward_attention(graph, scores):
     """Row-stochastic alignment of each hypothesis node over premise nodes."""
-    return graph.row_softmax(scores)
+    return graph.softmax(scores, axis=1)
 
 
 def reverse_attention(graph, scores):
     """Column-wise normalization of the same scores, transposed so that
     row ``j`` is premise node ``j``'s alignment over hypothesis nodes."""
-    return graph.row_softmax(graph.transpose(scores))
+    return graph.softmax(graph.transpose(scores), axis=1)
 
 
 def dual_attention(graph, forward, reverse):
     """Elementwise product of the two alignment views, renormalized.
 
     Entry ``(i, j)`` multiplies how much hypothesis node ``i`` attends
-    to premise node ``j`` by how much ``j`` attends back to ``i``; rows
-    are then floored and renormalized to stay stochastic.  A one-hot
+    to premise node ``j`` by how much ``j`` attends back to ``i``; then
+    one ``row_normalize`` adds :data:`RENORM_FLOOR` to every entry and
+    renormalizes each row, so rows stay stochastic.  A one-hot
     forward row backed by a consistent reverse column is a fixed point.
     """
     if forward.shape != tuple(reversed(reverse.shape)):
@@ -76,7 +80,7 @@ def dual_attention(graph, forward, reverse):
             f"forward {forward.shape} and reverse {reverse.shape} disagree"
         )
     raw = graph.hadamard(forward, graph.transpose(reverse))
-    return graph.row_normalize(graph.add_const(raw, RENORM_FLOOR))
+    return graph.row_normalize(raw, RENORM_FLOOR)
 
 
 def attended_context(graph, attention, prem_vectors):

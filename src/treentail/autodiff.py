@@ -13,7 +13,12 @@ receiving node and sums them once, just before it processes that node:
 all outer products in one GEMM, then each slice added in place.  A
 weight shared by every node of a tree, or an embedding table read once
 per leaf, thus gets one dense gradient per graph instead of one per
-use; so does any matrix read one row, column or entry at a time.
+use; so does any matrix read a piece at a time, by :meth:`Graph.slice_rows`
+(a block of rows, or one entry of a column) or :meth:`Graph.take_col`
+(a column, a block of columns or a list of distinct columns).
+
+The tape keeps one op per job: work that an existing op does along
+another axis, on a single entry or after a shift is done by that op.
 
 Every op checks its result for NaN/Inf and aborts the example by
 raising :class:`NonFiniteValue` naming the op, which turns silent
@@ -64,8 +69,8 @@ class OuterGrad(NamedTuple):
 
 class SliceGrad(NamedTuple):
     """Factored gradient of a matrix: zero except ``out[index] = g``,
-    for a basic-indexing ``index`` such as ``np.s_[i:i + 1, :]`` or
-    ``(slice(None), ids)`` with distinct column ids."""
+    for a rows slice ``np.s_[i:j, :]``, a columns slice ``np.s_[:, i:j]``
+    or ``(slice(None), ids)`` with distinct column ids."""
 
     index: tuple
     g: np.ndarray
@@ -233,10 +238,6 @@ class Graph:
 
     # -- elementwise and structural ops ----------------------------------
 
-    def add_const(self, a, c):
-        """Shift every entry by the Python float ``c``."""
-        return self.record(a.value + c, (a,), lambda g: (g,), "add_const")
-
     def hadamard(self, a, b):
         if a.shape != b.shape:
             raise ShapeMismatch(f"hadamard {a.shape} vs {b.shape}")
@@ -279,29 +280,27 @@ class Graph:
         return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
                            "slice_rows")
 
-    def slice_cols(self, a, start, stop):
-        if not 0 <= start < stop <= a.shape[1]:
-            raise ShapeMismatch(f"slice_cols [{start}:{stop}] of {a.shape}")
-
-        index = np.s_[:, start:stop]
-        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
-                           "slice_cols")
-
     def take_col(self, a, j):
         """Column ``j`` of a matrix, or for a sequence ``j`` of distinct
-        ids those columns side by side, in the sequence's order."""
+        ids those columns side by side, in the sequence's order.  A
+        ``range`` of step 1 reads the block ``a[:, start:stop]`` as a view."""
         ids = [j] if isinstance(j, (int, np.integer)) else list(j)
         if not ids or len(set(ids)) < len(ids) or not all(
                 0 <= i < a.shape[1] for i in ids):
             raise ShapeMismatch(f"take_col {j} of {a.shape}")
 
         # backward adds a basic slice faster than an id list
-        index = np.s_[:, ids[0]:ids[0] + 1] if len(ids) == 1 else (slice(None), ids)
-        return self.record(a.value.take(ids, axis=1), (a,),
-                           lambda g: (SliceGrad(index, g),), "take_col")
+        if isinstance(j, range) and j.step == 1:
+            index = np.s_[:, j.start:j.stop]
+            value = a.value[index]
+        else:
+            index = np.s_[:, ids[0]:ids[0] + 1] if len(ids) == 1 else (slice(None), ids)
+            value = a.value.take(ids, axis=1)
+        return self.record(value, (a,), lambda g: (SliceGrad(index, g),), "take_col")
 
     def stack_columns(self, cols):
-        """Pack column vectors side by side into one matrix."""
+        """Pack column vectors side by side into one matrix; a single
+        column stands for itself and records nothing."""
         cols = list(cols)
         if not cols:
             raise EmptyVector("stack_columns of no vectors")
@@ -309,6 +308,8 @@ class Graph:
         for c in cols:
             if c.shape != (rows, 1):
                 raise ShapeMismatch("stack_columns expects equal-length columns")
+        if len(cols) == 1:
+            return cols[0]
 
         def vjp(g):
             return tuple(g[:, i:i + 1] for i in range(len(cols)))
@@ -339,72 +340,49 @@ class Graph:
         return self.record(wv @ xv + bn.value, (wn, bn, x), vjp, "affine")
 
     def outer_sum(self, u, v, bias):
-        """Matrix with entry ``(i, j) = u[i] + v[j] + bias``."""
-        if u.shape[1] != 1 or v.shape[1] != 1:
-            raise ShapeMismatch("outer_sum expects column vectors")
+        """Matrix with entry ``(i, j) = u[i] + v[j] + bias``, from a
+        column ``u`` and a row ``v``."""
+        if u.shape[1] != 1 or v.shape[0] != 1:
+            raise ShapeMismatch("outer_sum expects a column and a row")
         if bias.shape != (1, 1):
             raise ShapeMismatch("outer_sum bias must be (1, 1)")
 
         def vjp(g):
-            return (g.sum(axis=1, keepdims=True), g.sum(axis=0).reshape(-1, 1),
+            return (g.sum(axis=1, keepdims=True), g.sum(axis=0, keepdims=True),
                     g.sum().reshape(1, 1))
 
-        return self.record(u.value + v.value.T + bias.value, (u, v, bias), vjp,
+        return self.record(u.value + v.value + bias.value, (u, v, bias), vjp,
                            "outer_sum")
 
     # -- normalizers ------------------------------------------------------
 
-    def softmax(self, v):
-        """Max-subtracted softmax of a column vector."""
-        if v.shape[1] != 1:
-            raise ShapeMismatch("softmax expects a column vector")
-        if v.shape[0] == 0:
-            raise EmptyVector("softmax of an empty vector")
-        e = np.exp(v.value - v.value.max())
-        y = e / e.sum()
-
-        def vjp(g):
-            return (y * (g - float((g * y).sum())),)
-
-        return self.record(y, (v,), vjp, "softmax")
-
-    def row_softmax(self, m):
-        """Independent softmax along each row of a matrix."""
+    def softmax(self, m, axis):
+        """Max-subtracted softmax of each column (``axis=0``) or each row
+        (``axis=1``) of a matrix."""
         if m.shape[0] == 0 or m.shape[1] == 0:
-            raise EmptyVector("row_softmax of an empty matrix")
-        e = np.exp(m.value - m.value.max(axis=1, keepdims=True))
-        y = e / e.sum(axis=1, keepdims=True)
+            raise EmptyVector("softmax of an empty matrix")
+        e = np.exp(m.value - m.value.max(axis=axis, keepdims=True))
+        y = e / e.sum(axis=axis, keepdims=True)
 
         def vjp(g):
-            inner = (g * y).sum(axis=1, keepdims=True)
+            inner = (g * y).sum(axis=axis, keepdims=True)
             return (y * (g - inner),)
 
-        return self.record(y, (m,), vjp, "row_softmax")
+        return self.record(y, (m,), vjp, "softmax")
 
-    def row_normalize(self, m):
-        """Divide each row by its sum.  Callers floor entries first so a
-        row can never sum to zero."""
-        s = m.value.sum(axis=1, keepdims=True)
-        y = m.value / s
+    def row_normalize(self, m, floor):
+        """Add the positive Python float ``floor`` to every entry of a
+        nonnegative matrix, then divide each row by its sum, which the
+        floor keeps from being zero."""
+        raw = m.value + floor
+        s = raw.sum(axis=1, keepdims=True)
+        y = raw / s
 
         def vjp(g):
             inner = (g * y).sum(axis=1, keepdims=True)
             return ((g - inner) / s,)
 
         return self.record(y, (m,), vjp, "row_normalize")
-
-    # -- scalar extraction -------------------------------------------------
-
-    def pick(self, v, i):
-        """Entry ``i`` of a column vector as a (1, 1) scalar."""
-        if v.shape[1] != 1:
-            raise ShapeMismatch("pick expects a column vector")
-        if not 0 <= i < v.shape[0]:
-            raise ShapeMismatch(f"pick index {i} out of range for {v.shape}")
-
-        index = np.s_[i:i + 1, 0:1]
-        return self.record(v.value[index], (v,), lambda g: (SliceGrad(index, g),),
-                           "pick")
 
 
 def backward(graph, loss):

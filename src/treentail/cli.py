@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .data import ExamplePair, MalformedRecord, generate_toy, load_snli
+from .data import ExamplePair, MalformedRecord, generate_toy, leaf_tokens, load_snli
 from .embeddings import (
     CalledTwice,
     EmbeddingFileError,
@@ -172,10 +172,7 @@ def cmd_train(args):
 
     vocab = table = None
     if args.embeddings:
-        tokens = set()
-        for pair in train_pairs + dev_pairs:
-            tokens.update(pair.premise.leaves())
-            tokens.update(pair.hypothesis.leaves())
+        tokens = leaf_tokens(train_pairs + dev_pairs)
         tokens.update(t.lower() for t in list(tokens))
         vocab, table = load_pretrained(args.embeddings, restrict_to=tokens,
                                        dtype=config.dtype)

@@ -180,11 +180,6 @@ def dropout(graph, x, rate, rng=None):
     return graph.hadamard(x, graph.constant(keep / (1.0 - rate), op="dropout_mask"))
 
 
-def columns(graph, nodes):
-    """The column nodes side by side; a single node stands for itself."""
-    return nodes[0] if len(nodes) == 1 else graph.stack_columns(nodes)
-
-
 def walk_tree(graph, tree, params, inputs):
     """Run the cell bottom-up over ``tree``; returns a NodeState per node id.
 
@@ -214,8 +209,8 @@ def walk_tree(graph, tree, params, inputs):
 
 
 def _gather(graph, states):
-    return NodeState(columns(graph, [s.h for s in states]),
-                     columns(graph, [s.c for s in states]))
+    return NodeState(graph.stack_columns([s.h for s in states]),
+                     graph.stack_columns([s.c for s in states]))
 
 
 def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):

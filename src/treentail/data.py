@@ -84,6 +84,15 @@ def load_snli(path):
     return pairs, skipped
 
 
+def leaf_tokens(pairs):
+    """The set of every premise and hypothesis leaf token of ``pairs``."""
+    tokens = set()
+    for pair in pairs:
+        tokens.update(pair.premise.leaves())
+        tokens.update(pair.hypothesis.leaves())
+    return tokens
+
+
 def left_branching(tokens):
     """Fold tokens into a strictly left-branching binary tree."""
     text = tokens[0]

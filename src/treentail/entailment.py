@@ -33,7 +33,7 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
-from .composer import LstmParameters, cell_values, columns, encode_tree, walk_tree
+from .composer import LstmParameters, cell_values, encode_tree, walk_tree
 from .embeddings import lookup_rows
 from .trees import forest_schedule
 
@@ -90,7 +90,7 @@ def compose_relations(graph, hypothesis, hyp_vectors, contexts, params):
         raise ShapeMismatch("relation block input must be twice the node width")
 
     def inputs(ids):
-        return graph.concat([columns(graph, [hyp_vectors[i] for i in ids]),
+        return graph.concat([graph.stack_columns([hyp_vectors[i] for i in ids]),
                              graph.take_col(contexts, ids)])
 
     return walk_tree(graph, hypothesis, params, inputs)
@@ -100,7 +100,7 @@ def classify(graph, relation_vector, classifier):
     """Class distribution from a relation vector: softmax(tanh(affine))."""
     if classifier.out_dim != len(LABELS):
         raise ShapeMismatch(f"classifier must emit {len(LABELS)} logits")
-    return graph.softmax(graph.tanh(graph.affine(classifier, relation_vector)))
+    return graph.softmax(graph.tanh(graph.affine(classifier, relation_vector)), axis=0)
 
 
 def cross_entropy(dist, gold):
@@ -118,7 +118,8 @@ def loss_node(graph, dist_node, gold):
     """Tape version of :func:`cross_entropy`, for training graphs."""
     if gold not in LABELS:
         raise InvalidLabel(f"unknown label {gold!r}")
-    return graph.neg(graph.log(graph.pick(dist_node, LABELS.index(gold))))
+    i = LABELS.index(gold)
+    return graph.neg(graph.log(graph.slice_rows(dist_node, i, i + 1)))
 
 
 @dataclass
@@ -343,6 +344,4 @@ def plain_loss(premise, hypothesis, vocab, table, params, gold,
 def node_confidences(relations, classifier):
     """Class distribution at every hypothesis node, one row per node."""
     w, b = classifier.weight.value, classifier.bias.value
-    logits = np.tanh(relations @ w.T + b.T)
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return _plain_row_softmax(np.tanh(relations @ w.T + b.T))

@@ -37,6 +37,7 @@ from .autodiff import (
     backward,
     grad_check,
 )
+from .data import leaf_tokens
 from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_oov
 from .entailment import (
     LABELS,
@@ -291,14 +292,6 @@ class EpochMetrics:
     dev_accuracy: float
 
 
-def _corpus_tokens(dataset):
-    tokens = set()
-    for pair in dataset:
-        tokens.update(pair.premise.leaves())
-        tokens.update(pair.hypothesis.leaves())
-    return sorted(tokens)
-
-
 def _summed_rows(row_grads, dim, dtype, scale):
     """The :class:`RowGrad` of ``scale`` times the sum of ``(rows, values)``
     gradients, added in order: the additions a dense sum makes on those
@@ -339,7 +332,7 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
     if vocab is None:
         vocab, table = empty_vocabulary(config.d, config.dtype)
     if vocab.unk_index is None:
-        register_oov(vocab, table, _corpus_tokens(dataset), oov_rng)
+        register_oov(vocab, table, sorted(leaf_tokens(dataset)), oov_rng)
     params = initial_params if initial_params is not None else init_parameters(config, init_rng)
 
     optimized = _trainable(params, table)

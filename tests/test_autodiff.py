@@ -1,8 +1,9 @@
 """Tape construction, backward rules, and the finite-difference harness.
 
-Every differentiable op appears in the composite graph used by the
-seeded sweep, so a wrong backward rule anywhere shows up as a
-finite-difference mismatch rather than a silent training bug.
+Every op of :class:`Graph` appears in the composite graph used by the
+seeded sweep (a guard test checks this), so a wrong backward rule
+anywhere shows up as a finite-difference mismatch rather than a silent
+training bug.
 """
 
 import tracemalloc
@@ -82,16 +83,18 @@ class TestForwardValues:
     def test_softmax_hand_case(self):
         # exp(ln 2) : exp(0) = 2 : 1
         g = Graph()
-        y = g.softmax(g.constant(np.array([[np.log(2.0)], [0.0]])))
+        y = g.softmax(g.constant(np.array([[np.log(2.0)], [0.0]])), axis=0)
         np.testing.assert_allclose(y.value[:, 0], [2 / 3, 1 / 3], atol=1e-15)
+        y = g.softmax(g.constant(np.array([[0.0, np.log(2.0)]])), axis=1)
+        np.testing.assert_allclose(y.value[0], [1 / 3, 2 / 3], atol=1e-15)
 
     def test_softmax_sums_to_one_and_shift_invariant(self):
         rng = np.random.default_rng(7)
         for _ in range(50):
             v = rng.standard_normal((rng.integers(1, 9), 1))
             g = Graph()
-            y = g.softmax(g.constant(v)).value
-            y_shift = g.softmax(g.constant(v + 123.456)).value
+            y = g.softmax(g.constant(v), axis=0).value
+            y_shift = g.softmax(g.constant(v + 123.456), axis=0).value
             assert abs(y.sum() - 1.0) <= 1e-12
             np.testing.assert_allclose(y, y_shift, rtol=0, atol=1e-12)
 
@@ -99,19 +102,44 @@ class TestForwardValues:
         rng = np.random.default_rng(3)
         m = rng.standard_normal((5, 7)) * 10
         g = Graph()
-        y = g.row_softmax(g.constant(m)).value
+        y = g.softmax(g.constant(m), axis=1).value
         np.testing.assert_allclose(y.sum(axis=1), np.ones(5), atol=1e-12)
         assert (y > 0).all()
+        y = g.softmax(g.constant(m), axis=0).value
+        np.testing.assert_allclose(y.sum(axis=0), np.ones(7), atol=1e-12)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_column_softmax_is_the_transposed_row_softmax(self, dtype):
+        """Bit for bit, in value and in backward rule."""
+        rng = np.random.default_rng(8)
+        for n in (1, 3, 9, 40):
+            v, gv = rng.standard_normal((2, n, 1)) * 4
+            g = Graph(dtype)
+            col = g.softmax(g.constant(v), axis=0)
+            row = g.softmax(g.constant(v.T), axis=1)
+            np.testing.assert_array_equal(col.value, row.value.T)
+            gv = gv.astype(dtype)
+            np.testing.assert_array_equal(col.vjp(gv)[0], row.vjp(gv.T)[0].T)
 
     def test_row_normalize(self):
         g = Graph()
-        y = g.row_normalize(g.constant(np.array([[1.0, 3.0], [2.0, 2.0]])))
-        np.testing.assert_allclose(y.value, [[0.25, 0.75], [0.5, 0.5]])
+        y = g.row_normalize(g.constant(np.array([[1.0, 3.0], [2.0, 2.0]])), 1.0)
+        np.testing.assert_allclose(y.value, [[1 / 3, 2 / 3], [0.5, 0.5]])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_row_normalize_keeps_a_zero_row_stochastic(self, dtype):
+        g = Graph(dtype)
+        y = g.row_normalize(g.constant(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 3.0]])),
+                            1e-12).value
+        eps = np.finfo(dtype).eps
+        assert y.dtype == dtype
+        np.testing.assert_allclose(y.sum(axis=1), [1.0, 1.0], rtol=0, atol=2 * eps)
+        np.testing.assert_allclose(y[0], [1 / 3] * 3, rtol=eps)
 
     def test_outer_sum_entries(self):
         g = Graph()
         u = g.constant(np.array([[1.0], [2.0]]))
-        v = g.constant(np.array([[10.0], [20.0], [30.0]]))
+        v = g.constant(np.array([[10.0, 20.0, 30.0]]))
         b = g.constant(np.array([[0.5]]))
         y = g.outer_sum(u, v, b).value
         expected = np.array([[11.5, 21.5, 31.5], [12.5, 22.5, 32.5]])
@@ -134,9 +162,11 @@ class TestForwardValues:
         np.testing.assert_array_equal(
             g.slice_rows(m, 1, 3).value, m.value[1:3, :]
         )
-        np.testing.assert_array_equal(
-            g.slice_cols(m, 1, 3).value, m.value[:, 1:3]
-        )
+        assert g.slice_rows(cols[1], 2, 3).value.item() == 9.0
+        block = g.take_col(m, range(1, 3)).value
+        np.testing.assert_array_equal(block, m.value[:, 1:3])
+        assert np.shares_memory(block, m.value)
+        assert g.stack_columns(cols[2:3]) is cols[2]
 
     def test_affine_value(self):
         m = AffineMap.from_arrays("f", np.array([[1.0, 2.0], [3.0, 4.0]]),
@@ -145,10 +175,9 @@ class TestForwardValues:
         y = g.affine(m, g.constant(np.array([[1.0], [1.0]])))
         np.testing.assert_array_equal(y.value[:, 0], [13.0, 27.0])
 
-    def test_pick_and_total(self):
+    def test_total(self):
         g = Graph()
         v = g.constant(np.array([[1.0], [5.0], [9.0]]))
-        assert g.pick(v, 1).value.item() == 5.0
         assert total(g, v).value.item() == 15.0
 
 
@@ -328,18 +357,19 @@ def _everything_build(seed):
         g = Graph()
         a = g.parameter(a_p)
         mm = g.matmul(a, g.constant(x_const))        # (3, 2)
-        sm = g.row_softmax(g.transpose(mm))          # (2, 3)
-        rn = g.row_normalize(g.add_const(sm, 0.1))   # (2, 3)
+        cs = g.softmax(mm, axis=0)                   # (3, 2)
+        sm = g.softmax(g.transpose(cs), axis=1)      # (2, 3)
+        rn = g.row_normalize(sm, 0.1)                # (2, 3)
         cc = g.concat([g.take_col(rn, 0), _row(g, rn, 1)])  # (5, 1)
         sc = g.slice_rows(cc, 1, 4)                  # (3, 1)
         st = g.stack_columns([sc, g.neg(sc)])        # (3, 2)
         h = g.hadamard(st, st)
-        os_ = g.outer_sum(g.take_col(h, 0), g.take_col(h, 1),
+        os_ = g.outer_sum(g.take_col(h, 0), g.transpose(g.take_col(h, 1)),
                           g.parameter(b_p))          # (3, 3)
         th = g.tanh(os_)
-        sl = g.slice_cols(th, 0, 2)                  # (3, 2)
+        sl = g.take_col(th, range(2))                # (3, 2)
         af = g.affine(amap, g.take_col(sl, 1))       # (4, 1)
-        nll = g.neg(g.log(g.pick(g.softmax(af), 1)))
+        nll = g.neg(g.log(g.slice_rows(g.softmax(af, axis=0), 1, 2)))
         loss = total(g, g.concat([nll, total(g, g.take_col(h, [1, 0]))]))
         return g, loss
 
@@ -370,6 +400,13 @@ class TestGradCheck:
             return g, total(g, g.tanh(g.affine(amap, g.constant(x))))
 
         assert grad_check(build, [amap.weight, amap.bias], eps=1e-5) < 1e-6
+
+    def test_composite_graph_records_every_op(self):
+        ops = {name for name, attr in vars(Graph).items()
+               if callable(attr) and not name.startswith("_")}
+        ops -= {"record", "constant", "parameter"}
+        graph, _ = _everything_build(0)[0]()
+        assert ops <= {node.op for node in graph.nodes}
 
     @pytest.mark.parametrize("eps", [1e-4, 1e-5])
     def test_every_op_over_twenty_seeds(self, eps):
@@ -451,15 +488,15 @@ class TestNumericGuards:
             g.hadamard(a, b)
         with pytest.raises(ShapeMismatch):
             g.matmul(a, b)
-        with pytest.raises(ShapeMismatch):
-            g.slice_rows(a, 1, 5)
-        for cols in (2, [0, 2], [1, 1], []):
+        for start, stop in ((1, 5), (2, 3), (1, 1), (-1, 1)):
+            with pytest.raises(ShapeMismatch):
+                g.slice_rows(a, start, stop)
+        for cols in (2, [0, 2], [1, 1], [], range(1, 3), range(0)):
             with pytest.raises(ShapeMismatch):
                 g.take_col(a, cols)
+        col, one = g.constant(np.ones((2, 1))), g.constant(np.ones((1, 1)))
         with pytest.raises(ShapeMismatch):
-            g.pick(a, 0)  # not a column vector
-        with pytest.raises(ShapeMismatch):
-            g.softmax(a)
+            g.outer_sum(col, col, one)  # the second term must be a row
 
     def test_empty_collections_rejected(self):
         g = Graph()
@@ -467,6 +504,10 @@ class TestNumericGuards:
             g.concat([])
         with pytest.raises(EmptyVector):
             g.stack_columns([])
+        for shape in ((0, 1), (2, 0)):
+            for axis in (0, 1):
+                with pytest.raises(EmptyVector):
+                    g.softmax(g.constant(np.zeros(shape)), axis=axis)
 
     def test_non_2d_record_rejected(self):
         g = Graph()

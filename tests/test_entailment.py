@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from treentail.attention import reverse_attention
-from treentail.autodiff import AffineMap, Graph, ShapeMismatch, backward
+from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, backward
 from treentail.composer import LstmParameters
 from treentail.embeddings import (
     EmbeddingTable,
@@ -105,6 +105,18 @@ class TestLabelsAndLoss:
         assert node.value.item() == pytest.approx(cross_entropy([0.2, 0.5, 0.3],
                                                                 "neutral"),
                                                   abs=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("gold", LABELS)
+    def test_loss_node_gradient_is_minus_inverse_gold_probability(self, dtype, gold):
+        dist = Parameter("dist", np.array([0.2, 0.5, 0.3]))
+        g = Graph(dtype)
+        grad = backward(g, loss_node(g, g.parameter(dist), gold))[dist]
+        i = LABELS.index(gold)
+        expected = np.zeros((3, 1), dtype)
+        expected[i] = -1 / dist.value[i].astype(dtype)
+        assert grad.dtype == dtype
+        np.testing.assert_array_equal(grad, expected)
 
     def test_wrong_size_distribution_rejected(self):
         with pytest.raises(ShapeMismatch):
