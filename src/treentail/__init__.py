@@ -8,7 +8,7 @@ from .attention import (
     reverse_attention,
     score_matrix,
 )
-from .autodiff import AffineMap, Graph, Parameter, backward, grad_check
+from .autodiff import AffineMap, Graph, Parameter, RowGrad, backward, grad_check, gradients
 from .composer import LstmParameters, NodeState, dropout, encode_tree, lstm_cell
 from .data import ExamplePair, generate_toy, load_snli
 from .embeddings import (
@@ -28,7 +28,6 @@ from .entailment import (
     predict,
 )
 from .trainer import (
-    RowGrad,
     TrainConfig,
     adam_step,
     evaluate,
@@ -68,6 +67,7 @@ __all__ = [
     "forward_attention",
     "generate_toy",
     "grad_check",
+    "gradients",
     "init_parameters",
     "load_checkpoint",
     "load_pretrained",

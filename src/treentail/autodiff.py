@@ -8,14 +8,19 @@ reverse walk accumulates exact gradients into every parameter leaf.
 A backward rule may hand a parent its gradient in one of two factored
 forms instead of a dense array: :class:`OuterGrad` ``(u, v)`` for
 ``u @ v.T`` and :class:`SliceGrad` ``(index, g)`` for a zero matrix
-whose ``[index]`` is ``g``.  :func:`backward` collects them per
+whose ``[index]`` is ``g``.  :func:`gradients` collects them per
 receiving node and sums them once, just before it processes that node:
 all outer products in one GEMM, then each slice added in place.  A
-weight shared by every node of a tree, or an embedding table read once
-per leaf, thus gets one dense gradient per graph instead of one per
-use; so does any matrix read a piece at a time, by :meth:`Graph.slice_rows`
-(a block of rows, or one entry of a column) or :meth:`Graph.take_col`
-(a column, a block of columns or a list of distinct columns).
+weight shared by every node of a tree thus gets one dense gradient per
+graph instead of one per use; so does any matrix read a piece at a
+time, by :meth:`Graph.slice_rows` (a block of rows, or one entry of a
+column) or :meth:`Graph.take_col` (a column, a block of columns or a
+list of distinct columns).
+
+A parameter read by rows (an embedding table, see :meth:`Graph.parameter`)
+gets its gradient in row form instead, a :class:`RowGrad` over the rows
+the graph read, so a large table's gradient costs its read rows only.
+:func:`backward` is the dense form of the same result.
 
 The tape keeps one op per job: work that an existing op does along
 another axis, on a single entry or after a shift is done by that op.
@@ -76,6 +81,15 @@ class SliceGrad(NamedTuple):
     g: np.ndarray
 
 
+class RowGrad(NamedTuple):
+    """A gradient that is zero outside ``rows``: row ``rows[j]`` of the
+    parameter's gradient is ``values[j]``.  The rows are distinct
+    integers, in a list or an integer array."""
+
+    rows: list | np.ndarray
+    values: np.ndarray
+
+
 class _Factored:
     """The factored gradient parts one node has received so far."""
 
@@ -104,6 +118,24 @@ class _Factored:
         if dense is not None:
             out += dense
         return out
+
+    def row_grad(self, param, rows, dtype):
+        """The :class:`RowGrad` on the sorted ``rows`` of ``param``: each
+        slice added in place (in arrival order) into zeros, which are the
+        additions :meth:`materialize` makes on those rows."""
+        if self.us:
+            raise ShapeMismatch(f"parameter '{param.name}' is read by rows but got "
+                                "an outer-product gradient")
+        position = {row: j for j, row in enumerate(rows)}
+        values = np.zeros((len(rows), param.value.shape[1]), dtype)
+        for (block, cols), g in self.slices:
+            j = position.get(block.start) if cols == slice(None) else None
+            last = len(g) - 1
+            if j is None or position.get(block.start + last) != j + last:
+                raise ShapeMismatch(f"gradient slice {block, cols} of '{param.name}' "
+                                    "is outside the rows the graph read")
+            values[j:j + len(g)] += g
+        return RowGrad(rows, values)
 
 
 class Parameter:
@@ -186,6 +218,7 @@ class Graph:
         self.dtype = np.dtype(dtype)
         self.nodes = []
         self._param_nodes = {}
+        self._row_nodes = {}
         self.rows_read = {}
 
     # -- tape primitives -------------------------------------------------
@@ -221,19 +254,27 @@ class Graph:
         reads a parameter either by rows or whole, never both: mixing
         the two raises :class:`ShapeMismatch`.
         """
-        node = self._param_nodes.get(id(param))
-        read = self.rows_read.get(param)
+        if rows is None:
+            # The hot path: one lookup once the node exists.
+            node = self._param_nodes.get(param)
+            if node is None:
+                node = self._param_nodes[param] = self._leaf(param, self._row_nodes)
+            return node
+        node = self._row_nodes.get(param)
         if node is None:
-            value = param.value.astype(self.dtype, copy=False)
-            node = Node(value, (), None, f"param:{param.name}", param, len(self.nodes))
-            self.nodes.append(node)
-            self._param_nodes[id(param)] = node
-            if rows is not None:
-                read = self.rows_read[param] = set()
-        elif (rows is None) != (read is None):
+            node = self._row_nodes[param] = self._leaf(param, self._param_nodes)
+            self.rows_read[param] = set()
+        self.rows_read[param].update(rows)
+        return node
+
+    def _leaf(self, param, other_reads):
+        """A new leaf node for ``param``, which ``other_reads``, the memo of
+        the other way of reading, must not hold."""
+        if param in other_reads:
             raise ShapeMismatch(f"parameter '{param.name}' read both whole and by rows")
-        if rows is not None:
-            read.update(rows)
+        value = param.value.astype(self.dtype, copy=False)
+        node = Node(value, (), None, f"param:{param.name}", param, len(self.nodes))
+        self.nodes.append(node)
         return node
 
     # -- elementwise and structural ops ----------------------------------
@@ -385,7 +426,7 @@ class Graph:
         return self.record(y, (m,), vjp, "row_normalize")
 
 
-def backward(graph, loss):
+def gradients(graph, loss):
     """Walk the tape in reverse and return ``{Parameter: gradient}``.
 
     The loss must be a (1, 1) scalar node.  Insertion order is the
@@ -395,20 +436,36 @@ def backward(graph, loss):
     Factored ones (:class:`OuterGrad`, :class:`SliceGrad`) are kept until
     the walk reaches the receiving node, which then gets one dense array
     in the graph's dtype: the outer products' GEMM, plus each slice in
-    arrival order, plus the dense sum.  Every returned gradient is a dense
-    ndarray.  :meth:`Graph.parameter` records one node per parameter, so
-    that node's gradient is the parameter's whole gradient.
+    arrival order, plus the dense sum.  :meth:`Graph.parameter` records
+    one node per parameter, so that node's gradient is the parameter's
+    whole gradient.
+
+    A parameter in ``graph.rows_read`` gets a :class:`RowGrad` instead:
+    its rows are ``sorted(graph.rows_read[param])`` and its values the
+    row slices it received, summed in arrival order, with no
+    table-sized array built.  Any other part for such a parameter
+    raises :class:`ShapeMismatch`.  Every other gradient is a dense
+    ndarray.
     """
     if loss.value.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
     grads = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones((1, 1), dtype=graph.dtype)
     factored = {}
+    rows_read = graph.rows_read
 
     param_grads = {}
     for node in reversed(graph.nodes):
         g = grads[node.idx]
         parts = factored.pop(node.idx, None)
+        if node.param is not None and node.param in rows_read:
+            if g is not None:
+                raise ShapeMismatch(f"parameter '{node.param.name}' is read by rows "
+                                    "but got a dense gradient")
+            if parts is not None:
+                param_grads[node.param] = parts.row_grad(
+                    node.param, sorted(rows_read[node.param]), graph.dtype)
+            continue
         if parts is not None:
             g = parts.materialize(node.shape, graph.dtype, g)
         if g is None:
@@ -427,8 +484,20 @@ def backward(graph, loss):
         grads[node.idx] = None
 
     for p, g in param_grads.items():
-        if not np.isfinite(g).all():
+        if not np.isfinite(g.values if type(g) is RowGrad else g).all():
             raise NonFiniteValue(f"non-finite gradient for {p.name}")
+    return param_grads
+
+
+def backward(graph, loss):
+    """:func:`gradients` with every gradient a dense ndarray of its
+    parameter's shape: each :class:`RowGrad` is scattered into zeros,
+    which gives the bits of summing its slices into a zero table."""
+    param_grads = gradients(graph, loss)
+    for p, g in param_grads.items():
+        if type(g) is RowGrad:
+            dense = param_grads[p] = np.zeros(p.value.shape, graph.dtype)
+            dense[g.rows] = g.values
     return param_grads
 
 

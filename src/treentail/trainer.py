@@ -7,14 +7,16 @@ streams, so a rerun with the same configuration is bit-identical.
 
 A batch reads a few dozen rows of the trainable embedding table, and
 each example's table gradient is zero outside the rows its graph records
-as read (``Graph.rows_read``).  ``train`` therefore sums only those rows
-and hands Adam a :class:`RowGrad`; Adam updates only the rows whose
-moments may be nonzero, the rows some batch has read so far.  A row
-with zero moments and a zero gradient is an exact fixed point of the
-update, so this gives the dense step's bits.  Adam's saving lasts only
-while most rows are still unread: a table built from the training
-corpus has every row read in the first epoch, and from then on Adam
-updates the whole table as the dense step does.
+as read (``Graph.rows_read``).  :func:`~treentail.autodiff.gradients`
+hands that gradient back as a :class:`RowGrad` on those rows, ``train``
+sums a batch's row gradients on the rows they cover, and Adam keeps
+moments only for the rows whose moments may be nonzero, the rows some
+batch has read so far.  A row with zero moments and a zero gradient is
+an exact fixed point of the update, so this gives the dense step's
+bits, and no array sized to the table is made per example or per step.
+Adam's saving lasts only while most rows are still unread: a table
+built from the training corpus has every row read in the first epoch,
+and from then on Adam updates the whole table as the dense step does.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
-from typing import ClassVar, NamedTuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,9 +35,10 @@ from .autodiff import (
     Graph,
     NonFiniteValue,
     Parameter,
+    RowGrad,
     ShapeMismatch,
-    backward,
     grad_check,
+    gradients,
 )
 from .data import leaf_tokens
 from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_oov
@@ -125,23 +128,17 @@ def init_parameters(config, rng):
                                config.dtype)
 
 
-class RowGrad(NamedTuple):
-    """A gradient that is zero outside ``rows``: row ``rows[j]`` of the
-    parameter's gradient is ``values[j]``.  The rows are distinct."""
-
-    rows: np.ndarray
-    values: np.ndarray
-
-
 @dataclass
 class OptimizerState:
     """First and second moment estimates per parameter, plus step count.
 
     ``live`` marks per parameter the rows whose moments may be nonzero:
     none at first, every row once a dense gradient arrives, and the rows
-    of each :class:`RowGrad`.  ``scratch`` holds two flat work buffers
-    per dtype, as long as the largest parameter, which every
-    :func:`adam_step` reuses.
+    of each :class:`RowGrad`.  ``first[p]`` and ``second[p]`` hold the
+    moments of ``p``'s live rows only, in row order, as
+    ``(live_count, cols)`` arrays.  ``scratch`` holds two flat work
+    buffers per dtype, as long as the largest update so far, which
+    every :func:`adam_step` reuses.
     """
 
     first: dict = field(default_factory=dict)
@@ -150,20 +147,42 @@ class OptimizerState:
     live: dict = field(default_factory=dict)
     scratch: dict = field(default_factory=dict)
 
+    def dense_moments(self, p):
+        """``p``'s first and second moments as arrays of ``p``'s shape,
+        zero on the rows that are not live."""
+        dense = np.zeros((2, *p.value.shape), p.value.dtype)
+        dense[0, self.live[p]] = self.first[p]
+        dense[1, self.live[p]] = self.second[p]
+        return dense[0], dense[1]
+
 
 def init_optimizer(params):
     state = OptimizerState()
     for p in params:
-        # np.zeros, not zeros_like: a large table's moments stay unwritten
-        # pages until a step reaches their rows.
-        state.first[p] = np.zeros(p.value.shape, p.value.dtype)
-        state.second[p] = np.zeros(p.value.shape, p.value.dtype)
-        state.live[p] = np.zeros(p.value.shape[0], bool)
-        bufs = state.scratch.get(p.value.dtype)
-        if bufs is None or bufs[0].size < p.value.size:
-            state.scratch[p.value.dtype] = tuple(
-                np.empty(p.value.size, p.value.dtype) for _ in range(2))
+        n, cols = p.value.shape
+        state.first[p] = np.zeros((0, cols), p.value.dtype)
+        state.second[p] = np.zeros((0, cols), p.value.dtype)
+        state.live[p] = np.zeros(n, bool)
     return state
+
+
+def _go_live(state, p, rows):
+    """Mark ``rows`` (not yet live) live and lay ``p``'s moments out again,
+    with zeros on those rows."""
+    live = state.live[p]
+    kept = np.flatnonzero(live)
+    live[rows] = True
+    # Timed on 2 vCPU (20,001x300 float64, 300 rows of gradient), the
+    # gathered update beats the in-place one on the whole arrays up to
+    # about 3/4 of the rows live (56-74 against 106-117 ms at half,
+    # 143-157 against 129-147 ms at 90%), so past 3/4 every row goes live.
+    if 4 * np.count_nonzero(live) > 3 * len(live):
+        live[:] = True
+    ids = np.flatnonzero(live)
+    for moments in (state.first, state.second):
+        grown = np.zeros((len(ids), p.value.shape[1]), p.value.dtype)
+        grown[np.searchsorted(ids, kept)] = moments[p]
+        moments[p] = grown
 
 
 def _checked_rows(p, grad):
@@ -225,15 +244,15 @@ def adam_step(params, grads, state, config):
 
     so the result is bit-identical to evaluating it with temporaries.
     A row whose moments and gradient are zero is a fixed point of that
-    expression, so only the rows ``state.live`` marks are updated: while
-    they are under half the parameter, as gathered copies; after that,
-    in place on the whole arrays with the gradient zero elsewhere.
-    Either way the bits are those of the dense step.  From a fresh state
-    a zero gradient leaves a parameter as it is.  Raises
-    :class:`ShapeMismatch` for a gradient that does not fit its
-    parameter, and :class:`NonFiniteValue` naming the first parameter
-    the update leaves with a NaN or Inf in a row it changed; graphs read
-    parameters unchecked.
+    expression, so only the rows ``state.live`` marks are updated, and
+    only they have moments (see :class:`OptimizerState`).  While some
+    rows are not live, the live rows of the parameter are updated as a
+    gathered copy; once all are, in place.  Either way the bits are
+    those of the dense step.  From a fresh state a zero gradient leaves
+    a parameter as it is.  Raises :class:`ShapeMismatch` for a gradient
+    that does not fit its parameter, and :class:`NonFiniteValue` naming
+    the first parameter the update leaves with a NaN or Inf in a row it
+    changed; graphs read parameters unchecked.
     """
     state.step += 1
     c1 = 1.0 - config.beta1 ** state.step
@@ -243,42 +262,37 @@ def adam_step(params, grads, state, config):
         live = state.live[p]
         if type(g) is RowGrad:
             rows = _checked_rows(p, g)
-            live[rows] = True
+            fresh = rows[~live[rows]]
+            if fresh.size:
+                _go_live(state, p, fresh)
         elif g is not None:
             if g.shape != p.value.shape:
                 raise ShapeMismatch(f"gradient shape {g.shape} for {p.name}")
-            live[:] = True
+            if not live.all():
+                _go_live(state, p, ~live)
         else:
             g = 0.0
-        count = np.count_nonzero(live)
-        if not count:
-            continue
         m, v = state.first[p], state.second[p]
-        n, cols = p.value.shape
-        # Timed on 2 vCPU, the gathered update costs as much as the
-        # whole-array one at 40-60% of the rows live (20,001x300 float64:
-        # 102 against 139 ms at half, 128 against 130 at 60%; 600x32:
-        # even at 40%), so the switch is at half.
-        if 2 * count >= n:
-            a, b = (buf[:m.size].reshape(m.shape) for buf in state.scratch[m.dtype])
-            if type(g) is RowGrad:
-                b.fill(0.0)
-                b[rows] = g.values
-                g = b
+        if not m.size:
+            continue
+        bufs = state.scratch.get(m.dtype)
+        if bufs is None or bufs[0].size < m.size:
+            bufs = state.scratch[m.dtype] = tuple(np.empty(m.size, m.dtype)
+                                                  for _ in range(2))
+        a, b = (buf[:m.size].reshape(m.shape) for buf in bufs)
+        whole = len(m) == len(live)
+        ids = None if whole else np.flatnonzero(live)
+        if type(g) is RowGrad:
+            b.fill(0.0)
+            b[rows if whole else np.searchsorted(ids, rows)] = g.values
+            g = b
+        if whole:
             _adam_update(p.value, m, v, g, a, b, config, c1, c2)
             changed = p.value
         else:
-            ids = np.flatnonzero(live)
-            if type(g) is RowGrad:
-                gathered = np.zeros((count, cols), g.values.dtype)
-                # A live row's place among the live rows.
-                gathered[(np.cumsum(live) - 1)[rows]] = g.values
-                g = gathered
-            a, b = (buf[:count * cols].reshape(count, cols)
-                    for buf in state.scratch[m.dtype])
-            changed, m_ids, v_ids = p.value[ids], m[ids], v[ids]
-            _adam_update(changed, m_ids, v_ids, g, a, b, config, c1, c2)
-            p.value[ids], m[ids], v[ids] = changed, m_ids, v_ids
+            changed = p.value[ids]
+            _adam_update(changed, m, v, g, a, b, config, c1, c2)
+            p.value[ids] = changed
         if not np.isfinite(changed).all():
             raise NonFiniteValue(f"non-finite value in parameter '{p.name}' after "
                                  f"update {state.step}")
@@ -292,13 +306,14 @@ class EpochMetrics:
     dev_accuracy: float
 
 
-def _summed_rows(row_grads, dim, dtype, scale):
-    """The :class:`RowGrad` of ``scale`` times the sum of ``(rows, values)``
-    gradients, added in order: the additions a dense sum makes on those
-    rows, since every other entry it adds is an exact zero."""
+def _summed_rows(row_grads, scale):
+    """The :class:`RowGrad` of ``scale`` times the sum of ``row_grads``,
+    added in order: the additions a dense sum makes on those rows, since
+    every other entry it adds is an exact zero."""
     rows = sorted(set().union(*(r for r, _ in row_grads)))
     position = {row: j for j, row in enumerate(rows)}
-    total = np.zeros((len(rows), dim), dtype)
+    values = row_grads[0].values
+    total = np.zeros((len(rows), values.shape[1]), values.dtype)
     for r, values in row_grads:
         total[[position[i] for i in r]] += values
     total *= scale
@@ -338,7 +353,6 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
     optimized = _trainable(params, table)
     state = init_optimizer(optimized)
     dtype = config.dtype
-    words = table.trainable
 
     best_acc = -1.0
     best_values = None
@@ -349,9 +363,9 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
         for start in range(0, len(order), config.batch_size):
             chunk = order[start:start + config.batch_size]
             grad_sum = {}
-            # Each example's table gradient on the rows its graph read;
-            # it is zero on every other row.
-            word_grads = []
+            # Per parameter read by rows (the embedding table), each
+            # example's gradient on the rows its graph read.
+            row_grads = {}
             for idx in chunk:
                 pair = dataset[idx]
                 graph = Graph(dtype)
@@ -363,13 +377,12 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
                     )
                     loss = loss_node(graph, run.distribution, pair.gold)
                     losses.append(float(loss.value[0, 0]))
-                    for p, g in backward(graph, loss).items():
-                        if p is words:
-                            rows = sorted(graph.rows_read[p])
-                            word_grads.append((rows, g[rows]))
+                    for p, g in gradients(graph, loss).items():
+                        if type(g) is RowGrad:
+                            row_grads.setdefault(p, []).append(g)
                             continue
                         # Summed in place into a copy of the first gradient:
-                        # backward's arrays may share memory with each other.
+                        # gradients' arrays may share memory with each other.
                         prev = grad_sum.get(p)
                         if prev is None:
                             grad_sum[p] = g.copy()
@@ -378,11 +391,13 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
                 except NonFiniteValue as exc:
                     raise NonFiniteValue(
                         f"epoch {epoch}, example {idx}: {exc}") from None
+                # The next example's tape is built without this one alive.
+                del graph, run, loss
             scale = 1.0 / len(chunk)
             for g in grad_sum.values():
                 g *= scale
-            if words is not None:
-                grad_sum[words] = _summed_rows(word_grads, table.dim, dtype, scale)
+            for p, parts in row_grads.items():
+                grad_sum[p] = _summed_rows(parts, scale)
             try:
                 adam_step(optimized, grad_sum, state, config)
             except NonFiniteValue as exc:
@@ -393,7 +408,9 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
         metrics.append(EpochMetrics(epoch, float(np.mean(losses)), train_acc, dev_acc))
         if dev_acc > best_acc:
             best_acc = dev_acc
-            best_values = [p.value.copy() for p in optimized]
+            # The last epoch's values are already in place.
+            best_values = (None if epoch == config.epochs - 1
+                           else [p.value.copy() for p in optimized])
 
     if best_values is not None:
         for p, value in zip(optimized, best_values):

@@ -20,8 +20,10 @@ from treentail.autodiff import (
     OuterGrad,
     Parameter,
     ShapeMismatch,
+    SliceGrad,
     backward,
     grad_check,
+    gradients,
     sigmoid,
 )
 from treentail.composer import LstmParameters, NodeState, lstm_cell
@@ -323,6 +325,25 @@ class TestFactoredGradients:
             assert type(grad) is np.ndarray
             assert grad.dtype == np.float32
             assert grad.shape == p.value.shape
+
+    @pytest.mark.parametrize("part", [
+        OuterGrad(np.ones((4, 1)), np.ones((2, 1))),
+        np.ones((4, 2)),
+        SliceGrad(np.s_[2:3, :], np.ones((1, 2))),
+        SliceGrad(np.s_[1:3, :], np.ones((2, 2))),
+        SliceGrad(np.s_[:, 0:1], np.ones((4, 1))),
+    ], ids=["outer", "dense", "unread-row", "block-past-the-rows", "column"])
+    def test_a_row_read_parameter_takes_read_row_slices_only(self, part):
+        """A parameter read by rows has a gradient only on those rows, so
+        an outer-product, dense or column part, or a slice reaching an
+        unread row, is a misuse that names the parameter."""
+        p = Parameter("t", np.ones((4, 2)))
+        g = Graph()
+        tn = g.parameter(p, rows=[1])
+        loss = g.record(np.ones((1, 1)), (tn,), lambda _: (part,), "misuse")
+        for differentiate in (gradients, backward):
+            with pytest.raises(ShapeMismatch, match="'t'"):
+                differentiate(g, loss)
 
     def test_take_row_backward_stays_near_one_table(self):
         """A level of forty leaves must not cost forty table-sized

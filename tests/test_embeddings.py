@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from treentail import embeddings
-from treentail.autodiff import Graph, backward
+from treentail.autodiff import Graph, RowGrad, backward, gradients
 from treentail.embeddings import (
     CalledTwice,
     EmbeddingFileError,
@@ -21,6 +21,9 @@ from treentail.embeddings import (
     resolve,
     trainable_rows,
 )
+from treentail.entailment import loss_node, run_forward
+from treentail.trainer import TrainConfig, init_parameters
+from treentail.trees import parse_tree
 
 from tape_helpers import total
 
@@ -291,6 +294,40 @@ class TestEmbeddingNodes:
         assert grad.shape == table.trainable.value.shape
         np.testing.assert_array_equal(grad[0], 0.0)   # fallback row untouched
         np.testing.assert_array_equal(grad[1], 2.0)   # read twice, d(sum)/d(row) = 1
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_table_gradient_rows_are_the_dense_gradient_bit_for_bit(self, tmp_path,
+                                                                     dtype):
+        """A pair whose trees repeat a token, share one and mix pretrained
+        and trainable leaves: the table's gradient comes in row form, on
+        the rows the graph read, and scattered into zeros it has the bits
+        of summing every slice into a zero table, which is also what
+        ``backward`` returns."""
+        p = write_vectors(tmp_path / "v.txt", ["frozen 0.3 0.6", "the -0.2 0.1"])
+        vocab, table = load_pretrained(p, dtype=dtype)
+        register_oov(vocab, table, ["cat", "dog", "new", "sat"], np.random.default_rng(5))
+        params = init_parameters(TrainConfig(k=3, r=2, d=2, precision=(
+            "double" if dtype == np.float64 else "single")), np.random.default_rng(6))
+        g = Graph(dtype)
+        run = run_forward(g, parse_tree("( ( new ( frozen new ) ) ( cat the ) )"),
+                          parse_tree("( ( the new ) ( dog zebra ) )"), vocab, table,
+                          params, use_dual=True)
+        loss = loss_node(g, run.distribution, "contradiction")
+        row_grad = gradients(g, loss)[table.trainable]
+        dense = backward(g, loss)[table.trainable]
+        # Without its row record the table's node takes the dense path.
+        read = g.rows_read.pop(table.trainable)
+        reference = gradients(g, loss)[table.trainable]
+
+        assert type(row_grad) is RowGrad and row_grad.rows == sorted(read)
+        assert [vocab.tokens[vocab.frozen_count + i] for i in row_grad.rows] == [
+            "<unk>", "cat", "dog", "new"]
+        assert row_grad.values.dtype == dtype
+        scattered = np.zeros(table.trainable.value.shape, dtype)
+        scattered[row_grad.rows] = row_grad.values
+        assert reference.dtype == dense.dtype == dtype
+        assert scattered.tobytes() == reference.tobytes() == dense.tobytes()
+        assert np.all(row_grad.values != 0.0)
 
     def test_frozen_rows_survive_training_updates(self, tmp_path):
         """Frozen storage is a plain array: nothing that takes gradients

@@ -11,7 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treentail.autodiff import Graph, NonFiniteValue, Parameter, ShapeMismatch, backward
+from treentail.autodiff import (
+    Graph,
+    NonFiniteValue,
+    Parameter,
+    ShapeMismatch,
+    backward,
+    gradients,
+)
 from treentail.composer import dropout
 from treentail import trainer
 from treentail.data import ExamplePair, generate_toy, random_tree
@@ -293,8 +300,9 @@ class TestAdam:
             for j, p in enumerate(params):
                 assert p.value.dtype == dtype
                 np.testing.assert_array_equal(p.value, values[j])
-                np.testing.assert_array_equal(state.first[p], m[j])
-                np.testing.assert_array_equal(state.second[p], v2[j])
+                first, second = state.dense_moments(p)
+                np.testing.assert_array_equal(first, m[j])
+                np.testing.assert_array_equal(second, v2[j])
 
     def test_update_from_an_overflowed_gradient_raises(self):
         """An infinite gradient entry makes its Adam update inf / inf, so
@@ -317,8 +325,8 @@ class TestAdam:
     def test_row_gradients_step_like_zero_filled_dense_ones(self, dtype):
         """Row-sparse steps give the bits of the same steps with the rows
         scattered into a zero gradient: through changing, unsorted and
-        empty row sets, an absent gradient, the switch to whole-array
-        updates past half the rows, and a dense gradient at the end."""
+        empty row sets, an absent gradient, and a dense gradient at the
+        end, which makes every row live."""
         config = self.config()
         rng = np.random.default_rng(11)
         start = rng.standard_normal((30, 4)).astype(dtype)
@@ -335,7 +343,7 @@ class TestAdam:
             if rows == "dense":
                 # Until now the rows no gradient reached kept zero moments.
                 np.testing.assert_array_equal(
-                    s_state.first[sparse][[2, 4, 6, *range(22, 29)]], 0.0)
+                    s_state.dense_moments(sparse)[0][[2, 4, 6, *range(22, 29)]], 0.0)
                 g = rng.standard_normal((30, 4)).astype(dtype)
                 s_grads[sparse], d_grads[dense] = g, g.copy()
             elif rows is not None:
@@ -349,8 +357,34 @@ class TestAdam:
             for got, want in ((sparse, dense), (w_sparse, w_dense)):
                 assert got.value.dtype == dtype
                 assert got.value.tobytes() == want.value.tobytes()
-                assert s_state.first[got].tobytes() == d_state.first[want].tobytes()
-                assert s_state.second[got].tobytes() == d_state.second[want].tobytes()
+                s_first, s_second = s_state.dense_moments(got)
+                d_first, d_second = d_state.dense_moments(want)
+                assert s_first.tobytes() == d_first.tobytes()
+                assert s_second.tobytes() == d_second.tobytes()
+
+    def test_rows_past_three_quarters_make_every_row_live(self):
+        """Once row gradients have reached more than 3/4 of the rows, the
+        whole parameter is updated in place, with the bits of zero-filled
+        dense steps, and a row no gradient reached keeps zero moments."""
+        config = self.config()
+        rng = np.random.default_rng(12)
+        start = rng.standard_normal((8, 3))
+        sparse, dense = Parameter("t", start.copy()), Parameter("t", start.copy())
+        s_state, d_state = init_optimizer([sparse]), init_optimizer([dense])
+        for rows in ([5, 1], [0, 6], None, [4, 2, 3], [6, 0]):
+            s_grads, d_grads = {}, {}
+            if rows is not None:
+                values = rng.standard_normal((len(rows), 3))
+                s_grads[sparse] = RowGrad(np.array(rows), values)
+                d_grads[dense] = np.zeros((8, 3))
+                d_grads[dense][rows] = values
+            adam_step([sparse], s_grads, s_state, config)
+            adam_step([dense], d_grads, d_state, config)
+            assert s_state.live[sparse].all() == (rows == [4, 2, 3] or rows == [6, 0])
+            assert sparse.value.tobytes() == dense.value.tobytes()
+            for got, want in zip(s_state.dense_moments(sparse), d_state.dense_moments(dense)):
+                assert got.tobytes() == want.tobytes()
+        assert not s_state.dense_moments(sparse)[0][7].any()
 
     @pytest.mark.parametrize("rows, values_shape", [
         ([3], (1, 2)), ([-1], (1, 2)), ([1, 1], (2, 2)), ([[0, 1]], (2, 2)),
@@ -598,15 +632,38 @@ class TestTrain:
         bias = params.classifier.bias
 
         def overflowed(graph, loss):
-            grads = backward(graph, loss)
+            grads = gradients(graph, loss)
             grads[bias] = np.full(bias.value.shape, np.inf)
             return grads
 
-        monkeypatch.setattr(trainer, "backward", overflowed)
+        monkeypatch.setattr(trainer, "gradients", overflowed)
         with np.errstate(invalid="ignore"), pytest.raises(
                 NonFiniteValue,
                 match=r"^epoch 0: non-finite value in parameter 'classifier.bias'"):
             train(pairs, pairs, config, vocab, table, initial_params=params)
+
+    def test_an_epoch_allocates_well_under_a_tenth_of_the_table(self):
+        """Three short pairs over a 5,000-row trainable table, most of it
+        never read: one epoch's gradients, Adam steps, evaluations and
+        best-dev bookkeeping allocate no array sized to the table."""
+        config = small_config(k=2, r=2, d=64, batch_size=2)
+        pairs = [ExamplePair(parse_tree(p), parse_tree(h), gold) for p, h, gold in (
+            ("( a ( cat sat ) )", "( a cat )", "entailment"),
+            ("( the dog )", "( a ( cat ran ) )", "neutral"),
+            ("( dog sat )", "( the cat )", "contradiction"))]
+        vocab, table = empty_vocabulary(config.d)
+        spare = [f"spare{i:04d}" for i in range(4993)]
+        register_oov(vocab, table, ["a", "cat", "dog", "ran", "sat", "the"] + spare,
+                     np.random.default_rng(0))
+        assert table.trainable.value.shape == (5000, 64)
+        params = init_parameters(config, np.random.default_rng(1))
+        tracemalloc.start()
+        try:
+            train(pairs, pairs[:2], config, vocab, table, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.trainable.value.nbytes / 10
 
     def test_empty_datasets_are_rejected(self):
         config = small_config()
