@@ -22,7 +22,9 @@ and from then on Adam updates the whole table as the dense step does.
 from __future__ import annotations
 
 import json
+import mmap
 import os
+import stat
 import struct
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
@@ -463,7 +465,12 @@ def parameter_count(config):
 # manifest), then each tensor as two uint32 dims followed by its scalars
 # little-endian, parameters in declaration order.  The frozen embedding
 # rows ride along after the parameters so a checkpoint can be evaluated
-# without the original vector file.
+# without the original vector file.  The writer pads the header with
+# trailing spaces (still valid JSON) until the first tensor's scalars
+# start at a multiple of 8 bytes, so every tensor's scalars start at a
+# multiple of their own size: the loader maps the table's rows in place,
+# and NumPy reads an unaligned array only through a whole copy.  Files
+# written before the padding load too, with their tables copied once.
 
 MAGIC = b"TENT1"
 
@@ -476,12 +483,40 @@ def _checkpoint_tensors(params, table):
     return tensors
 
 
-def _manifest(tensors):
-    return [{"name": name, "rows": int(a.shape[0]), "cols": int(a.shape[1])}
-            for name, a in tensors]
+def _manifest(layout):
+    return [{"name": name, "rows": int(rows), "cols": int(cols)}
+            for name, (rows, cols) in layout]
+
+
+def _new_file_beside(path):
+    """Create a new, uniquely named file in ``path``'s directory and
+    return its name and a write descriptor.  Its mode is what
+    ``open(path, "wb")`` gives: ``path``'s own mode if it exists, else
+    0o666 less the umask."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        mode = None
+    directory, name = os.path.split(path)
+    while True:
+        temporary = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+        try:
+            fd = os.open(temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        except FileExistsError:
+            continue
+        if mode is not None:
+            os.fchmod(fd, mode)
+        return temporary, fd
 
 
 def save_checkpoint(path, config, vocab, table, params):
+    """Write the model, its vocabulary and its table to ``path``.
+
+    The file is written beside ``path`` under a temporary name and then
+    renamed over it, so a process that has loaded the old file (and so
+    maps its table) keeps reading the old bytes, and a save that fails
+    leaves the old file as it was and no temporary behind.
+    """
     tensors = _checkpoint_tensors(params, table)
     scalar = np.dtype(config.dtype).newbyteorder("<")
     header = {
@@ -494,27 +529,46 @@ def save_checkpoint(path, config, vocab, table, params):
             "oov_count": vocab.oov_count,
             "unk_index": vocab.unk_index,
         },
-        "tensors": _manifest(tensors),
+        "tensors": _manifest((name, a.shape) for name, a in tensors),
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as handle:
-        handle.write(MAGIC)
-        handle.write(struct.pack("<I", len(blob)))
-        handle.write(blob)
-        for _, a in tensors:
-            handle.write(struct.pack("<II", a.shape[0], a.shape[1]))
-            handle.write(np.ascontiguousarray(a, dtype=scalar).tobytes())
+    blob += b" " * (-(len(MAGIC) + 4 + len(blob) + 8) % 8)
+    # Through a symlink, as open(path, "wb") would write.
+    path = os.path.realpath(path)
+    temporary, fd = _new_file_beside(path)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(MAGIC)
+            handle.write(struct.pack("<I", len(blob)))
+            handle.write(blob)
+            for _, a in tensors:
+                handle.write(struct.pack("<II", a.shape[0], a.shape[1]))
+                handle.write(np.ascontiguousarray(a, dtype=scalar).tobytes())
+        os.replace(temporary, path)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
 def load_checkpoint(path):
     """Read a checkpoint back into ``(config, vocab, table, params)``.
 
-    The header's config and vocabulary counts fix the layout: the model
-    and table are built empty from them, laid out by the same
-    :func:`_checkpoint_tensors` that :func:`save_checkpoint` writes from,
-    and each tensor is read straight into its array.  A manifest, size,
-    tensor shape, label order or precision other than that layout's
-    raises :class:`CheckpointError`.
+    The header's config and vocabulary counts fix the layout, the same
+    one :func:`save_checkpoint` writes: the model is built empty from
+    them and each weight tensor is read straight into its array.  A
+    manifest, size, tensor shape, label order or precision other than
+    that layout's raises :class:`CheckpointError`, and every check runs
+    before the table is touched.
+
+    The embedding table is not read: the file is mapped copy-on-write,
+    and ``table.frozen`` and ``table.trainable.value`` are views of its
+    rows, so a load allocates nothing sized to the table and a
+    prediction pages in only the rows its leaves read.  Writing into
+    the views changes this process's copy, never the file.  Another
+    program must not truncate or rewrite the file in place while the
+    model is loaded; :func:`save_checkpoint` replaces it instead.  The
+    unaligned table of a file written before the header padding is
+    copied once instead.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -562,10 +616,16 @@ def load_checkpoint(path):
                 f"{counts[0]!r:.20} frozen and {counts[1]!r:.20} trainable rows")
         if unk is not None and not (type(unk) is int and 0 <= unk < len(tokens)):
             raise CheckpointError(f"unk_index {unk!r} is outside the vocabulary")
+        try:
+            "".join(tokens)  # raises TypeError at a token that is not a string
+            index = dict(zip(tokens, range(len(tokens))))
+        except TypeError:
+            index = None
         # The fallback row's name (<unk>) may also name one other row; the
         # index, like training's, maps that name to the later of the two.
-        named = [t for i, t in enumerate(tokens) if i != unk]
-        if not all(isinstance(t, str) for t in tokens) or len(set(named)) != len(named):
+        if index is None or not (len(index) == len(tokens) or (
+                len(index) == len(tokens) - 1 and unk is not None
+                and (index[tokens[unk]] != unk or tokens.index(tokens[unk]) != unk))):
             raise CheckpointError("vocabulary tokens must be distinct strings "
                                   "apart from the fallback row")
 
@@ -582,11 +642,11 @@ def load_checkpoint(path):
                                          np.empty((rows, 1), scalar))
 
         params = ModelParameters.build(config.k, config.r, d, empty)
-        table = EmbeddingTable(np.empty((counts[0], d), scalar))
-        if counts[1]:
-            table.trainable = Parameter("embeddings.oov",
-                                        np.empty((counts[1], d), scalar))
-        layout = _checkpoint_tensors(params, table)
+        weights = [(p.name, p.value) for p in params.trainable()]
+        # The table's tensors in _checkpoint_tensors' order.
+        tables = [("embeddings.oov", (counts[1], d))] if counts[1] else []
+        tables.append(("embeddings.frozen", (counts[0], d)))
+        layout = [(name, a.shape) for name, a in weights] + tables
         expected = _manifest(layout)
         if manifest != expected:
             i, got, want = next(
@@ -595,18 +655,35 @@ def load_checkpoint(path):
                 if got != want)
             raise CheckpointError(f"tensor manifest entry {i} is {got!s:.80}; the "
                                   f"config and vocabulary lay out {want}")
-        need = sum(8 + a.nbytes for _, a in layout)
+        need = sum(8 + m * n * scalar.itemsize for _, (m, n) in layout)
         if body != need:
             problem = "truncated data" if body < need else "trailing bytes"
             raise CheckpointError(f"{problem}: {body} bytes after the header, "
                                   f"the layout takes {need}")
-        for name, a in layout:
+        for name, a in weights:
             if struct.unpack("<II", handle.read(8)) != a.shape:
                 raise CheckpointError(f"shape mismatch for {name}")
             handle.readinto(a)
+        offsets = []
+        for name, shape in tables:
+            if struct.unpack("<II", handle.read(8)) != shape:
+                raise CheckpointError(f"shape mismatch for {name}")
+            offsets.append(handle.tell())
+            handle.seek(shape[0] * shape[1] * scalar.itemsize, os.SEEK_CUR)
+        try:
+            mapping = mmap.mmap(handle.fileno(), size, access=mmap.ACCESS_COPY)
+        except (OSError, ValueError) as exc:
+            raise CheckpointError(f"cannot map the embedding table: {exc}") from None
 
-    vocab = Vocabulary(tokens=tokens, index={t: i for i, t in enumerate(tokens)},
-                       frozen_count=counts[0], oov_count=counts[1], unk_index=unk)
+    views = []
+    for (_, shape), offset in zip(tables, offsets):
+        view = np.ndarray(shape, scalar, buffer=mapping, offset=offset)
+        views.append(view if view.flags.aligned else view.copy())
+    table = EmbeddingTable(views[-1])
+    if counts[1]:
+        table.trainable = Parameter("embeddings.oov", views[0])
+    vocab = Vocabulary(tokens=tokens, index=index, frozen_count=counts[0],
+                       oov_count=counts[1], unk_index=unk)
     return config, vocab, table, params
 
 

@@ -22,7 +22,13 @@ from treentail.autodiff import (
 from treentail.composer import dropout
 from treentail import trainer
 from treentail.data import ExamplePair, generate_toy, random_tree
-from treentail.embeddings import empty_vocabulary, load_pretrained, register_oov
+from treentail.embeddings import (
+    EmbeddingTable,
+    Vocabulary,
+    empty_vocabulary,
+    load_pretrained,
+    register_oov,
+)
 from treentail.entailment import (
     LABELS,
     loss_node,
@@ -898,6 +904,150 @@ class TestCheckpoint:
         path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
                          + data[start + header_len:])
         with pytest.raises(CheckpointError, match="embeddings.frozen"):
+            load_checkpoint(path)
+
+    def saved_with_frozen_rows(self, tmp_path, **overrides):
+        """``saved``'s model, over a table with three frozen rows as well."""
+        config = small_config(**overrides)
+        _, corpus_vocab, _, params = corpus_fixture(config)
+        frozen = ["p0", "p1", "p2"]
+        vocab = Vocabulary(tokens=list(frozen), frozen_count=len(frozen),
+                           index={t: i for i, t in enumerate(frozen)})
+        rows = np.random.default_rng(2).uniform(-1, 1, (len(frozen), config.d))
+        table = EmbeddingTable(rows.astype(config.dtype))
+        register_oov(vocab, table, corpus_vocab.tokens, np.random.default_rng(3))
+        path = tmp_path / "model.tent"
+        save_checkpoint(path, config, vocab, table, params)
+        return path, config, vocab, table, params
+
+    @staticmethod
+    def tables(table):
+        return {"frozen": table.frozen, "trainable": table.trainable.value}
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_new_file_tables_are_aligned_views_of_the_file(self, tmp_path, precision):
+        path, *_ = self.saved_with_frozen_rows(tmp_path, precision=precision)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+        assert (len(MAGIC) + 4 + header_len + 8) % 8 == 0  # the first scalar
+        header = data[len(MAGIC) + 4:len(MAGIC) + 4 + header_len]
+        assert json.loads(header) == json.loads(header.rstrip(b" "))
+        for name, a in self.tables(load_checkpoint(path)[2]).items():
+            assert a.flags.aligned and a.flags.c_contiguous, name
+            assert not a.flags.owndata and a.flags.writeable, name
+
+    def test_writing_into_a_loaded_table_leaves_the_file_unchanged(self, tmp_path):
+        path, *_ = self.saved_with_frozen_rows(tmp_path)
+        before = path.read_bytes()
+        _, _, table, _ = load_checkpoint(path)
+        table.trainable.value[...] = 7.0
+        table.frozen[...] = 7.0
+        assert path.read_bytes() == before
+        for name, a in self.tables(load_checkpoint(path)[2]).items():
+            assert (a != 7.0).all(), name
+
+    def test_loading_a_20k_row_table_allocates_under_a_quarter_of_it(self, tmp_path):
+        config = small_config(d=128)
+        vocab, table = empty_vocabulary(config.d)
+        register_oov(vocab, table, [f"w{i}" for i in range(20_000)],
+                     np.random.default_rng(0))
+        params = init_parameters(config, np.random.default_rng(1))
+        path = tmp_path / "big.tent"
+        save_checkpoint(path, config, vocab, table, params)
+        tracemalloc.start()
+        try:
+            _, got_vocab, got_table, _ = load_checkpoint(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(got_vocab) == 20_001
+        np.testing.assert_array_equal(got_table.trainable.value, table.trainable.value)
+        # Copying the 20 MB table would peak above it; the vocabulary's
+        # strings and index take about 2.5 MB.
+        assert peak < table.trainable.value.nbytes / 4
+
+    @pytest.mark.parametrize("precision", ["double", "single"])
+    def test_unpadded_file_loads_aligned_and_predicts_bit_identically(
+            self, tmp_path, precision):
+        path, config, *_ = self.saved_with_frozen_rows(tmp_path, precision=precision)
+        data = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", data, len(MAGIC))
+        start = len(MAGIC) + 4
+        # The header as a writer without padding wrote it, and if that
+        # happens to align the scalars, one space more so that it does not.
+        blob = json.dumps(json.loads(data[start:start + header_len]),
+                          sort_keys=True).encode()
+        itemsize = np.dtype(config.dtype).itemsize
+        while (start + len(blob) + 8) % itemsize == 0:
+            blob += b" "
+        old = tmp_path / "old.tent"
+        old.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob
+                        + data[start + header_len:])
+        new_model, old_model = load_checkpoint(path), load_checkpoint(old)
+        for name, a in self.tables(old_model[2]).items():
+            assert a.flags.aligned, name
+            np.testing.assert_array_equal(a, self.tables(new_model[2])[name])
+        premise = parse_tree("( ( a dog ) ( is sleeping ) )")
+        hypothesis = parse_tree("( ( a cat ) ( is awake ) )")
+        got = [predict(premise, hypothesis, vocab, table, params,
+                       use_dual=config.use_dual, dtype=config.dtype)
+               for config, vocab, table, params in (new_model, old_model)]
+        assert got[0].distribution.tobytes() == got[1].distribution.tobytes()
+        assert got[0].final_attention.tobytes() == got[1].final_attention.tobytes()
+
+    def test_saving_a_loaded_model_over_its_own_file(self, tmp_path):
+        path, *_ = self.saved_with_frozen_rows(tmp_path)
+        config, vocab, table, params = load_checkpoint(path)
+        before = {name: a.copy() for name, a in self.tables(table).items()}
+        save_checkpoint(path, config, vocab, table, params)
+        for name, a in self.tables(table).items():
+            np.testing.assert_array_equal(a, before[name])
+        _, _, got_table, got_params = load_checkpoint(path)
+        for name, a in self.tables(got_table).items():
+            assert a.tobytes() == before[name].tobytes(), name
+        for a, b in zip(got_params.trainable(), params.trainable()):
+            assert a.value.tobytes() == b.value.tobytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.tent"]
+
+    def test_a_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path):
+        path, config, vocab, table, params = self.saved(tmp_path)
+        before = path.read_bytes()
+        # The frozen rows are written last, after the header and the
+        # parameters, and a string does not convert to a scalar.
+        table.frozen = np.full((1, config.d), "x", dtype=object)
+        with pytest.raises(ValueError):
+            save_checkpoint(path, config, vocab, table, params)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.tent"]
+
+    def test_a_save_gives_the_mode_that_open_for_writing_gives(self, tmp_path):
+        path, config, vocab, table, params = self.saved(tmp_path)
+        reference = tmp_path / "reference"
+        reference.write_bytes(b"")
+        assert path.stat().st_mode == reference.stat().st_mode
+        path.chmod(0o640)
+        save_checkpoint(path, config, vocab, table, params)
+        assert path.stat().st_mode & 0o777 == 0o640
+
+    def test_a_save_through_a_symlink_writes_its_target(self, tmp_path):
+        path, config, vocab, table, params = self.saved(tmp_path)
+        link = tmp_path / "link.tent"
+        link.symlink_to(path.name)
+        params.classifier.bias.value[0, 0] += 1.0
+        save_checkpoint(link, config, vocab, table, params)
+        assert link.is_symlink()
+        got = load_checkpoint(path)[3].classifier.bias.value[0, 0]
+        assert got == params.classifier.bias.value[0, 0]
+
+    def test_a_file_that_cannot_be_mapped_is_a_checkpoint_error(self, tmp_path,
+                                                                monkeypatch):
+        path, *_ = self.saved(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise OSError(19, "No such device")
+
+        monkeypatch.setattr(trainer.mmap, "mmap", refuse)
+        with pytest.raises(CheckpointError, match="cannot map"):
             load_checkpoint(path)
 
 
