@@ -9,7 +9,7 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, Graph, Parameter, RowGrad, backward, grad_check, gradients
-from .composer import LstmParameters, NodeState, dropout, encode_tree, lstm_cell
+from .composer import LstmParameters, dropout, encode_tree, lstm_cell
 from .data import ExamplePair, generate_toy, load_snli
 from .embeddings import (
     EmbeddingTable,
@@ -48,7 +48,6 @@ __all__ = [
     "LABELS",
     "LstmParameters",
     "ModelParameters",
-    "NodeState",
     "Parameter",
     "RowGrad",
     "TrainConfig",

@@ -8,8 +8,10 @@ gives the reverse alignment; each is one row softmax.  The dual
 alignment multiplies the two views elementwise and renormalizes each
 row, which suppresses premise nodes the reverse view does not support;
 ``row_normalize`` adds :data:`RENORM_FLOOR` to every entry before it
-divides.  The attended contexts form one ``(k, |hyp|)`` matrix node, a
-column per hypothesis node.
+divides.  The scorer and the contexts read each tree's ``(k, n)`` h
+matrix node (:func:`~treentail.composer.walk_tree`), and the attended
+contexts form one ``(k, |hyp|)`` matrix node, a column per hypothesis
+node.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import ShapeMismatch
+from .composer import as_matrix
 
 # Additive floor that row_normalize applies to dual rows, so a row whose
 # forward and reverse masses have disjoint support still normalizes.
@@ -31,9 +34,10 @@ class NotOnePerRow(ValueError):
     pass
 
 
-def score_matrix(graph, hyp_vectors, prem_vectors, scorer):
+def score_matrix(graph, hyp_states, prem_states, scorer):
     """Pairwise scores: entry ``(i, j)`` is ``scorer([h_i; h_j])`` for
-    hypothesis node ``i`` and premise node ``j``.
+    hypothesis node ``i`` and premise node ``j``, from the two trees'
+    ``(k, n)`` h matrices (column ``i`` is node ``i``).
 
     Computed by splitting the scorer weight across the two halves of its
     input, which matches the per-pair affine definition up to float
@@ -43,15 +47,16 @@ def score_matrix(graph, hyp_vectors, prem_vectors, scorer):
     if scorer.out_dim != 1 or scorer.in_dim % 2 != 0:
         raise ShapeMismatch("scorer must map 2k inputs to one score")
     k = scorer.in_dim // 2
-    for v in list(hyp_vectors) + list(prem_vectors):
-        if v.shape != (k, 1):
-            raise ShapeMismatch(f"node vector shape {v.shape}, expected ({k}, 1)")
+    hyp, prem = as_matrix(graph, hyp_states), as_matrix(graph, prem_states)
+    for states in (hyp, prem):
+        if states.shape[0] != k:
+            raise ShapeMismatch(f"node vectors have {states.shape[0]} rows, expected {k}")
 
     weight = graph.parameter(scorer.weight)
     w_hyp = graph.take_col(weight, range(k))
     w_prem = graph.take_col(weight, range(k, 2 * k))
-    hyp_part = graph.transpose(graph.matmul(w_hyp, graph.stack_columns(hyp_vectors)))
-    prem_part = graph.matmul(w_prem, graph.stack_columns(prem_vectors))
+    hyp_part = graph.transpose(graph.matmul(w_hyp, hyp))
+    prem_part = graph.matmul(w_prem, prem)
     return graph.outer_sum(hyp_part, prem_part, graph.parameter(scorer.bias))
 
 
@@ -83,13 +88,14 @@ def dual_attention(graph, forward, reverse):
     return graph.row_normalize(raw, RENORM_FLOOR)
 
 
-def attended_context(graph, attention, prem_vectors):
+def attended_context(graph, attention, prem_states):
     """Expected premise vector under each hypothesis row's alignment.
 
-    Returns the ``(k, |hyp|)`` context matrix node whose column ``i``
-    is ``sum_j attention[i, j] * h_j``.
+    Takes the premise's ``(k, n)`` h matrix and returns the
+    ``(k, |hyp|)`` context matrix node whose column ``i`` is
+    ``sum_j attention[i, j] * h_j``.
     """
-    prem = graph.stack_columns(prem_vectors)
+    prem = as_matrix(graph, prem_states)
     if attention.shape[1] != prem.shape[1]:
         raise ShapeMismatch("attention columns do not match premise nodes")
     return graph.matmul(prem, graph.transpose(attention))

@@ -14,8 +14,8 @@ all outer products in one GEMM, then each slice added in place.  A
 weight shared by every node of a tree thus gets one dense gradient per
 graph instead of one per use; so does any matrix read a piece at a
 time, by :meth:`Graph.slice_rows` (a block of rows, or one entry of a
-column) or :meth:`Graph.take_col` (a column, a block of columns or a
-list of distinct columns).
+column), :meth:`Graph.take_col` (a column, a block of columns or a
+list of distinct columns) or :meth:`Graph.concat`'s column form.
 
 A parameter read by rows (an embedding table, see :meth:`Graph.parameter`)
 gets its gradient in row form instead, a :class:`RowGrad` over the rows
@@ -74,8 +74,9 @@ class OuterGrad(NamedTuple):
 
 class SliceGrad(NamedTuple):
     """Factored gradient of a matrix: zero except ``out[index] = g``,
-    for a rows slice ``np.s_[i:j, :]``, a columns slice ``np.s_[:, i:j]``
-    or ``(slice(None), ids)`` with distinct column ids."""
+    for a rows slice ``np.s_[i:j, :]``, a columns slice ``np.s_[:, i:j]``,
+    one column ``np.s_[:, j]`` (``g`` a vector) or ``(slice(None), ids)``
+    with distinct column ids."""
 
     index: tuple
     g: np.ndarray
@@ -208,6 +209,20 @@ class Node:
         return f"Node({self.op}, shape={self.value.shape})"
 
 
+def _column_index(j, n, op):
+    """The column read ``j`` of an ``n``-column matrix (see
+    :meth:`Graph.take_col`) as ``(index, ids)``: ``index`` is the read's
+    :class:`SliceGrad` index, and ``ids`` the list of ids to ``take``, or
+    None where ``index`` reads a view."""
+    ids = [j] if isinstance(j, (int, np.integer)) else list(j)
+    if not ids or len(set(ids)) < len(ids) or not all(0 <= i < n for i in ids):
+        raise ShapeMismatch(f"{op} columns {j} of a {n}-column matrix")
+    # backward adds a basic slice faster than an id list
+    if isinstance(j, range) and j.step == 1:
+        return np.s_[:, j.start:j.stop], None
+    return (np.s_[:, ids[0]:ids[0] + 1] if len(ids) == 1 else (slice(None), ids)), ids
+
+
 class Graph:
     """Append-only operation tape for a single example.
 
@@ -296,22 +311,31 @@ class Graph:
         av = a.value
         return self.record(np.log(av), (a,), lambda g: (g / av,), "log")
 
-    def concat(self, parts):
+    def concat(self, parts, cols=None):
         """Stack nodes with equal column counts vertically, preserving
-        argument order."""
+        argument order.  With ``cols`` (any column read of
+        :meth:`take_col`), stack only those columns of each part: one op
+        for a :meth:`take_col` of every part and their concat."""
         parts = list(parts)
         if not parts:
             raise EmptyVector("concat of no vectors")
         for p in parts:
             if p.shape[1] != parts[0].shape[1]:
                 raise ShapeMismatch("concat expects equal column counts")
-        sizes = [p.shape[0] for p in parts]
+        values = [p.value for p in parts]
+        if cols is not None:
+            index, ids = _column_index(cols, parts[0].shape[1], "concat")
+            values = [v[index] if ids is None else v.take(ids, axis=1) for v in values]
+        sizes = [v.shape[0] for v in values]
         offsets = np.concatenate(([0], np.cumsum(sizes)))
 
         def vjp(g):
-            return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+            pieces = (g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
+            if cols is None:
+                return tuple(pieces)
+            return tuple(SliceGrad(index, piece) for piece in pieces)
 
-        return self.record(np.vstack([p.value for p in parts]), parts, vjp, "concat")
+        return self.record(np.concatenate(values), parts, vjp, "concat")
 
     def slice_rows(self, a, start, stop):
         if not 0 <= start < stop <= a.shape[0]:
@@ -325,18 +349,8 @@ class Graph:
         """Column ``j`` of a matrix, or for a sequence ``j`` of distinct
         ids those columns side by side, in the sequence's order.  A
         ``range`` of step 1 reads the block ``a[:, start:stop]`` as a view."""
-        ids = [j] if isinstance(j, (int, np.integer)) else list(j)
-        if not ids or len(set(ids)) < len(ids) or not all(
-                0 <= i < a.shape[1] for i in ids):
-            raise ShapeMismatch(f"take_col {j} of {a.shape}")
-
-        # backward adds a basic slice faster than an id list
-        if isinstance(j, range) and j.step == 1:
-            index = np.s_[:, j.start:j.stop]
-            value = a.value[index]
-        else:
-            index = np.s_[:, ids[0]:ids[0] + 1] if len(ids) == 1 else (slice(None), ids)
-            value = a.value.take(ids, axis=1)
+        index, ids = _column_index(j, a.shape[1], "take_col")
+        value = a.value[index] if ids is None else a.value.take(ids, axis=1)
         return self.record(value, (a,), lambda g: (SliceGrad(index, g),), "take_col")
 
     def stack_columns(self, cols):

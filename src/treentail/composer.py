@@ -23,28 +23,28 @@ how the levels group the nodes; the tape-free forward in
 bit for bit.
 
 One level is recorded as one fused tape op with a hand-written backward
-rule, which keeps per-example graphs small.  The rule returns the
+rule, which keeps per-example graphs small: its value is the level's
+``(2k, m)`` state matrix ``[h; c]``, and it gathers its children's
+states from the lower levels' state matrices itself, so the tape holds
+one node per level and none per tree node.  The rule returns the
 gate-block weight's gradient factored (:class:`OuterGrad`), so
-``backward`` forms it with one GEMM over every level of the graph.  The
-backward rule is exercised directly by the finite-difference suite.
+``backward`` forms it with one GEMM over every level of the graph, and
+each lower level's share as one column slice (:class:`SliceGrad`).
+After the walk one op lays the levels' h rows out as the tree's
+``(k, n)`` h matrix in node-id order, the form attention and the
+relation walk read.  The backward rules are exercised directly by the
+finite-difference suite.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import AffineMap, OuterGrad, ShapeMismatch, sigmoid
+from .autodiff import AffineMap, Node, OuterGrad, ShapeMismatch, SliceGrad, sigmoid
 from .embeddings import embedding_node
-
-
-@dataclass
-class NodeState:
-    """Exposed vector ``h`` and cell memory ``c`` for one tree node."""
-
-    h: object
-    c: object
 
 
 @dataclass
@@ -95,50 +95,70 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
     return gates[3 * k:] * t, c, gates, u, t, inp, cols
 
 
-def lstm_cell(graph, params, x, left, right):
+def lstm_cell(graph, params, x, left=(), right=()):
     """One composition step over ``m`` nodes side by side.
 
-    ``x`` is the ``(d_in, m)`` input node, or None for a zero input;
-    ``left`` and ``right`` are the children's :class:`NodeState` with
-    ``(k, m)`` nodes, or both None for zero child states.  Returns the
-    new NodeState, with ``(k, m)`` nodes.  Output h satisfies
-    ``|h|_inf < 1`` because it is a product of a sigmoid gate and a tanh
-    of the memory.
+    ``x`` is the ``(d_in, m)`` input node, or None for a zero input.
+    ``left`` gathers the nodes' left child states from ``(2k, .)`` nodes
+    of ``[h; c]``: entry ``(node, at, columns)`` gives the nodes ``at``
+    the states in ``node``'s columns ``columns``, both numpy column
+    indexes (an id, a slice or distinct ids), and the entries' ``at``
+    cover ``range(m)`` once.  ``right`` gathers the right child states
+    alike; both empty means zero child states.  Returns the ``(2k, m)``
+    node ``[h; c]``, whose vjp hands each entry's node one column
+    :class:`SliceGrad`.  Output h satisfies ``|h|_inf < 1`` because it
+    is a product of a sigmoid gate and a tanh of the memory.
     """
     k = params.k_out
-    if (left is None) != (right is None) or (x is None and left is None):
+    if x is None and not left or bool(left) != bool(right):
         raise ShapeMismatch("a cell takes an input, both child states, or both")
-    m = (left.h if x is None else x).shape[1]
+    m = sum(_width(at) for _, at, _ in left) if x is None else x.shape[1]
     if x is not None and x.shape != (params.d_in, m):
         raise ShapeMismatch(f"cell input must be ({params.d_in}, {m}), got {x.shape}")
-    children = () if left is None else (left.h, right.h, left.c, right.c)
-    for state in children:
-        if state.shape != (k, m):
-            raise ShapeMismatch("child state width does not match the gate block")
+    for side in (left, right) if left else ():
+        width = 0
+        for node, at, _ in side:
+            if node.shape[0] != 2 * k:
+                raise ShapeMismatch(f"child states have {node.shape[0]} rows, not {2 * k}")
+            width += _width(at)
+        if width != m:
+            raise ShapeMismatch(f"child states fill {width} of {m} columns")
 
     wn = graph.parameter(params.block.weight)
     bn = graph.parameter(params.block.bias)
     wv = wn.value
     xv = None if x is None else x.value
-    h1, h2, c1, c2 = (s.value for s in children) if children else (None,) * 4
+    h1 = h2 = c1 = c2 = None
+    if left:
+        children = np.empty((2, 2 * k, m), graph.dtype)  # [h; c] per side
+        for hc, side in zip(children, (left, right)):
+            for node, at, columns in side:
+                hc[:, at] = node.value[:, columns]
+        (h1, h2), (c1, c2) = children[:, :k], children[:, k:]
     h, c, gates, u, t, inp, cols = cell_values(wv, bn.value, xv, h1, h2, c1, c2, k)
-    i_g, f1, f2, o = gates[:k], gates[k:2 * k], gates[2 * k:3 * k], gates[3 * k:]
+    i_g, o = gates[:k], gates[3 * k:]
 
     def vjp(g):
         gh, gc_ext = g[:k], g[k:]
         gc = gc_ext + gh * o * (1.0 - t * t)
-        if children:
-            gf1 = (gc * c1) * f1 * (1.0 - f1)
-            gf2 = (gc * c2) * f2 * (1.0 - f2)
+        # The gradient of the gate pre-activations, built in place block by
+        # block with the products, in their order, of
+        # [(gc*u)*i*(1-i); (gc*c1)*f1*(1-f1); (gc*c2)*f2*(1-f2);
+        #  (gh*t)*o*(1-o); (gc*i)*(1-u*u)]: the first four share a sigmoid's
+        # s*(1-s) factor, applied over all four at once.
+        gz = np.empty((5 * k, m), g.dtype)
+        np.multiply(gc, u, out=gz[:k])
+        if left:
+            np.multiply(gc, c1, out=gz[k:2 * k])
+            np.multiply(gc, c2, out=gz[2 * k:3 * k])
         else:
-            gf1 = gf2 = np.zeros_like(gc)
-        gz = np.concatenate((
-            (gc * u) * i_g * (1.0 - i_g),
-            gf1,
-            gf2,
-            (gh * t) * o * (1.0 - o),
-            (gc * i_g) * (1.0 - u * u),
-        ))
+            gz[k:3 * k] = 0.0
+        np.multiply(gh, t, out=gz[3 * k:4 * k])
+        sig = gz[:4 * k]
+        sig *= gates
+        sig *= 1.0 - gates
+        np.multiply(gc, i_g, out=gz[4 * k:])
+        gz[4 * k:] *= 1.0 - u * u
         ginp = wv[:, cols].T @ gz
         rows = inp
         if rows.shape[0] < wv.shape[1]:  # zero rows for the absent blocks
@@ -147,21 +167,30 @@ def lstm_cell(graph, params, x, left, right):
         grads = [OuterGrad(gz, rows), gz.sum(axis=1, keepdims=True)]
         if xv is not None:
             grads.append(ginp[:params.d_in])
-        if children:
-            off = ginp.shape[0] - 2 * k
-            grads += [ginp[off:off + k], ginp[off + k:], gc * f1, gc * f2]
+        if left:
+            # the [h; c] gradient of the left children, then of the right
+            sides = np.empty((2, 2 * k, m), g.dtype)
+            sides[:, :k] = ginp[-2 * k:].reshape(2, k, m)
+            np.multiply(gc, gates[k:3 * k].reshape(2, k, m), out=sides[:, k:])
+            for side, g_side in zip((left, right), sides):
+                grads += [SliceGrad((slice(None), columns), g_side[:, at])
+                          for _, at, columns in side]
         return tuple(grads)
 
-    stacked = graph.record(
-        np.vstack((h, c)),
-        (wn, bn) + (() if x is None else (x,)) + children,
+    return graph.record(
+        np.concatenate((h, c)),
+        (wn, bn) + (() if x is None else (x,)) + tuple(
+            node for node, _, _ in (*left, *right)),
         vjp,
         "lstm_cell",
     )
-    return NodeState(
-        h=graph.slice_rows(stacked, 0, k),
-        c=graph.slice_rows(stacked, k, 2 * k),
-    )
+
+
+def _width(index):
+    """How many columns a column index (an id, a slice or a sequence) reads."""
+    if isinstance(index, slice):
+        return index.stop - index.start
+    return 1 if isinstance(index, (int, np.integer)) else len(index)
 
 
 def dropout(graph, x, rate, rng=None):
@@ -180,41 +209,108 @@ def dropout(graph, x, rate, rng=None):
     return graph.hadamard(x, graph.constant(keep / (1.0 - rate), op="dropout_mask"))
 
 
+class NodeView(NamedTuple):
+    """One node's exposed vector, a ``(k, 1)`` column of a walk's h matrix."""
+
+    h: Node
+
+
+class TreeStates:
+    """A tree walked on the tape.  ``levels[t]`` is the ``(2k, m)`` node
+    ``[h; c]`` of ``tree.levels[t]``, and ``h`` the ``(k, n)`` node whose
+    column ``i`` is node ``i``'s exposed vector."""
+
+    def __init__(self, graph, levels, h):
+        self.graph, self.levels, self.h = graph, levels, h
+
+    # Per-node views, made on demand, for callers still written against
+    # per-node states (the benchmark's layer probe).  Delete them, and
+    # :func:`as_matrix`'s list form, once that probe takes matrices.
+    def __len__(self):
+        return self.h.shape[1]
+
+    def __getitem__(self, i):
+        return NodeView(self.graph.take_col(self.h, i))
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+
+def as_matrix(graph, vectors):
+    """A walk's ``(k, n)`` h matrix node as it is, or a list of ``(k, 1)``
+    nodes (per-node callers, see :class:`TreeStates`) stacked into one."""
+    return vectors if isinstance(vectors, Node) else graph.stack_columns(vectors)
+
+
 def walk_tree(graph, tree, params, inputs):
-    """Run the cell bottom-up over ``tree``; returns a NodeState per node id.
+    """Run the cell bottom-up over ``tree``; returns its :class:`TreeStates`.
 
     One :func:`lstm_cell` covers each level of ``tree.levels``, so a
     level of m nodes is one ``(5k, .) x (., m)`` product, not m products
-    of one column.  ``inputs(ids)`` gives the input node of the level
-    holding ``ids``, one column per id, or None for a zero input.  The
-    leaf level has no child states; every other level gathers its
-    children's states, which lie on lower levels.  Each returned state
-    has ``(k, 1)`` nodes.  The last bit of each state depends on how
-    the levels group the nodes, because BLAS rounds a product over
-    several columns differently from one column at a time.
+    of one column, and one ``(2k, m)`` tape node.  ``inputs(ids)`` gives
+    the input node of the level holding ``ids``, one column per id, or
+    None for a zero input.  The leaf level has no child states; every
+    other level's cell gathers its children from the lower levels' nodes,
+    one entry per lower level and side.  After the walk one op lays the
+    levels' h rows out as the tree's ``(k, n)`` h matrix, in node-id
+    order.  The last bit of each state depends on how the levels group
+    the nodes, because BLAS rounds a product over several columns
+    differently from one column at a time.
     """
-    states = [None] * tree.node_count
+    k = params.k_out
+    levels = []
+    slot = {}  # node id -> (height, position in its level)
     for height, ids in enumerate(tree.levels):
-        left = right = None
+        left = right = ()
         if height:
-            left = _gather(graph, [states[tree.lefts[i]] for i in ids])
-            right = _gather(graph, [states[tree.rights[i]] for i in ids])
-        out = lstm_cell(graph, params, inputs(ids), left, right)
-        if len(ids) == 1:
-            states[ids[0]] = out
-            continue
-        for j, i in enumerate(ids):
-            states[i] = NodeState(graph.take_col(out.h, j), graph.take_col(out.c, j))
-    return states
+            left = _children(levels, slot, [tree.lefts[i] for i in ids])
+            right = _children(levels, slot, [tree.rights[i] for i in ids])
+        levels.append(lstm_cell(graph, params, inputs(ids), left, right))
+        for position, i in enumerate(ids):
+            slot[i] = (height, position)
+
+    # a one-node level's column as a view
+    index = [slice(ids[0], ids[0] + 1) if len(ids) == 1 else ids for ids in tree.levels]
+    h = np.empty((k, tree.node_count), graph.dtype)
+    for ids, level in zip(index, levels):
+        h[:, ids] = level.value[:k]
+
+    def vjp(g):
+        return tuple(SliceGrad(np.s_[:k, :], g[:, ids]) for ids in index)
+
+    return TreeStates(graph, levels, graph.record(h, levels, vjp, "h_matrix"))
 
 
-def _gather(graph, states):
-    return NodeState(graph.stack_columns([s.h for s in states]),
-                     graph.stack_columns([s.c for s in states]))
+def _children(levels, slot, children):
+    """:func:`lstm_cell`'s gather entries for the child ids ``children``
+    of one side of a level: grouped by the level node that holds them,
+    lowest first."""
+    if len(children) == 1:
+        height, position = slot[children[0]]
+        return [(levels[height], 0, position)]
+    groups = {}
+    for at, child in enumerate(children):
+        height, position = slot[child]
+        ats, positions = groups.setdefault(height, ([], []))
+        ats.append(at)
+        positions.append(position)
+    return [(levels[height], _as_index(ats), _as_index(positions))
+            for height, (ats, positions) in sorted(groups.items())]
+
+
+def _as_index(ids):
+    """A list of column ids as a numpy index: the id itself for one, a
+    slice for a run counting up by one, else an integer array."""
+    if len(ids) == 1:
+        return ids[0]
+    if ids == list(range(ids[0], ids[0] + len(ids))):
+        return slice(ids[0], ids[0] + len(ids))
+    return np.array(ids)
 
 
 def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
-    """Encode every node of ``tree``; returns a NodeState per node id.
+    """Encode every node of ``tree``; returns its :class:`TreeStates`,
+    whose ``h`` is the tree's ``(k, n)`` h matrix.
 
     The leaf level reads its word vectors with one :func:`embedding_node`
     and, when ``rng`` is given, applies one :func:`dropout` mask, drawn

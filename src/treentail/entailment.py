@@ -33,7 +33,7 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
-from .composer import LstmParameters, cell_values, encode_tree, walk_tree
+from .composer import LstmParameters, as_matrix, cell_values, encode_tree, walk_tree
 from .embeddings import lookup_rows
 from .trees import forest_schedule
 
@@ -77,21 +77,23 @@ class ModelParameters:
         return params
 
 
-def compose_relations(graph, hypothesis, hyp_vectors, contexts, params):
+def compose_relations(graph, hypothesis, hyp_states, contexts, params):
     """Run the relation Tree-LSTM over the hypothesis tree.
 
-    Node ``i`` receives ``[hyp_vectors[i]; contexts[:, i]]`` as its
-    input, where ``contexts`` is :func:`attended_context`'s matrix; a
-    level stacks its nodes' inputs side by side and reads its contexts
-    with one column op.  Leaves start from zero child states.  Returns
-    one NodeState per node id (the relation vector is the ``h`` field).
+    Node ``i`` receives ``[h_i; contexts[:, i]]`` as its input, where
+    ``hyp_states`` is the hypothesis's ``(k, n)`` h matrix and
+    ``contexts`` :func:`attended_context`'s ``(k, n)`` matrix; a level
+    reads its nodes' inputs from the two with one ``concat``.  Leaves
+    start from zero child states.  Returns the relation walk's
+    :class:`~treentail.composer.TreeStates`: its ``h`` is the ``(r, n)``
+    matrix of relation vectors, and its top level holds the root's.
     """
-    if params.d_in != 2 * hyp_vectors[0].shape[0]:
+    hyp = as_matrix(graph, hyp_states)
+    if params.d_in != 2 * hyp.shape[0]:
         raise ShapeMismatch("relation block input must be twice the node width")
 
     def inputs(ids):
-        return graph.concat([graph.stack_columns([hyp_vectors[i] for i in ids]),
-                             graph.take_col(contexts, ids)])
+        return graph.concat([hyp, contexts], cols=ids)
 
     return walk_tree(graph, hypothesis, params, inputs)
 
@@ -130,7 +132,7 @@ class ForwardPass:
     forward_attention: object
     reverse_attention: object
     final_attention: object
-    relation_states: list
+    relation_states: object  # (r, |hyp|) node; column i is node i's relation vector
 
 
 def run_forward(graph, premise, hypothesis, vocab, table, params,
@@ -151,14 +153,10 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
     renormalization floor.  ``use_dual`` is kept as a faithful part of
     the configuration surface; it changes the arithmetic, not the math.
     """
-    prem_states = encode_tree(graph, premise, vocab, table, params.meaning,
-                              dropout_rate, rng)
-    hyp_states = encode_tree(graph, hypothesis, vocab, table, params.meaning,
-                             dropout_rate, rng)
-    hyp_h = [s.h for s in hyp_states]
-    prem_h = [s.h for s in prem_states]
+    prem = encode_tree(graph, premise, vocab, table, params.meaning, dropout_rate, rng).h
+    hyp = encode_tree(graph, hypothesis, vocab, table, params.meaning, dropout_rate, rng).h
 
-    scores = score_matrix(graph, hyp_h, prem_h, params.scorer)
+    scores = score_matrix(graph, hyp, prem, params.scorer)
     fwd = forward_attention(graph, scores)
     rev = None
     final = fwd
@@ -166,10 +164,11 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
         rev = reverse_attention(graph, scores)
         final = dual_attention(graph, fwd, rev)
 
-    contexts = attended_context(graph, final, prem_h)
-    relations = compose_relations(graph, hypothesis, hyp_h, contexts, params.relation)
-    dist = classify(graph, relations[hypothesis.root].h, params.classifier)
-    return ForwardPass(dist, fwd, rev, final, relations)
+    contexts = attended_context(graph, final, prem)
+    relations = compose_relations(graph, hypothesis, hyp, contexts, params.relation)
+    root = graph.slice_rows(relations.levels[-1], 0, params.relation.k_out)
+    dist = classify(graph, root, params.classifier)
+    return ForwardPass(dist, fwd, rev, final, relations.h)
 
 
 @dataclass

@@ -194,15 +194,15 @@ def test_criterion_5_composition_cell_oracle():
 
         g = Graph()
         block = LstmParameters(AffineMap.from_arrays("cell", w, b))
-        left = type("S", (), {})()
-        right = type("S", (), {})()
-        left.h, left.c = g.constant(h1.reshape(-1, 1)), g.constant(c1.reshape(-1, 1))
-        right.h, right.c = g.constant(h2.reshape(-1, 1)), g.constant(c2.reshape(-1, 1))
-        out = lstm_cell(g, block, g.constant(x.reshape(-1, 1)), left, right)
+        left = g.constant(np.concatenate((h1, c1)).reshape(-1, 1))
+        right = g.constant(np.concatenate((h2, c2)).reshape(-1, 1))
+        one = slice(0, 1)
+        out = lstm_cell(g, block, g.constant(x.reshape(-1, 1)),
+                        [(left, one, one)], [(right, one, one)])
         worst = max(
             worst,
-            float(np.abs(out.h.value[:, 0] - expect_h).max()),
-            float(np.abs(out.c.value[:, 0] - expect_c).max()),
+            float(np.abs(out.value[:k, 0] - expect_h).max()),
+            float(np.abs(out.value[k:, 0] - expect_c).max()),
         )
     assert report(
         5, worst <= 1e-12,

@@ -26,10 +26,10 @@ from treentail.autodiff import (
     gradients,
     sigmoid,
 )
-from treentail.composer import LstmParameters, NodeState, lstm_cell
+from treentail.composer import LstmParameters, lstm_cell
 from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
 
-from tape_helpers import total
+from tape_helpers import all_columns, total
 
 
 def test_sigmoid_matches_logistic_definition():
@@ -169,6 +169,11 @@ class TestForwardValues:
         np.testing.assert_array_equal(block, m.value[:, 1:3])
         assert np.shares_memory(block, m.value)
         assert g.stack_columns(cols[2:3]) is cols[2]
+        picked = g.concat([m, g.neg(m)], cols=[3, 1]).value
+        np.testing.assert_array_equal(picked, np.vstack((m.value, -m.value))[:, [3, 1]])
+        assert picked.flags["C_CONTIGUOUS"]
+        np.testing.assert_array_equal(g.concat([m, m], cols=range(1, 3)).value,
+                                      np.vstack((m.value, m.value))[:, 1:3])
 
     def test_affine_value(self):
         m = AffineMap.from_arrays("f", np.array([[1.0, 2.0], [3.0, 4.0]]),
@@ -313,12 +318,12 @@ class TestFactoredGradients:
         table = Parameter("t", rng.uniform(-1, 1, (6, d)))
         scale = Parameter("s", rng.uniform(-1, 1, (k, 1)))
         g = Graph(np.float32)
-        zero = NodeState(g.constant(np.zeros((k, 1))), g.constant(np.zeros((k, 1))))
+        zero = all_columns(g.constant(np.zeros((2 * k, 1))))
         tn = g.parameter(table)
         left = lstm_cell(g, block, _row(g, tn, 4), zero, zero)
         right = lstm_cell(g, block, _row(g, tn, 1), zero, zero)
-        root = lstm_cell(g, block, _row(g, tn, 4), left, right)
-        loss = total(g, g.hadamard(root.h, g.parameter(scale)))
+        root = lstm_cell(g, block, _row(g, tn, 4), all_columns(left), all_columns(right))
+        loss = total(g, g.hadamard(g.slice_rows(root, 0, k), g.parameter(scale)))
         grads = backward(g, loss)
         assert set(grads) == {block.block.weight, block.block.bias, table, scale}
         for p, grad in grads.items():
@@ -391,7 +396,9 @@ def _everything_build(seed):
         sl = g.take_col(th, range(2))                # (3, 2)
         af = g.affine(amap, g.take_col(sl, 1))       # (4, 1)
         nll = g.neg(g.log(g.slice_rows(g.softmax(af, axis=0), 1, 2)))
-        loss = total(g, g.concat([nll, total(g, g.take_col(h, [1, 0]))]))
+        picked = g.concat([sm, g.neg(rn)], cols=[2, 0])  # (4, 2)
+        loss = total(g, g.concat([nll, total(g, g.take_col(h, [1, 0])),
+                                  total(g, g.hadamard(picked, picked))]))
         return g, loss
 
     params = [a_p, b_p, amap.weight, amap.bias]
@@ -515,6 +522,8 @@ class TestNumericGuards:
         for cols in (2, [0, 2], [1, 1], [], range(1, 3), range(0)):
             with pytest.raises(ShapeMismatch):
                 g.take_col(a, cols)
+            with pytest.raises(ShapeMismatch):
+                g.concat([a, a], cols=cols)
         col, one = g.constant(np.ones((2, 1))), g.constant(np.ones((1, 1)))
         with pytest.raises(ShapeMismatch):
             g.outer_sum(col, col, one)  # the second term must be a row

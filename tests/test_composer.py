@@ -13,13 +13,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, grad_check
-from treentail.composer import LstmParameters, NodeState, encode_tree, lstm_cell
+from treentail.autodiff import (
+    AffineMap,
+    Graph,
+    Parameter,
+    ShapeMismatch,
+    backward,
+    grad_check,
+)
+from treentail.composer import LstmParameters, encode_tree, lstm_cell
 from treentail.data import random_tree
 from treentail.embeddings import empty_vocabulary, register_oov
 from treentail.trees import parse_tree
 
-from tape_helpers import total
+from tape_helpers import all_columns, total
 
 
 def make_block(k, d, rng, scale=1.0):
@@ -50,10 +57,9 @@ def scalar_cell(w, b, x, h1, h2, c1, c2, k):
     return h_out, c_out
 
 
-class FakeState:
-    def __init__(self, graph, h, c):
-        self.h = graph.constant(h)
-        self.c = graph.constant(c)
+def child(graph, h, c):
+    """A child gather of constant states ``h`` and ``c``, one column each."""
+    return all_columns(graph.constant(np.vstack((h, c))))
 
 
 class TestCellValues:
@@ -62,11 +68,11 @@ class TestCellValues:
         block = LstmParameters(AffineMap.from_arrays(
             "z", np.zeros((5 * k, d + 2 * k)), np.zeros((5 * k, 1))))
         g = Graph()
-        zero = FakeState(g, np.zeros((k, 1)), np.zeros((k, 1)))
+        zero = child(g, np.zeros((k, 1)), np.zeros((k, 1)))
         out = lstm_cell(g, block, g.constant(np.zeros((d, 1))), zero, zero)
         # gates are all 0.5 but the candidate tanh(0) = 0, so c = h = 0
-        np.testing.assert_array_equal(out.c.value, 0.0)
-        np.testing.assert_array_equal(out.h.value, 0.0)
+        np.testing.assert_array_equal(out.value[k:], 0.0)
+        np.testing.assert_array_equal(out.value[:k], 0.0)
 
     def test_zero_params_carry_half_of_child_memory(self):
         """With zero weights each forget gate is exactly 1/2, so the new
@@ -75,11 +81,11 @@ class TestCellValues:
         block = LstmParameters(AffineMap.from_arrays(
             "z", np.zeros((5 * k, d + 2 * k)), np.zeros((5 * k, 1))))
         g = Graph()
-        left = FakeState(g, np.zeros((k, 1)), np.ones((k, 1)))
-        right = FakeState(g, np.zeros((k, 1)), np.ones((k, 1)))
+        left = child(g, np.zeros((k, 1)), np.ones((k, 1)))
+        right = child(g, np.zeros((k, 1)), np.ones((k, 1)))
         out = lstm_cell(g, block, g.constant(np.zeros((d, 1))), left, right)
-        np.testing.assert_allclose(out.c.value, 1.0, atol=1e-15)
-        np.testing.assert_allclose(out.h.value, 0.5 * np.tanh(1.0), atol=1e-15)
+        np.testing.assert_allclose(out.value[k:], 1.0, atol=1e-15)
+        np.testing.assert_allclose(out.value[:k], 0.5 * np.tanh(1.0), atol=1e-15)
 
     def test_matches_scalar_transcription(self):
         k, d = 3, 4
@@ -90,14 +96,13 @@ class TestCellValues:
             h1, h2 = rng.standard_normal((2, k, 1))
             c1, c2 = rng.standard_normal((2, k, 1)) * 2
             g = Graph()
-            out = lstm_cell(g, block, g.constant(x),
-                            FakeState(g, h1, c1), FakeState(g, h2, c2))
+            out = lstm_cell(g, block, g.constant(x), child(g, h1, c1), child(g, h2, c2))
             h_ref, c_ref = scalar_cell(
                 block.block.weight.value, block.block.bias.value[:, 0],
                 x[:, 0], h1[:, 0], h2[:, 0], c1[:, 0], c2[:, 0], k)
-            np.testing.assert_allclose(out.h.value[:, 0], h_ref, atol=1e-12,
+            np.testing.assert_allclose(out.value[:k, 0], h_ref, atol=1e-12,
                                        err_msg=f"case {case} (h)")
-            np.testing.assert_allclose(out.c.value[:, 0], c_ref, atol=1e-12,
+            np.testing.assert_allclose(out.value[k:, 0], c_ref, atol=1e-12,
                                        err_msg=f"case {case} (c)")
 
     def test_exposed_vector_is_strictly_inside_unit_box(self):
@@ -107,17 +112,17 @@ class TestCellValues:
             g = Graph()
             out = lstm_cell(
                 g, block, g.constant(rng.standard_normal((6, 1)) * 4),
-                FakeState(g, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5),
-                FakeState(g, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5),
+                child(g, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5),
+                child(g, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5),
             )
-            assert np.abs(out.h.value).max() < 1.0
+            assert np.abs(out.value[:5]).max() < 1.0
 
     def test_shape_guards(self):
         rng = np.random.default_rng(0)
         block = make_block(2, 3, rng)
         g = Graph()
-        ok = FakeState(g, np.zeros((2, 1)), np.zeros((2, 1)))
-        bad = FakeState(g, np.zeros((3, 1)), np.zeros((3, 1)))
+        ok = child(g, np.zeros((2, 1)), np.zeros((2, 1)))
+        bad = child(g, np.zeros((3, 1)), np.zeros((3, 1)))
         with pytest.raises(ShapeMismatch):
             lstm_cell(g, block, g.constant(np.zeros((5, 1))), ok, ok)
         with pytest.raises(ShapeMismatch):
@@ -134,11 +139,11 @@ class TestCellValues:
         both, and every part must have the same m."""
         block = make_block(2, 3, np.random.default_rng(0))
         g = Graph()
-        pair = FakeState(g, np.zeros((2, 2)), np.zeros((2, 2)))
+        pair = child(g, np.zeros((2, 2)), np.zeros((2, 2)))
         x2, x3 = g.constant(np.zeros((3, 2))), g.constant(np.zeros((3, 3)))
-        assert lstm_cell(g, block, x2, None, None).h.shape == (2, 2)
-        assert lstm_cell(g, block, None, pair, pair).c.shape == (2, 2)
-        for x, left, right in ((None, None, None), (x2, pair, None), (None, None, pair),
+        assert lstm_cell(g, block, x2).shape == (4, 2)
+        assert lstm_cell(g, block, None, pair, pair).shape == (4, 2)
+        for x, left, right in ((None, (), ()), (x2, pair, ()), (None, (), pair),
                                (x3, pair, pair)):
             with pytest.raises(ShapeMismatch):
                 lstm_cell(g, block, x, left, right)
@@ -162,16 +167,11 @@ class TestCellGradients:
             def build():
                 g = Graph()
 
-                class S:
-                    pass
-
-                left, right = S(), S()
-                left.h = g.parameter(leaves["h1"])
-                left.c = g.parameter(leaves["c1"])
-                right.h = g.parameter(leaves["h2"])
-                right.c = g.parameter(leaves["c2"])
-                out = lstm_cell(g, block, g.parameter(leaves["x"]), left, right)
-                return g, total(g, g.tanh(g.concat([out.h, out.c])))
+                left = g.concat([g.parameter(leaves["h1"]), g.parameter(leaves["c1"])])
+                right = g.concat([g.parameter(leaves["h2"]), g.parameter(leaves["c2"])])
+                out = lstm_cell(g, block, g.parameter(leaves["x"]),
+                                all_columns(left), all_columns(right))
+                return g, total(g, g.tanh(out))
 
             checked = [block.block.weight, block.block.bias, *leaves.values()]
             worst = grad_check(build, checked, eps=1e-5)
@@ -192,17 +192,93 @@ class TestCellGradients:
         def build():
             g = Graph()
             x = g.parameter(leaves["x"]) if has_x else None
-            left = right = None
+            left = right = ()
             if has_children:
-                left = NodeState(g.parameter(leaves["h1"]), g.parameter(leaves["c1"]))
-                right = NodeState(g.parameter(leaves["h2"]), g.parameter(leaves["c2"]))
+                left = all_columns(g.concat([g.parameter(leaves["h1"]),
+                                             g.parameter(leaves["c1"])]))
+                right = all_columns(g.concat([g.parameter(leaves["h2"]),
+                                              g.parameter(leaves["c2"])]))
             out = lstm_cell(g, block, x, left, right)
-            assert out.h.shape == out.c.shape == (k, m)
-            return g, total(g, g.tanh(g.concat([out.h, out.c])))
+            assert out.shape == (2 * k, m)
+            return g, total(g, g.tanh(out))
 
         used = ["x"] * has_x + ["h1", "h2", "c1", "c2"] * has_children
         checked = [block.block.weight, block.block.bias, *(leaves[n] for n in used)]
         assert grad_check(build, checked, eps=1e-5) < 1e-4
+
+
+# Level 3 holds ( ( ( a b ) c ) d ) and ( ( e f ) ( ( g h ) i ) ), whose
+# children sit on levels 2 and 0, and 1 and 2.
+SPREAD = "( ( ( ( a b ) c ) d ) ( ( e f ) ( ( g h ) i ) ) )"
+
+
+class TestLevelGather:
+    def test_a_level_reads_children_from_three_lower_levels(self):
+        """Level 3's cell takes the nodes of levels 0, 1 and 2 as parents,
+        and its states equal a cell run on the children gathered by hand."""
+        d, k = 4, 3
+        vocab, table = toy_vocab(d, list("abcdefghi"))
+        block = make_block(k, d, np.random.default_rng(5), scale=0.5)
+        tree = parse_tree(SPREAD)
+        assert tree.levels[3] == (6, 15)  # children (4, 5) and (9, 14)
+        g = Graph()
+        states = encode_tree(g, tree, vocab, table, block)
+        levels = states.levels
+        # left children on levels 1 and 2, right children on levels 0 and 2
+        assert [p for p in levels[3].parents if p.op == "lstm_cell"] == [
+            levels[1], levels[2], levels[0], levels[2]]
+
+        def column(i):
+            height = next(h for h, ids in enumerate(tree.levels) if i in ids)
+            return levels[height].value[:, tree.levels[height].index(i)]
+
+        by_hand = lstm_cell(g, block, None,
+                            all_columns(g.constant(np.stack([column(4), column(9)], 1))),
+                            all_columns(g.constant(np.stack([column(5), column(14)], 1))))
+        np.testing.assert_array_equal(levels[3].value, by_hand.value)
+
+    def test_gather_passes_grad_check_into_h_and_c_rows(self):
+        """A cell of three columns whose children sit on three parameter
+        sources, read by an id, a slice and an id array: the gradient
+        reaches each source's h rows (through the gate product) and c
+        rows (through the forget gates)."""
+        k = 3
+        rng = np.random.default_rng(17)
+        block = make_block(k, 2, rng, scale=0.7)
+        sources = [Parameter(f"source{s}", rng.uniform(-0.9, 0.9, (2 * k, 5)))
+                   for s in range(3)]
+        probe = rng.standard_normal((2 * k, 3))
+
+        def build():
+            g = Graph()
+            s0, s1, s2 = (g.parameter(p) for p in sources)
+            left = [(s0, np.array([2, 0]), np.array([4, 1])), (s1, 1, 3)]
+            right = [(s2, slice(0, 2), slice(3, 5)), (s0, 2, 0)]
+            out = lstm_cell(g, block, None, left, right)
+            return g, total(g, g.hadamard(g.tanh(out), g.constant(probe)))
+
+        grads = backward(*build())
+        for p in sources:
+            assert np.abs(grads[p][:k]).max() > 0 and np.abs(grads[p][k:]).max() > 0
+        assert grad_check(build, [block.block.weight, block.block.bias, *sources],
+                          eps=1e-5) < 1e-4
+
+    def test_walk_passes_grad_check(self):
+        """The whole walk over that tree, every node's h in the loss."""
+        d, k = 4, 3
+        vocab, table = toy_vocab(d, list("abcdefghi"), scale=0.6)
+        block = make_block(k, d, np.random.default_rng(8), scale=0.5)
+        tree = parse_tree(SPREAD)
+        probe = np.random.default_rng(9).standard_normal((k, tree.node_count))
+
+        def build():
+            g = Graph()
+            states = encode_tree(g, tree, vocab, table, block)
+            return g, total(g, g.hadamard(g.tanh(states.h), g.constant(probe)))
+
+        worst = grad_check(
+            build, [block.block.weight, block.block.bias, table.trainable], eps=1e-5)
+        assert worst < 1e-4
 
 
 def toy_vocab(d, tokens, seed=0, scale=0.5):
@@ -226,9 +302,10 @@ class TestEncodeTree:
         s1 = encode_tree(g1, parse_tree("( ( a b ) c )"), vocab, table, block)
         g2 = Graph()
         s2 = encode_tree(g2, parse_tree("( ( a b ) ( c ( d d ) ) )"), vocab, table, block)
-        # node ids: leaves a=0, b=1 and their parent 2 in both trees
-        np.testing.assert_array_equal(s1[2].h.value, s2[2].h.value)
-        np.testing.assert_array_equal(s1[2].c.value, s2[2].c.value)
+        # node ids: leaves a=0, b=1 and their parent 2 in both trees, the
+        # first node of level 1 in both; the level's rows are [h; c]
+        np.testing.assert_array_equal(s1.h.value[:, 2], s2.h.value[:, 2])
+        np.testing.assert_array_equal(s1.levels[1].value[:, 0], s2.levels[1].value[:, 0])
 
     def test_single_leaf_tree(self):
         d = k = 2
@@ -236,8 +313,8 @@ class TestEncodeTree:
         block = make_block(k, d, np.random.default_rng(3))
         g = Graph()
         states = encode_tree(g, parse_tree("only"), vocab, table, block)
-        assert len(states) == 1
-        assert states[0].h.shape == (k, 1)
+        assert len(states.levels) == 1
+        assert states.h.shape == (k, 1)
 
     def test_rejects_width_mismatch(self):
         vocab, table = toy_vocab(3, ["a"])
@@ -254,7 +331,7 @@ class TestEncodeTree:
         def build():
             g = Graph()
             states = encode_tree(g, tree, vocab, table, block)
-            return g, total(g, states[tree.root].h)
+            return g, total(g, g.take_col(states.h, tree.root))
 
         worst = grad_check(
             build, [block.block.weight, block.block.bias, table.trainable],
@@ -270,7 +347,7 @@ class TestEncodeTree:
         def encode(rate, rng):
             g = Graph()
             states = encode_tree(g, tree, vocab, table, block, rate, rng)
-            return states[tree.root].h.value
+            return states.h.value[:, tree.root]
 
         base = encode(0.0, None)
         np.testing.assert_array_equal(base, encode(0.0, None))
@@ -311,4 +388,6 @@ class TestLevels:
         block = make_block(2, 3, np.random.default_rng(1))
         states = encode_tree(g, tree, vocab, table, block)
         assert sum(node.op == "lstm_cell" for node in g.nodes) == len(tree.levels)
-        assert [s.h.shape for s in states] == [(2, 1)] * tree.node_count
+        assert states.h.shape == (2, tree.node_count)
+        assert [level.shape for level in states.levels] == [
+            (4, len(ids)) for ids in tree.levels]

@@ -4,10 +4,17 @@ difference-quotient reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treentail.attention import reverse_attention
+from treentail.attention import (
+    attended_context,
+    forward_attention,
+    reverse_attention,
+    score_matrix,
+)
 from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, backward
-from treentail.composer import LstmParameters
+from treentail.composer import LstmParameters, encode_tree
 from treentail.embeddings import (
     EmbeddingTable,
     Vocabulary,
@@ -19,6 +26,7 @@ from treentail.entailment import (
     InvalidLabel,
     ModelParameters,
     classify,
+    compose_relations,
     cross_entropy,
     loss_node,
     node_confidences,
@@ -27,7 +35,7 @@ from treentail.entailment import (
     predict,
     run_forward,
 )
-from treentail.data import random_tree
+from treentail.data import generate_toy, leaf_tokens, random_tree
 from treentail.trainer import full_model_grad_check
 from treentail.trees import parse_tree
 
@@ -237,6 +245,67 @@ class TestRunForward:
                         vocab, table, bad)
 
 
+class TestTapeSize:
+    """The tape records a fixed number of nodes per tree level, never one
+    per tree node."""
+
+    @staticmethod
+    def tape_nodes(prem, hyp, vocab, table, params, rng):
+        g = Graph()
+        run = run_forward(g, prem, hyp, vocab, table, params, use_dual=True,
+                          dropout_rate=0.2, rng=rng)
+        loss_node(g, run.distribution, "neutral")
+        return len(g.nodes)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_prem=st.integers(1, 200),
+           n_hyp=st.integers(1, 200))
+    def test_tape_grows_with_tree_height_not_node_count(self, seed, n_prem, n_hyp):
+        """39 nodes per pair, one per premise level and three per
+        hypothesis level (its meaning cell, its relation input and its
+        relation cell), with dual attention and dropout on."""
+        vocab, table, params = toy_model(2, 2, 3, 3)
+        rng = np.random.default_rng(seed)
+        words = ["cat", "dog", "sat", "ran", "the"]
+        prem, hyp = (random_tree(rng, list(rng.choice(words, n))) for n in (n_prem, n_hyp))
+        levels = len(prem.levels) + len(hyp.levels)
+        assert self.tape_nodes(prem, hyp, vocab, table, params, rng) <= 40 + 3 * levels
+
+    def test_toy_recipe_records_under_100_nodes_per_example(self):
+        pairs = generate_toy(0, 60)
+        vocab, table = empty_vocabulary(4)
+        rng = np.random.default_rng(0)
+        register_oov(vocab, table, leaf_tokens(pairs), rng)
+        params = ModelParameters.build(4, 4, 4, lambda name, rows, cols: affine(
+            name, rows, cols, rng))
+        nodes = [self.tape_nodes(p.premise, p.hypothesis, vocab, table, params, rng)
+                 for p in pairs]
+        assert np.mean(nodes) < 100
+
+
+class TestPerNodeCallForms:
+    def test_lists_of_node_vectors_give_the_matrix_forms_bits(self):
+        """The per-node call forms (a walk iterated or indexed into
+        ``(k, 1)`` views, lists of them passed on) compute what the
+        matrix forms compute, bit for bit."""
+        vocab, table, params = toy_model(3, 4, 5, 2)
+        prem, hyp = (parse_tree(s) for s in PAIRS[1])
+        g = Graph()
+        p_states = encode_tree(g, prem, vocab, table, params.meaning)
+        h_states = encode_tree(g, hyp, vocab, table, params.meaning)
+        p_list, h_list = [s.h for s in p_states], [s.h for s in h_states]
+        assert len(p_list) == prem.node_count and all(v.shape == (3, 1) for v in p_list)
+        scores = score_matrix(g, h_list, p_list, params.scorer)
+        final = forward_attention(g, scores)
+        contexts = attended_context(g, final, p_list)
+        relations = compose_relations(g, hyp, h_list, contexts, params.relation)
+        dist = classify(g, relations[hyp.root].h, params.classifier)
+        run = run_forward(Graph(), prem, hyp, vocab, table, params)
+        np.testing.assert_array_equal(scores.value, run.forward_attention.parents[0].value)
+        np.testing.assert_array_equal(relations.h.value, run.relation_states.value)
+        np.testing.assert_array_equal(dist.value, run.distribution.value)
+
+
 def assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype):
     """Every output of predict equals the tape's value bit for bit."""
     g = Graph(dtype)
@@ -247,7 +316,7 @@ def assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype):
         # Without dual the tape records no reverse view; take the column
         # softmax of the scores its forward attention normalized.
         reverse = reverse_attention(g, run.forward_attention.parents[0])
-    relations = np.hstack([s.h.value for s in run.relation_states]).T
+    relations = run.relation_states.value.T
     for got, want in ((out.distribution, run.distribution.value[:, 0]),
                       (out.forward_attention, run.forward_attention.value),
                       (out.reverse_attention, reverse.value),
