@@ -9,7 +9,7 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, Graph, Parameter, RowGrad, backward, grad_check, gradients
-from .composer import LstmParameters, dropout, encode_tree, lstm_cell
+from .composer import LstmParameters, dropout, encode_tree
 from .data import ExamplePair, generate_toy, load_snli
 from .embeddings import (
     EmbeddingTable,
@@ -72,7 +72,6 @@ __all__ = [
     "load_pretrained",
     "load_snli",
     "lookup",
-    "lstm_cell",
     "mix_alignments",
     "parameter_count",
     "parse_tree",

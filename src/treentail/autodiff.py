@@ -14,8 +14,7 @@ all outer products in one GEMM, then each slice added in place.  A
 weight shared by every node of a tree thus gets one dense gradient per
 graph instead of one per use; so does any matrix read a piece at a
 time, by :meth:`Graph.slice_rows` (a block of rows, or one entry of a
-column), :meth:`Graph.take_col` (a column, a block of columns or a
-list of distinct columns) or :meth:`Graph.concat`'s column form.
+column) or :meth:`Graph.take_col` (a column or a block of columns).
 
 A parameter read by rows (an embedding table, see :meth:`Graph.parameter`)
 gets its gradient in row form instead, a :class:`RowGrad` over the rows
@@ -74,9 +73,7 @@ class OuterGrad(NamedTuple):
 
 class SliceGrad(NamedTuple):
     """Factored gradient of a matrix: zero except ``out[index] = g``,
-    for a rows slice ``np.s_[i:j, :]``, a columns slice ``np.s_[:, i:j]``,
-    one column ``np.s_[:, j]`` (``g`` a vector) or ``(slice(None), ids)``
-    with distinct column ids."""
+    for a rows slice ``np.s_[i:j, :]`` or a columns slice ``np.s_[:, i:j]``."""
 
     index: tuple
     g: np.ndarray
@@ -209,20 +206,6 @@ class Node:
         return f"Node({self.op}, shape={self.value.shape})"
 
 
-def _column_index(j, n, op):
-    """The column read ``j`` of an ``n``-column matrix (see
-    :meth:`Graph.take_col`) as ``(index, ids)``: ``index`` is the read's
-    :class:`SliceGrad` index, and ``ids`` the list of ids to ``take``, or
-    None where ``index`` reads a view."""
-    ids = [j] if isinstance(j, (int, np.integer)) else list(j)
-    if not ids or len(set(ids)) < len(ids) or not all(0 <= i < n for i in ids):
-        raise ShapeMismatch(f"{op} columns {j} of a {n}-column matrix")
-    # backward adds a basic slice faster than an id list
-    if isinstance(j, range) and j.step == 1:
-        return np.s_[:, j.start:j.stop], None
-    return (np.s_[:, ids[0]:ids[0] + 1] if len(ids) == 1 else (slice(None), ids)), ids
-
-
 class Graph:
     """Append-only operation tape for a single example.
 
@@ -311,31 +294,21 @@ class Graph:
         av = a.value
         return self.record(np.log(av), (a,), lambda g: (g / av,), "log")
 
-    def concat(self, parts, cols=None):
+    def concat(self, parts):
         """Stack nodes with equal column counts vertically, preserving
-        argument order.  With ``cols`` (any column read of
-        :meth:`take_col`), stack only those columns of each part: one op
-        for a :meth:`take_col` of every part and their concat."""
+        argument order."""
         parts = list(parts)
         if not parts:
             raise EmptyVector("concat of no vectors")
         for p in parts:
             if p.shape[1] != parts[0].shape[1]:
                 raise ShapeMismatch("concat expects equal column counts")
-        values = [p.value for p in parts]
-        if cols is not None:
-            index, ids = _column_index(cols, parts[0].shape[1], "concat")
-            values = [v[index] if ids is None else v.take(ids, axis=1) for v in values]
-        sizes = [v.shape[0] for v in values]
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
+        offsets = np.cumsum([0] + [p.shape[0] for p in parts])
 
         def vjp(g):
-            pieces = (g[offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-            if cols is None:
-                return tuple(pieces)
-            return tuple(SliceGrad(index, piece) for piece in pieces)
+            return tuple(g[offsets[i]:offsets[i + 1]] for i in range(len(parts)))
 
-        return self.record(np.concatenate(values), parts, vjp, "concat")
+        return self.record(np.concatenate([p.value for p in parts]), parts, vjp, "concat")
 
     def slice_rows(self, a, start, stop):
         if not 0 <= start < stop <= a.shape[0]:
@@ -346,12 +319,17 @@ class Graph:
                            "slice_rows")
 
     def take_col(self, a, j):
-        """Column ``j`` of a matrix, or for a sequence ``j`` of distinct
-        ids those columns side by side, in the sequence's order.  A
-        ``range`` of step 1 reads the block ``a[:, start:stop]`` as a view."""
-        index, ids = _column_index(j, a.shape[1], "take_col")
-        value = a.value[index] if ids is None else a.value.take(ids, axis=1)
-        return self.record(value, (a,), lambda g: (SliceGrad(index, g),), "take_col")
+        """Column ``j`` of a matrix, or for a ``range`` ``j`` of step 1 the
+        block ``a[:, j.start:j.stop]``; either is read as a view."""
+        n = a.shape[1]
+        if isinstance(j, range) and j.step == 1 and 0 <= j.start < j.stop <= n:
+            index = np.s_[:, j.start:j.stop]
+        elif isinstance(j, (int, np.integer)) and 0 <= j < n:
+            index = np.s_[:, j:j + 1]
+        else:
+            raise ShapeMismatch(f"take_col columns {j} of a {n}-column matrix")
+        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
+                           "take_col")
 
     def stack_columns(self, cols):
         """Pack column vectors side by side into one matrix; a single

@@ -12,28 +12,29 @@ with both (the relation encoder's internal nodes).  The memory vector
 ``c`` stays private to the cell: consumers of the tree only ever read
 ``h``.
 
-:func:`walk_tree` runs the cell once per tree level
-(:attr:`BinaryTree.levels`, the nodes of one height) on that level's
-nodes side by side, so a level costs one matrix product however many
-nodes it holds.  BLAS rounds a product over several columns differently
+:func:`walk_values` runs the cell once per level of a schedule
+(:func:`~treentail.trees.forest_schedule`: the nodes of one height,
+in forest ids) on that level's nodes side by side, so a level costs one
+matrix product however many nodes it holds.  Each level gathers its
+children's states by forest id and writes its own h and c columns.
+Both paths run it: the tape on one tree's cached schedule, and the
+tape-free forward in :mod:`treentail.entailment` on a forest of a
+chunk's trees.  BLAS rounds a product over several columns differently
 from one column at a time, so the last bit of every state depends on
-how the levels group the nodes; the tape-free forward in
-:mod:`treentail.entailment` runs the same schedule through the same
-:func:`cell_values` on the same memory layouts, and matches the tape
-bit for bit.
+how the levels group the nodes; a lone tree's tape-free walk groups and
+lays out its operands as the tape does, and matches it bit for bit.
 
-One level is recorded as one fused tape op with a hand-written backward
-rule, which keeps per-example graphs small: its value is the level's
-``(2k, m)`` state matrix ``[h; c]``, and it gathers its children's
-states from the lower levels' state matrices itself, so the tape holds
-one node per level and none per tree node.  The rule returns the
-gate-block weight's gradient factored (:class:`OuterGrad`), so
-``backward`` forms it with one GEMM over every level of the graph, and
-each lower level's share as one column slice (:class:`SliceGrad`).
-After the walk one op lays the levels' h rows out as the tree's
-``(k, n)`` h matrix in node-id order, the form attention and the
-relation walk read.  The backward rules are exercised directly by the
-finite-difference suite.
+On the tape, :func:`walk_tree` records a whole walk as one fused op
+with a hand-written backward rule, so the tape holds one node per tree
+walk, none per level or tree node.  Its value is the tree's ``(k, n)``
+h matrix in node-id order, the form attention and the relation walk
+read; its one input node is the leaves' word vectors (meaning walk) or
+every node's ``[h; context]`` column (relation walk).  The backward
+sweeps the levels top down, routing each level's child gradients into
+the ``[h; c]`` gradient of the nodes below, and returns the gate-block
+weight's gradient factored (:class:`OuterGrad`), so ``backward`` forms
+it with one GEMM over every level of the graph.  The backward rule is
+exercised directly by the finite-difference suite.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .autodiff import AffineMap, Node, OuterGrad, ShapeMismatch, SliceGrad, sigmoid
+from .autodiff import AffineMap, Node, NonFiniteValue, OuterGrad, ShapeMismatch, sigmoid
 from .embeddings import embedding_node
 
 
@@ -95,102 +96,42 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
     return gates[3 * k:] * t, c, gates, u, t, inp, cols
 
 
-def lstm_cell(graph, params, x, left=(), right=()):
-    """One composition step over ``m`` nodes side by side.
+def walk_values(schedule, x, w, b, k, kept=None):
+    """The walk's arithmetic without a tape: one :func:`cell_values` per
+    level of ``schedule`` (:func:`~treentail.trees.forest_schedule`),
+    lowest first.  Each level gathers its children's states by forest
+    id, and writes its own h and c columns.
 
-    ``x`` is the ``(d_in, m)`` input node, or None for a zero input.
-    ``left`` gathers the nodes' left child states from ``(2k, .)`` nodes
-    of ``[h; c]``: entry ``(node, at, columns)`` gives the nodes ``at``
-    the states in ``node``'s columns ``columns``, both numpy column
-    indexes (an id, a slice or distinct ids), and the entries' ``at``
-    cover ``range(m)`` once.  ``right`` gathers the right child states
-    alike; both empty means zero child states.  Returns the ``(2k, m)``
-    node ``[h; c]``, whose vjp hands each entry's node one column
-    :class:`SliceGrad`.  Output h satisfies ``|h|_inf < 1`` because it
-    is a product of a sigmoid gate and a tanh of the memory.
+    ``x`` is the ``(d_in, .)`` input: one column per leaf, in leaf-level
+    order, feeds the leaf level only; one column per node feeds every
+    node.  Returns the forest's ``(k, n)`` h and c matrices.  ``kept``,
+    if given, receives each level's ``(gates, u, t, inp, cols)``, which
+    the tape's backward rule reads.
     """
-    k = params.k_out
-    if x is None and not left or bool(left) != bool(right):
-        raise ShapeMismatch("a cell takes an input, both child states, or both")
-    m = sum(_width(at) for _, at, _ in left) if x is None else x.shape[1]
-    if x is not None and x.shape != (params.d_in, m):
-        raise ShapeMismatch(f"cell input must be ({params.d_in}, {m}), got {x.shape}")
-    for side in (left, right) if left else ():
-        width = 0
-        for node, at, _ in side:
-            if node.shape[0] != 2 * k:
-                raise ShapeMismatch(f"child states have {node.shape[0]} rows, not {2 * k}")
-            width += _width(at)
-        if width != m:
-            raise ShapeMismatch(f"child states fill {width} of {m} columns")
-
-    wn = graph.parameter(params.block.weight)
-    bn = graph.parameter(params.block.bias)
-    wv = wn.value
-    xv = None if x is None else x.value
-    h1 = h2 = c1 = c2 = None
-    if left:
-        children = np.empty((2, 2 * k, m), graph.dtype)  # [h; c] per side
-        for hc, side in zip(children, (left, right)):
-            for node, at, columns in side:
-                hc[:, at] = node.value[:, columns]
-        (h1, h2), (c1, c2) = children[:, :k], children[:, k:]
-    h, c, gates, u, t, inp, cols = cell_values(wv, bn.value, xv, h1, h2, c1, c2, k)
-    i_g, o = gates[:k], gates[3 * k:]
-
-    def vjp(g):
-        gh, gc_ext = g[:k], g[k:]
-        gc = gc_ext + gh * o * (1.0 - t * t)
-        # The gradient of the gate pre-activations, built in place block by
-        # block with the products, in their order, of
-        # [(gc*u)*i*(1-i); (gc*c1)*f1*(1-f1); (gc*c2)*f2*(1-f2);
-        #  (gh*t)*o*(1-o); (gc*i)*(1-u*u)]: the first four share a sigmoid's
-        # s*(1-s) factor, applied over all four at once.
-        gz = np.empty((5 * k, m), g.dtype)
-        np.multiply(gc, u, out=gz[:k])
-        if left:
-            np.multiply(gc, c1, out=gz[k:2 * k])
-            np.multiply(gc, c2, out=gz[2 * k:3 * k])
+    offsets, levels = schedule
+    hs = np.empty((k, offsets[-1]), w.dtype)
+    cs = np.empty_like(hs)
+    every = x.shape[1] == offsets[-1]
+    for ids, lefts, rights in levels:
+        h1 = h2 = c1 = c2 = None
+        if lefts is not None:
+            h1, h2 = _cols(hs, lefts), _cols(hs, rights)
+            c1, c2 = _cols(cs, lefts), _cols(cs, rights)
+        if every:
+            inputs = _cols(x, ids)
         else:
-            gz[k:3 * k] = 0.0
-        np.multiply(gh, t, out=gz[3 * k:4 * k])
-        sig = gz[:4 * k]
-        sig *= gates
-        sig *= 1.0 - gates
-        np.multiply(gc, i_g, out=gz[4 * k:])
-        gz[4 * k:] *= 1.0 - u * u
-        ginp = wv[:, cols].T @ gz
-        rows = inp
-        if rows.shape[0] < wv.shape[1]:  # zero rows for the absent blocks
-            rows = np.zeros((wv.shape[1], m), gz.dtype)
-            rows[cols] = inp
-        grads = [OuterGrad(gz, rows), gz.sum(axis=1, keepdims=True)]
-        if xv is not None:
-            grads.append(ginp[:params.d_in])
-        if left:
-            # the [h; c] gradient of the left children, then of the right
-            sides = np.empty((2, 2 * k, m), g.dtype)
-            sides[:, :k] = ginp[-2 * k:].reshape(2, k, m)
-            np.multiply(gc, gates[k:3 * k].reshape(2, k, m), out=sides[:, k:])
-            for side, g_side in zip((left, right), sides):
-                grads += [SliceGrad((slice(None), columns), g_side[:, at])
-                          for _, at, columns in side]
-        return tuple(grads)
-
-    return graph.record(
-        np.concatenate((h, c)),
-        (wn, bn) + (() if x is None else (x,)) + tuple(
-            node for node, _, _ in (*left, *right)),
-        vjp,
-        "lstm_cell",
-    )
+            inputs = x if lefts is None else None
+        hs[:, ids], cs[:, ids], *rest = cell_values(w, b, inputs, h1, h2, c1, c2, k)
+        if kept is not None:
+            kept.append(rest)
+    return hs, cs
 
 
-def _width(index):
-    """How many columns a column index (an id, a slice or a sequence) reads."""
-    if isinstance(index, slice):
-        return index.stop - index.start
-    return 1 if isinstance(index, (int, np.integer)) else len(index)
+def _cols(a, ix):
+    """Columns ``ix`` of ``a``: a view for a slice, else a C-ordered copy
+    (``a[:, ids]`` would be Fortran-ordered, and BLAS may round a product
+    of the two layouts differently)."""
+    return a[:, ix] if isinstance(ix, slice) else a.take(ix, axis=1)
 
 
 def dropout(graph, x, rate, rng=None):
@@ -216,12 +157,11 @@ class NodeView(NamedTuple):
 
 
 class TreeStates:
-    """A tree walked on the tape.  ``levels[t]`` is the ``(2k, m)`` node
-    ``[h; c]`` of ``tree.levels[t]``, and ``h`` the ``(k, n)`` node whose
+    """A tree walked on the tape: ``h`` is the ``(k, n)`` node whose
     column ``i`` is node ``i``'s exposed vector."""
 
-    def __init__(self, graph, levels, h):
-        self.graph, self.levels, self.h = graph, levels, h
+    def __init__(self, graph, h):
+        self.graph, self.h = graph, h
 
     # Per-node views, made on demand, for callers still written against
     # per-node states (the benchmark's layer probe).  Delete them, and
@@ -242,70 +182,85 @@ def as_matrix(graph, vectors):
     return vectors if isinstance(vectors, Node) else graph.stack_columns(vectors)
 
 
-def walk_tree(graph, tree, params, inputs):
-    """Run the cell bottom-up over ``tree``; returns its :class:`TreeStates`.
+def walk_tree(graph, tree, params, x):
+    """Run the cell bottom-up over ``tree`` as one tape op, named
+    ``lstm_cell``; returns its :class:`TreeStates`.
 
-    One :func:`lstm_cell` covers each level of ``tree.levels``, so a
-    level of m nodes is one ``(5k, .) x (., m)`` product, not m products
-    of one column, and one ``(2k, m)`` tape node.  ``inputs(ids)`` gives
-    the input node of the level holding ``ids``, one column per id, or
-    None for a zero input.  The leaf level has no child states; every
-    other level's cell gathers its children from the lower levels' nodes,
-    one entry per lower level and side.  After the walk one op lays the
-    levels' h rows out as the tree's ``(k, n)`` h matrix, in node-id
-    order.  The last bit of each state depends on how the levels group
-    the nodes, because BLAS rounds a product over several columns
-    differently from one column at a time.
+    ``x`` is the walk's ``(d_in, .)`` input node: one column per leaf
+    feeds the leaf level only (the meaning walk), one column per node
+    feeds every node (the relation walk).  The forward is
+    :func:`walk_values` over ``tree.schedule``, so a level of m nodes is
+    one ``(5k, .) x (., m)`` product.  The backward sweeps the levels top
+    down, adding each level's child gradients into the ``[h; c]``
+    gradient of the nodes below, and hands the gate weight one
+    :class:`OuterGrad` and the bias one dense part per level, top level
+    first: the parents are ``(W, b)`` once per level, then ``x``.
     """
-    k = params.k_out
-    levels = []
-    slot = {}  # node id -> (height, position in its level)
-    for height, ids in enumerate(tree.levels):
-        left = right = ()
-        if height:
-            left = _children(levels, slot, [tree.lefts[i] for i in ids])
-            right = _children(levels, slot, [tree.rights[i] for i in ids])
-        levels.append(lstm_cell(graph, params, inputs(ids), left, right))
-        for position, i in enumerate(ids):
-            slot[i] = (height, position)
-
-    # a one-node level's column as a view
-    index = [slice(ids[0], ids[0] + 1) if len(ids) == 1 else ids for ids in tree.levels]
-    h = np.empty((k, tree.node_count), graph.dtype)
-    for ids, level in zip(index, levels):
-        h[:, ids] = level.value[:k]
+    k, d, n = params.k_out, params.d_in, tree.node_count
+    if x.shape not in ((d, len(tree.levels[0])), (d, n)):
+        raise ShapeMismatch(f"walk input must be ({d}, leaves) or ({d}, {n}), got {x.shape}")
+    wn = graph.parameter(params.block.weight)
+    bn = graph.parameter(params.block.bias)
+    wv = wn.value
+    levels = tree.schedule[1]
+    kept = []
+    hs, cs = walk_values(tree.schedule, x.value, wv, bn.value, k, kept)
+    # the op's value is h; c never leaves the op, so check it here
+    if not np.isfinite(cs).all():
+        raise NonFiniteValue("non-finite value produced by op 'lstm_cell'")
+    every = x.shape[1] == n
 
     def vjp(g):
-        return tuple(SliceGrad(np.s_[:k, :], g[:, ids]) for ids in index)
+        gs = np.zeros((2 * k, n), g.dtype)  # the [h; c] gradient of every node
+        gs[:k] += g
+        gx = np.zeros(x.shape, g.dtype) if every else None
+        grads = []
+        for (ids, lefts, rights), (gates, u, t, inp, cols) in zip(reversed(levels),
+                                                                 reversed(kept)):
+            g_level = _cols(gs, ids)
+            gh, gc_ext = g_level[:k], g_level[k:]
+            m = gh.shape[1]
+            i_g, o = gates[:k], gates[3 * k:]
+            gc = gc_ext + gh * o * (1.0 - t * t)
+            # The gradient of the gate pre-activations, built in place block
+            # by block with the products, in their order, of
+            # [(gc*u)*i*(1-i); (gc*c1)*f1*(1-f1); (gc*c2)*f2*(1-f2);
+            #  (gh*t)*o*(1-o); (gc*i)*(1-u*u)]: the first four share a
+            # sigmoid's s*(1-s) factor, applied over all four at once.
+            gz = np.empty((5 * k, m), g.dtype)
+            np.multiply(gc, u, out=gz[:k])
+            if lefts is not None:
+                np.multiply(gc, _cols(cs, lefts), out=gz[k:2 * k])
+                np.multiply(gc, _cols(cs, rights), out=gz[2 * k:3 * k])
+            else:
+                gz[k:3 * k] = 0.0
+            np.multiply(gh, t, out=gz[3 * k:4 * k])
+            sig = gz[:4 * k]
+            sig *= gates
+            sig *= 1.0 - gates
+            np.multiply(gc, i_g, out=gz[4 * k:])
+            gz[4 * k:] *= 1.0 - u * u
+            ginp = wv[:, cols].T @ gz
+            rows = inp
+            if rows.shape[0] < wv.shape[1]:  # zero rows for the absent blocks
+                rows = np.zeros((wv.shape[1], m), gz.dtype)
+                rows[cols] = inp
+            grads += [OuterGrad(gz, rows), gz.sum(axis=1, keepdims=True)]
+            if every:
+                gx[:, ids] += ginp[:d]
+            elif lefts is None:
+                gx = ginp[:d]
+            if lefts is not None:
+                # the [h; c] gradient of the left children, then of the right
+                sides = np.empty((2, 2 * k, m), g.dtype)
+                sides[:, :k] = ginp[-2 * k:].reshape(2, k, m)
+                np.multiply(gc, gates[k:3 * k].reshape(2, k, m), out=sides[:, k:])
+                gs[:, lefts] += sides[0]
+                gs[:, rights] += sides[1]
+        return (*grads, gx)
 
-    return TreeStates(graph, levels, graph.record(h, levels, vjp, "h_matrix"))
-
-
-def _children(levels, slot, children):
-    """:func:`lstm_cell`'s gather entries for the child ids ``children``
-    of one side of a level: grouped by the level node that holds them,
-    lowest first."""
-    if len(children) == 1:
-        height, position = slot[children[0]]
-        return [(levels[height], 0, position)]
-    groups = {}
-    for at, child in enumerate(children):
-        height, position = slot[child]
-        ats, positions = groups.setdefault(height, ([], []))
-        ats.append(at)
-        positions.append(position)
-    return [(levels[height], _as_index(ats), _as_index(positions))
-            for height, (ats, positions) in sorted(groups.items())]
-
-
-def _as_index(ids):
-    """A list of column ids as a numpy index: the id itself for one, a
-    slice for a run counting up by one, else an integer array."""
-    if len(ids) == 1:
-        return ids[0]
-    if ids == list(range(ids[0], ids[0] + len(ids))):
-        return slice(ids[0], ids[0] + len(ids))
-    return np.array(ids)
+    h = graph.record(hs, (wn, bn) * len(levels) + (x,), vjp, "lstm_cell")
+    return TreeStates(graph, h)
 
 
 def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
@@ -319,11 +274,5 @@ def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
     d = params.d_in
     if table.dim != d:
         raise ShapeMismatch(f"embedding width {table.dim} vs cell input {d}")
-
-    def inputs(ids):
-        if not tree.is_leaf(ids[0]):
-            return None
-        words = embedding_node(graph, vocab, table, [tree.tokens[i] for i in ids])
-        return dropout(graph, words, dropout_rate, rng)
-
-    return walk_tree(graph, tree, params, inputs)
+    words = embedding_node(graph, vocab, table, tree.leaves())
+    return walk_tree(graph, tree, params, dropout(graph, words, dropout_rate, rng))

@@ -33,7 +33,7 @@ from .attention import (
     score_matrix,
 )
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
-from .composer import LstmParameters, as_matrix, cell_values, encode_tree, walk_tree
+from .composer import LstmParameters, as_matrix, encode_tree, walk_tree, walk_values
 from .embeddings import lookup_rows
 from .trees import forest_schedule
 
@@ -82,20 +82,16 @@ def compose_relations(graph, hypothesis, hyp_states, contexts, params):
 
     Node ``i`` receives ``[h_i; contexts[:, i]]`` as its input, where
     ``hyp_states`` is the hypothesis's ``(k, n)`` h matrix and
-    ``contexts`` :func:`attended_context`'s ``(k, n)`` matrix; a level
-    reads its nodes' inputs from the two with one ``concat``.  Leaves
-    start from zero child states.  Returns the relation walk's
+    ``contexts`` :func:`attended_context`'s ``(k, n)`` matrix; one
+    ``concat`` of the two is the walk's every-node input.  Leaves start
+    from zero child states.  Returns the relation walk's
     :class:`~treentail.composer.TreeStates`: its ``h`` is the ``(r, n)``
-    matrix of relation vectors, and its top level holds the root's.
+    matrix of relation vectors, and its last column is the root's.
     """
     hyp = as_matrix(graph, hyp_states)
     if params.d_in != 2 * hyp.shape[0]:
         raise ShapeMismatch("relation block input must be twice the node width")
-
-    def inputs(ids):
-        return graph.concat([hyp, contexts], cols=ids)
-
-    return walk_tree(graph, hypothesis, params, inputs)
+    return walk_tree(graph, hypothesis, params, graph.concat([hyp, contexts]))
 
 
 def classify(graph, relation_vector, classifier):
@@ -166,7 +162,7 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
 
     contexts = attended_context(graph, final, prem)
     relations = compose_relations(graph, hypothesis, hyp, contexts, params.relation)
-    root = graph.slice_rows(relations.levels[-1], 0, params.relation.k_out)
+    root = graph.take_col(relations.h, hypothesis.root)
     dist = classify(graph, root, params.classifier)
     return ForwardPass(dist, fwd, rev, final, relations.h)
 
@@ -181,34 +177,6 @@ class Prediction:
     reverse_attention: np.ndarray   # (|prem|, |hyp|)
     final_attention: np.ndarray     # (|hyp|, |prem|)
     relations: np.ndarray           # (|hyp|, r)
-
-
-def _cols(a, ix):
-    """Columns ``ix`` of ``a``: a view for a slice, else a C-ordered copy
-    (``a[:, ids]`` would be Fortran-ordered, and BLAS may round a product
-    of the two layouts differently)."""
-    return a[:, ix] if isinstance(ix, slice) else a.take(ix, axis=1)
-
-
-def _plain_walk(schedule, inputs, w, b, k):
-    """:func:`walk_tree` without a tape, over a forest's ``schedule``
-    (see :func:`~treentail.trees.forest_schedule`): one
-    :func:`cell_values` per height, on operands laid out as the tape lays
-    them out for one tree.  ``inputs(ids, leaf)`` is the input array of
-    the level holding ``ids`` or None.  Returns the ``(k, n)`` matrix
-    whose column ``i`` is forest node ``i``'s ``h``.
-    """
-    offsets, levels = schedule
-    hs = np.empty((k, offsets[-1]), w.dtype)
-    cs = np.empty_like(hs)
-    for ids, lefts, rights in levels:
-        h1 = h2 = c1 = c2 = None
-        if lefts is not None:
-            h1, h2 = _cols(hs, lefts), _cols(hs, rights)
-            c1, c2 = _cols(cs, lefts), _cols(cs, rights)
-        x = inputs(ids, lefts is None)
-        hs[:, ids], cs[:, ids] = cell_values(w, b, x, h1, h2, c1, c2, k)[:2]
-    return hs
 
 
 def _plain_row_softmax(m):
@@ -226,11 +194,12 @@ def _forest(trees):
 def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
     """The tape-free forward of a list of ``(premise, hypothesis)`` pairs.
 
-    All premises walk as one forest and all hypotheses as another, so a
-    height of either walk is one :func:`cell_values` call over every pair;
-    each pair's attention and contexts are small products on column
-    slices of the two state matrices; the relation walk covers every
-    hypothesis as one forest; and one product classifies every root.
+    All premises walk as one forest and all hypotheses as another
+    (:func:`~treentail.composer.walk_values`), so a height of either walk
+    is one cell call over every pair; each pair's attention and contexts
+    are small products on column slices of the two state matrices; the
+    relation walk covers every hypothesis as one forest; and one product
+    classifies every root.
     Returns the ``(len(pairs), 3)`` distributions and, with
     ``attention``, each pair's ``(forward, reverse, final, relations)``;
     without ``use_dual`` the reverse view is the column softmax of the
@@ -250,7 +219,7 @@ def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
 
     def encode(schedule, words):
         x = cast(lookup_rows(vocab, table, words))
-        return _plain_walk(schedule, lambda ids, leaf: x if leaf else None, mw, mb, k)
+        return walk_values(schedule, x, mw, mb, k)[0]
 
     prem = encode(prem_schedule, prem_words)
     hyp = encode(hyp_schedule, hyp_words)
@@ -273,11 +242,9 @@ def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
             views.append((forward, reverse, final))
     context = contexts[0] if len(contexts) == 1 else np.hstack(contexts)
 
-    def relation_input(ids, leaf):
-        return np.concatenate((_cols(hyp, ids), _cols(context, ids)))
-
     rw, rb = cast(params.relation.block.weight.value), cast(params.relation.block.bias.value)
-    relations = _plain_walk(hyp_schedule, relation_input, rw, rb, params.relation.k_out)
+    relations = walk_values(hyp_schedule, np.concatenate((hyp, context)), rw, rb,
+                            params.relation.k_out)[0]
 
     cw, cb = cast(params.classifier.weight.value), cast(params.classifier.bias.value)
     roots = relations.take([n - 1 for n in hyp_at[1:]], axis=1)

@@ -5,9 +5,13 @@ the post-order (left subtree, right subtree, parent) numbering, checked
 when a :class:`BinaryTree` is built, so every walk over a tree is a
 sweep over ``range(node_count)`` that reaches both children of a node
 before the node itself, and the root is the last id.  The Tree-LSTM
-walks go a level at a time instead (:attr:`BinaryTree.levels`), a
-grouping that one such sweep computes; :func:`forest_schedule` lays
-several trees end to end and groups all their nodes of one height.
+walks go a level at a time instead, over one schedule:
+:func:`forest_schedule` lays trees end to end and gives each height's
+node ids with their children's ids.  The tape records a tree's whole
+walk over its cached schedule (:attr:`BinaryTree.schedule`) as one op,
+and the tape-free forward walks a forest's.  The schedule is built from
+each tree's cached :attr:`BinaryTree.levels`, the grouping by height
+that one such sweep computes.
 """
 
 from __future__ import annotations
@@ -116,7 +120,8 @@ class BinaryTree:
 
     @cached_property
     def schedule(self):
-        """``forest_schedule((self,))``, kept for the walks of one tree."""
+        """``forest_schedule((self,))``, kept for the tape's walks and the
+        tape-free forward of one pair."""
         return forest_schedule((self,))
 
 

@@ -9,9 +9,3 @@ def total(graph, node):
     left = graph.matmul(graph.constant(np.ones((1, rows))), node)
     return graph.matmul(left, graph.constant(np.ones((cols, 1))))
 
-
-def all_columns(node):
-    """A child gather of ``lstm_cell`` that reads every column of the
-    ``[h; c]`` node ``node``, in order."""
-    m = node.shape[1]
-    return [(node, slice(0, m), slice(0, m))]

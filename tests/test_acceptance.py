@@ -19,7 +19,7 @@ import pytest
 from treentail.attention import mix_alignments, row_entropy
 from treentail.autodiff import AffineMap, Graph
 from treentail.cli import main
-from treentail.composer import LstmParameters, lstm_cell
+from treentail.composer import LstmParameters, cell_values, walk_tree
 from treentail.data import generate_toy, has_distractor, load_snli, random_tree
 from treentail.embeddings import empty_vocabulary, register_oov
 from treentail.entailment import predict, run_forward
@@ -30,7 +30,7 @@ from treentail.trainer import (
     parameter_count,
     train,
 )
-from treentail.trees import serialize
+from treentail.trees import parse_tree, serialize
 
 FIXTURE = Path(__file__).resolve().parent / "data" / "snli_fixture.jsonl"
 
@@ -166,20 +166,13 @@ def test_criterion_4_expectation_semantics():
 
 
 def test_criterion_5_composition_cell_oracle():
-    """100 random k=3 cells against an in-file scalar transcription."""
+    """100 random k=3 cells against an in-file scalar transcription, and
+    one tape walk over ( a b ) against three chained scalar cells."""
 
     def logistic(v):
         return 1.0 / (1.0 + math.exp(-v))
 
-    rng = np.random.default_rng(5)
-    k = 3
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(1, 6))
-        w = rng.standard_normal((5 * k, d + 2 * k))
-        b = rng.standard_normal((5 * k, 1))
-        x, h1, h2, c1, c2 = (rng.standard_normal(n) for n in (d, k, k, k, k))
-
+    def scalar_cell(w, b, x, h1, h2, c1, c2):
         stacked = list(x) + list(h1) + list(h2)
         pre = [sum(w[m][j] * stacked[j] for j in range(len(stacked))) + b[m, 0]
                for m in range(5 * k)]
@@ -191,22 +184,39 @@ def test_criterion_5_composition_cell_oracle():
                       + logistic(pre[2 * k + m]) * c2[m])
             expect_c.append(memory)
             expect_h.append(logistic(pre[3 * k + m]) * math.tanh(memory))
+        return expect_h, expect_c
 
-        g = Graph()
-        block = LstmParameters(AffineMap.from_arrays("cell", w, b))
-        left = g.constant(np.concatenate((h1, c1)).reshape(-1, 1))
-        right = g.constant(np.concatenate((h2, c2)).reshape(-1, 1))
-        one = slice(0, 1)
-        out = lstm_cell(g, block, g.constant(x.reshape(-1, 1)),
-                        [(left, one, one)], [(right, one, one)])
-        worst = max(
-            worst,
-            float(np.abs(out.value[:k, 0] - expect_h).max()),
-            float(np.abs(out.value[k:, 0] - expect_c).max()),
-        )
+    rng = np.random.default_rng(5)
+    k = 3
+    worst = 0.0
+    for _ in range(100):
+        d = int(rng.integers(1, 6))
+        w = rng.standard_normal((5 * k, d + 2 * k))
+        b = rng.standard_normal((5 * k, 1))
+        x, h1, h2, c1, c2 = (rng.standard_normal(n) for n in (d, k, k, k, k))
+        expect_h, expect_c = scalar_cell(w, b, x, h1, h2, c1, c2)
+        columns = (v.reshape(-1, 1) for v in (x, h1, h2, c1, c2))
+        h, c = cell_values(w, b, *columns, k)[:2]
+        worst = max(worst, float(np.abs(h[:, 0] - expect_h).max()),
+                    float(np.abs(c[:, 0] - expect_c).max()))
+
+    # The tape: a walk over ( a b ) whose every node reads an input column.
+    d = 4
+    w = rng.standard_normal((5 * k, d + 2 * k))
+    b = rng.standard_normal((5 * k, 1))
+    x = rng.standard_normal((d, 3))
+    zero = [0.0] * k
+    a_h, a_c = scalar_cell(w, b, x[:, 0], zero, zero, zero, zero)
+    b_h, b_c = scalar_cell(w, b, x[:, 1], zero, zero, zero, zero)
+    root_h, _ = scalar_cell(w, b, x[:, 2], a_h, b_h, a_c, b_c)
+    g = Graph()
+    walk = walk_tree(g, parse_tree("( a b )"), LstmParameters(AffineMap.from_arrays(
+        "cell", w, b)), g.constant(x)).h
+    tape_worst = float(np.abs(walk.value - np.array([a_h, b_h, root_h]).T).max())
     assert report(
-        5, worst <= 1e-12,
-        f"max |cell − scalar transcription| = {worst:.2e} over 100 cases",
+        5, worst <= 1e-12 and tape_worst <= 1e-12,
+        f"max |cell − scalar transcription| = {worst:.2e} over 100 cases; "
+        f"max |tape walk − chained scalar cells| = {tape_worst:.2e}",
     )
 
 

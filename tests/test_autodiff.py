@@ -26,10 +26,11 @@ from treentail.autodiff import (
     gradients,
     sigmoid,
 )
-from treentail.composer import LstmParameters, lstm_cell
+from treentail.composer import LstmParameters, walk_tree
 from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
+from treentail.trees import parse_tree
 
-from tape_helpers import all_columns, total
+from tape_helpers import total
 
 
 def test_sigmoid_matches_logistic_definition():
@@ -151,9 +152,6 @@ class TestForwardValues:
         g = Graph()
         m = g.constant(np.arange(12.0).reshape(3, 4))
         np.testing.assert_array_equal(g.take_col(m, 2).value[:, 0], [2, 6, 10])
-        picked = g.take_col(m, [3, 0, 2]).value
-        np.testing.assert_array_equal(picked, m.value[:, [3, 0, 2]])
-        assert picked.flags["C_CONTIGUOUS"]
         cols = [g.take_col(m, j) for j in range(4)]
         np.testing.assert_array_equal(g.stack_columns(cols).value, m.value)
         np.testing.assert_array_equal(g.transpose(m).value, m.value.T)
@@ -169,11 +167,6 @@ class TestForwardValues:
         np.testing.assert_array_equal(block, m.value[:, 1:3])
         assert np.shares_memory(block, m.value)
         assert g.stack_columns(cols[2:3]) is cols[2]
-        picked = g.concat([m, g.neg(m)], cols=[3, 1]).value
-        np.testing.assert_array_equal(picked, np.vstack((m.value, -m.value))[:, [3, 1]])
-        assert picked.flags["C_CONTIGUOUS"]
-        np.testing.assert_array_equal(g.concat([m, m], cols=range(1, 3)).value,
-                                      np.vstack((m.value, m.value))[:, 1:3])
 
     def test_affine_value(self):
         m = AffineMap.from_arrays("f", np.array([[1.0, 2.0], [3.0, 4.0]]),
@@ -318,12 +311,11 @@ class TestFactoredGradients:
         table = Parameter("t", rng.uniform(-1, 1, (6, d)))
         scale = Parameter("s", rng.uniform(-1, 1, (k, 1)))
         g = Graph(np.float32)
-        zero = all_columns(g.constant(np.zeros((2 * k, 1))))
         tn = g.parameter(table)
-        left = lstm_cell(g, block, _row(g, tn, 4), zero, zero)
-        right = lstm_cell(g, block, _row(g, tn, 1), zero, zero)
-        root = lstm_cell(g, block, _row(g, tn, 4), all_columns(left), all_columns(right))
-        loss = total(g, g.hadamard(g.slice_rows(root, 0, k), g.parameter(scale)))
+        # a walk over ( a b ) whose every node reads a table row: 4, 1, 4
+        x = g.stack_columns([_row(g, tn, 4), _row(g, tn, 1), _row(g, tn, 4)])
+        h = walk_tree(g, parse_tree("( a b )"), block, x).h
+        loss = total(g, g.hadamard(g.take_col(h, 2), g.parameter(scale)))
         grads = backward(g, loss)
         assert set(grads) == {block.block.weight, block.block.bias, table, scale}
         for p, grad in grads.items():
@@ -396,8 +388,8 @@ def _everything_build(seed):
         sl = g.take_col(th, range(2))                # (3, 2)
         af = g.affine(amap, g.take_col(sl, 1))       # (4, 1)
         nll = g.neg(g.log(g.slice_rows(g.softmax(af, axis=0), 1, 2)))
-        picked = g.concat([sm, g.neg(rn)], cols=[2, 0])  # (4, 2)
-        loss = total(g, g.concat([nll, total(g, g.take_col(h, [1, 0])),
+        picked = g.concat([sm, g.neg(rn)])           # (4, 3)
+        loss = total(g, g.concat([nll, total(g, g.take_col(h, range(2))),
                                   total(g, g.hadamard(picked, picked))]))
         return g, loss
 
@@ -519,11 +511,9 @@ class TestNumericGuards:
         for start, stop in ((1, 5), (2, 3), (1, 1), (-1, 1)):
             with pytest.raises(ShapeMismatch):
                 g.slice_rows(a, start, stop)
-        for cols in (2, [0, 2], [1, 1], [], range(1, 3), range(0)):
+        for cols in (2, -1, [0, 1], range(1, 3), range(0), range(0, 2, 2)):
             with pytest.raises(ShapeMismatch):
                 g.take_col(a, cols)
-            with pytest.raises(ShapeMismatch):
-                g.concat([a, a], cols=cols)
         col, one = g.constant(np.ones((2, 1))), g.constant(np.ones((1, 1)))
         with pytest.raises(ShapeMismatch):
             g.outer_sum(col, col, one)  # the second term must be a row

@@ -1,9 +1,10 @@
-"""The five-gate tree composition cell and whole-tree encoding.
+"""The five-gate tree composition cell and whole-tree walks.
 
-The cell's vectorized forward is checked against a scalar transcription
-that computes every gate entry with explicit loops and the exp form of
-the logistic function -- an independent derivation, not a refactoring
-of the production code.
+The cell's vectorized arithmetic is checked against a scalar
+transcription that computes every gate entry with explicit loops and the
+exp form of the logistic function -- an independent derivation, not a
+refactoring of the production code.  A tree walk is one tape op; its
+backward rule is checked by finite differences.
 """
 
 import math
@@ -13,20 +14,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treentail import composer
 from treentail.autodiff import (
     AffineMap,
     Graph,
+    NonFiniteValue,
     Parameter,
     ShapeMismatch,
-    backward,
     grad_check,
 )
-from treentail.composer import LstmParameters, encode_tree, lstm_cell
+from treentail.composer import LstmParameters, cell_values, encode_tree, walk_tree, walk_values
 from treentail.data import random_tree
 from treentail.embeddings import empty_vocabulary, register_oov
 from treentail.trees import parse_tree
 
-from tape_helpers import all_columns, total
+from tape_helpers import total
 
 
 def make_block(k, d, rng, scale=1.0):
@@ -57,9 +59,10 @@ def scalar_cell(w, b, x, h1, h2, c1, c2, k):
     return h_out, c_out
 
 
-def child(graph, h, c):
-    """A child gather of constant states ``h`` and ``c``, one column each."""
-    return all_columns(graph.constant(np.vstack((h, c))))
+def cell(block, x, h1, h2, c1, c2):
+    """:func:`cell_values` on ``block``'s arrays; returns ``(h, c)``."""
+    w, b = block.block.weight.value, block.block.bias.value
+    return cell_values(w, b, x, h1, h2, c1, c2, block.k_out)[:2]
 
 
 class TestCellValues:
@@ -67,12 +70,11 @@ class TestCellValues:
         k, d = 4, 3
         block = LstmParameters(AffineMap.from_arrays(
             "z", np.zeros((5 * k, d + 2 * k)), np.zeros((5 * k, 1))))
-        g = Graph()
-        zero = child(g, np.zeros((k, 1)), np.zeros((k, 1)))
-        out = lstm_cell(g, block, g.constant(np.zeros((d, 1))), zero, zero)
+        zero = np.zeros((k, 1))
+        h, c = cell(block, np.zeros((d, 1)), zero, zero, zero, zero)
         # gates are all 0.5 but the candidate tanh(0) = 0, so c = h = 0
-        np.testing.assert_array_equal(out.value[k:], 0.0)
-        np.testing.assert_array_equal(out.value[:k], 0.0)
+        np.testing.assert_array_equal(c, 0.0)
+        np.testing.assert_array_equal(h, 0.0)
 
     def test_zero_params_carry_half_of_child_memory(self):
         """With zero weights each forget gate is exactly 1/2, so the new
@@ -80,12 +82,10 @@ class TestCellValues:
         k, d = 2, 3
         block = LstmParameters(AffineMap.from_arrays(
             "z", np.zeros((5 * k, d + 2 * k)), np.zeros((5 * k, 1))))
-        g = Graph()
-        left = child(g, np.zeros((k, 1)), np.ones((k, 1)))
-        right = child(g, np.zeros((k, 1)), np.ones((k, 1)))
-        out = lstm_cell(g, block, g.constant(np.zeros((d, 1))), left, right)
-        np.testing.assert_allclose(out.value[k:], 1.0, atol=1e-15)
-        np.testing.assert_allclose(out.value[:k], 0.5 * np.tanh(1.0), atol=1e-15)
+        zero, one = np.zeros((k, 1)), np.ones((k, 1))
+        h, c = cell(block, np.zeros((d, 1)), zero, zero, one, one)
+        np.testing.assert_allclose(c, 1.0, atol=1e-15)
+        np.testing.assert_allclose(h, 0.5 * np.tanh(1.0), atol=1e-15)
 
     def test_matches_scalar_transcription(self):
         k, d = 3, 4
@@ -95,176 +95,135 @@ class TestCellValues:
             x = rng.standard_normal((d, 1))
             h1, h2 = rng.standard_normal((2, k, 1))
             c1, c2 = rng.standard_normal((2, k, 1)) * 2
-            g = Graph()
-            out = lstm_cell(g, block, g.constant(x), child(g, h1, c1), child(g, h2, c2))
+            h, c = cell(block, x, h1, h2, c1, c2)
             h_ref, c_ref = scalar_cell(
                 block.block.weight.value, block.block.bias.value[:, 0],
                 x[:, 0], h1[:, 0], h2[:, 0], c1[:, 0], c2[:, 0], k)
-            np.testing.assert_allclose(out.value[:k, 0], h_ref, atol=1e-12,
-                                       err_msg=f"case {case} (h)")
-            np.testing.assert_allclose(out.value[k:, 0], c_ref, atol=1e-12,
-                                       err_msg=f"case {case} (c)")
+            np.testing.assert_allclose(h[:, 0], h_ref, atol=1e-12, err_msg=f"case {case} (h)")
+            np.testing.assert_allclose(c[:, 0], c_ref, atol=1e-12, err_msg=f"case {case} (c)")
 
     def test_exposed_vector_is_strictly_inside_unit_box(self):
         rng = np.random.default_rng(9)
         for _ in range(50):
             block = make_block(5, 6, rng, scale=3.0)
-            g = Graph()
-            out = lstm_cell(
-                g, block, g.constant(rng.standard_normal((6, 1)) * 4),
-                child(g, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5),
-                child(g, rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5),
-            )
-            assert np.abs(out.value[:5]).max() < 1.0
+            x = rng.standard_normal((6, 1)) * 4
+            h1, c1 = rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5
+            h2, c2 = rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5
+            h, _ = cell(block, x, h1, h2, c1, c2)
+            assert np.abs(h).max() < 1.0
 
     def test_shape_guards(self):
-        rng = np.random.default_rng(0)
-        block = make_block(2, 3, rng)
-        g = Graph()
-        ok = child(g, np.zeros((2, 1)), np.zeros((2, 1)))
-        bad = child(g, np.zeros((3, 1)), np.zeros((3, 1)))
-        with pytest.raises(ShapeMismatch):
-            lstm_cell(g, block, g.constant(np.zeros((5, 1))), ok, ok)
-        with pytest.raises(ShapeMismatch):
-            lstm_cell(g, block, g.constant(np.zeros((3, 1))), ok, bad)
         with pytest.raises(ShapeMismatch):
             LstmParameters(AffineMap.from_arrays("w", np.zeros((7, 9)), np.zeros((7, 1))))
         with pytest.raises(ShapeMismatch):
             # five rows per output leaves no input columns
             LstmParameters(AffineMap.from_arrays("w", np.zeros((10, 4)), np.zeros((10, 1))))
 
-
     def test_level_guards(self):
-        """A level cell takes m columns of input, of child states, or of
-        both, and every part must have the same m."""
+        """A walk's input has the cell's input rows and one column per
+        leaf (the leaf level's) or one per node (every level's); any other
+        shape is refused."""
+        block = make_block(2, 3, np.random.default_rng(0))
+        tree = parse_tree("( ( a b ) c )")  # 3 leaves, 5 nodes
+        g = Graph()
+        for cols in (3, 5):
+            x = g.constant(np.zeros((3, cols)))
+            assert walk_tree(g, tree, block, x).h.shape == (2, 5)
+        for shape in ((3, 4), (3, 1), (5, 3), (2, 5)):
+            with pytest.raises(ShapeMismatch):
+                walk_tree(g, tree, block, g.constant(np.zeros(shape)))
+
+    def test_non_finite_memory_aborts_the_walk(self, monkeypatch):
+        """c never leaves the walk op, so the op checks it as well as its
+        value h: a memory gone infinite under a finite h still raises."""
+        real = composer.cell_values
+
+        def overflowing(*args):
+            h, c, *rest = real(*args)
+            return (h, np.full_like(c, np.inf), *rest)
+
+        monkeypatch.setattr(composer, "cell_values", overflowing)
         block = make_block(2, 3, np.random.default_rng(0))
         g = Graph()
-        pair = child(g, np.zeros((2, 2)), np.zeros((2, 2)))
-        x2, x3 = g.constant(np.zeros((3, 2))), g.constant(np.zeros((3, 3)))
-        assert lstm_cell(g, block, x2).shape == (4, 2)
-        assert lstm_cell(g, block, None, pair, pair).shape == (4, 2)
-        for x, left, right in ((None, (), ()), (x2, pair, ()), (None, (), pair),
-                               (x3, pair, pair)):
-            with pytest.raises(ShapeMismatch):
-                lstm_cell(g, block, x, left, right)
+        with pytest.raises(NonFiniteValue, match="'lstm_cell'"):
+            walk_tree(g, parse_tree("( a b )"), block, g.constant(np.zeros((3, 2))))
 
 
 class TestCellGradients:
     def test_all_seven_input_paths_pass_grad_check(self):
-        """Weights, bias, x, both child vectors, both child memories."""
+        """A walk over ( a b ) whose every node reads an input column:
+        weights, bias and input, and through the root both child vectors
+        and both child memories."""
         k, d = 3, 4
+        tree = parse_tree("( a b )")
         for seed in range(20):
             rng = np.random.default_rng(seed)
             block = make_block(k, d, rng, scale=0.7)
-            leaves = {
-                "x": Parameter("x", rng.standard_normal((d, 1))),
-                "h1": Parameter("h1", rng.uniform(-0.9, 0.9, (k, 1))),
-                "h2": Parameter("h2", rng.uniform(-0.9, 0.9, (k, 1))),
-                "c1": Parameter("c1", rng.standard_normal((k, 1))),
-                "c2": Parameter("c2", rng.standard_normal((k, 1))),
-            }
+            x = Parameter("x", rng.uniform(-0.9, 0.9, (d, 3)))
 
             def build():
                 g = Graph()
+                h = walk_tree(g, tree, block, g.parameter(x)).h
+                return g, total(g, g.tanh(h))
 
-                left = g.concat([g.parameter(leaves["h1"]), g.parameter(leaves["c1"])])
-                right = g.concat([g.parameter(leaves["h2"]), g.parameter(leaves["c2"])])
-                out = lstm_cell(g, block, g.parameter(leaves["x"]),
-                                all_columns(left), all_columns(right))
-                return g, total(g, g.tanh(out))
-
-            checked = [block.block.weight, block.block.bias, *leaves.values()]
-            worst = grad_check(build, checked, eps=1e-5)
+            worst = grad_check(build, [block.block.weight, block.block.bias, x], eps=1e-5)
             assert worst < 1e-4, f"seed {seed}: {worst:.3e}"
 
 
-    @pytest.mark.parametrize("has_x, has_children", [(True, False), (False, True),
-                                                     (True, True)])
-    def test_level_of_three_columns_passes_grad_check(self, has_x, has_children):
-        """A level cell over m = 3 columns, with each column block of the
-        gate weight that a level can use."""
-        k, d, m = 3, 4, 3
-        rng = np.random.default_rng(31)
-        block = make_block(k, d, rng, scale=0.7)
-        leaves = {name: Parameter(name, rng.uniform(-0.9, 0.9, (rows, m)))
-                  for name, rows in (("x", d), ("h1", k), ("h2", k), ("c1", k), ("c2", k))}
-
-        def build():
-            g = Graph()
-            x = g.parameter(leaves["x"]) if has_x else None
-            left = right = ()
-            if has_children:
-                left = all_columns(g.concat([g.parameter(leaves["h1"]),
-                                             g.parameter(leaves["c1"])]))
-                right = all_columns(g.concat([g.parameter(leaves["h2"]),
-                                              g.parameter(leaves["c2"])]))
-            out = lstm_cell(g, block, x, left, right)
-            assert out.shape == (2 * k, m)
-            return g, total(g, g.tanh(out))
-
-        used = ["x"] * has_x + ["h1", "h2", "c1", "c2"] * has_children
-        checked = [block.block.weight, block.block.bias, *(leaves[n] for n in used)]
-        assert grad_check(build, checked, eps=1e-5) < 1e-4
-
-
 # Level 3 holds ( ( ( a b ) c ) d ) and ( ( e f ) ( ( g h ) i ) ), whose
-# children sit on levels 2 and 0, and 1 and 2.
+# children sit on levels 2 and 0, and 1 and 2.  The levels hold 9, 3, 2,
+# 2 and 1 nodes.
 SPREAD = "( ( ( ( a b ) c ) d ) ( ( e f ) ( ( g h ) i ) ) )"
 
 
 class TestLevelGather:
     def test_a_level_reads_children_from_three_lower_levels(self):
-        """Level 3's cell takes the nodes of levels 0, 1 and 2 as parents,
-        and its states equal a cell run on the children gathered by hand."""
+        """The walk is one ``lstm_cell`` op, whose parents are the gate
+        weight and bias once per level and then the input, and level 3's
+        states equal a cell run on the children gathered by hand."""
         d, k = 4, 3
         vocab, table = toy_vocab(d, list("abcdefghi"))
         block = make_block(k, d, np.random.default_rng(5), scale=0.5)
         tree = parse_tree(SPREAD)
         assert tree.levels[3] == (6, 15)  # children (4, 5) and (9, 14)
         g = Graph()
-        states = encode_tree(g, tree, vocab, table, block)
-        levels = states.levels
-        # left children on levels 1 and 2, right children on levels 0 and 2
-        assert [p for p in levels[3].parents if p.op == "lstm_cell"] == [
-            levels[1], levels[2], levels[0], levels[2]]
+        h = encode_tree(g, tree, vocab, table, block).h
+        assert [node for node in g.nodes if node.op == "lstm_cell"] == [h]
+        w, b = (g.parameter(p) for p in (block.block.weight, block.block.bias))
+        x = h.parents[-1]
+        assert h.parents[:-1] == (w, b) * len(tree.levels) and x.shape == (d, 9)
 
-        def column(i):
-            height = next(h for h, ids in enumerate(tree.levels) if i in ids)
-            return levels[height].value[:, tree.levels[height].index(i)]
-
-        by_hand = lstm_cell(g, block, None,
-                            all_columns(g.constant(np.stack([column(4), column(9)], 1))),
-                            all_columns(g.constant(np.stack([column(5), column(14)], 1))))
-        np.testing.assert_array_equal(levels[3].value, by_hand.value)
+        hs, cs = walk_values(tree.schedule, x.value, w.value, b.value, k)
+        np.testing.assert_array_equal(hs, h.value)
+        left, right = [4, 9], [5, 14]
+        by_hand = cell(block, None, h.value[:, left], h.value[:, right],
+                       cs[:, left], cs[:, right])
+        np.testing.assert_array_equal(h.value[:, [6, 15]], by_hand[0])
+        np.testing.assert_array_equal(cs[:, [6, 15]], by_hand[1])
 
     def test_gather_passes_grad_check_into_h_and_c_rows(self):
-        """A cell of three columns whose children sit on three parameter
-        sources, read by an id, a slice and an id array: the gradient
-        reaches each source's h rows (through the gate product) and c
-        rows (through the forget gates)."""
-        k = 3
-        rng = np.random.default_rng(17)
-        block = make_block(k, 2, rng, scale=0.7)
-        sources = [Parameter(f"source{s}", rng.uniform(-0.9, 0.9, (2 * k, 5)))
-                   for s in range(3)]
-        probe = rng.standard_normal((2 * k, 3))
+        """The walk over that tree with an every-node input, so levels of
+        three and two nodes take both an input and children gathered from
+        lower levels: the gradient reaches each child's h rows (through
+        the gate product) and c rows (through the forget gates), checked
+        in the gate weight, the bias and the input."""
+        d, k = 4, 3
+        rng = np.random.default_rng(31)
+        block = make_block(k, d, rng, scale=0.7)
+        tree = parse_tree(SPREAD)
+        x = Parameter("x", rng.uniform(-0.9, 0.9, (d, tree.node_count)))
+        probe = rng.standard_normal((k, tree.node_count))
 
         def build():
             g = Graph()
-            s0, s1, s2 = (g.parameter(p) for p in sources)
-            left = [(s0, np.array([2, 0]), np.array([4, 1])), (s1, 1, 3)]
-            right = [(s2, slice(0, 2), slice(3, 5)), (s0, 2, 0)]
-            out = lstm_cell(g, block, None, left, right)
-            return g, total(g, g.hadamard(g.tanh(out), g.constant(probe)))
+            h = walk_tree(g, tree, block, g.parameter(x)).h
+            return g, total(g, g.hadamard(g.tanh(h), g.constant(probe)))
 
-        grads = backward(*build())
-        for p in sources:
-            assert np.abs(grads[p][:k]).max() > 0 and np.abs(grads[p][k:]).max() > 0
-        assert grad_check(build, [block.block.weight, block.block.bias, *sources],
-                          eps=1e-5) < 1e-4
+        assert grad_check(build, [block.block.weight, block.block.bias, x], eps=1e-5) < 1e-4
 
     def test_walk_passes_grad_check(self):
-        """The whole walk over that tree, every node's h in the loss."""
+        """The whole encoding of that tree, whose input is its leaves'
+        word vectors, every node's h in the loss."""
         d, k = 4, 3
         vocab, table = toy_vocab(d, list("abcdefghi"), scale=0.6)
         block = make_block(k, d, np.random.default_rng(8), scale=0.5)
@@ -279,6 +238,12 @@ class TestLevelGather:
         worst = grad_check(
             build, [block.block.weight, block.block.bias, table.trainable], eps=1e-5)
         assert worst < 1e-4
+
+
+def memory(states, tree, block):
+    """The c matrix of a tape walk, from its op's input."""
+    w, b = block.block.weight.value, block.block.bias.value
+    return walk_values(tree.schedule, states.h.parents[-1].value, w, b, block.k_out)[1]
 
 
 def toy_vocab(d, tokens, seed=0, scale=0.5):
@@ -298,14 +263,14 @@ class TestEncodeTree:
         vocab, table = toy_vocab(d, ["a", "b", "c", "d"])
         block = make_block(k, d, np.random.default_rng(2), scale=0.4)
 
-        g1 = Graph()
-        s1 = encode_tree(g1, parse_tree("( ( a b ) c )"), vocab, table, block)
-        g2 = Graph()
-        s2 = encode_tree(g2, parse_tree("( ( a b ) ( c ( d d ) ) )"), vocab, table, block)
-        # node ids: leaves a=0, b=1 and their parent 2 in both trees, the
-        # first node of level 1 in both; the level's rows are [h; c]
+        t1, t2 = parse_tree("( ( a b ) c )"), parse_tree("( ( a b ) ( c ( d d ) ) )")
+        s1 = encode_tree(Graph(), t1, vocab, table, block)
+        s2 = encode_tree(Graph(), t2, vocab, table, block)
+        # node ids: leaves a=0, b=1 and their parent 2 in both trees; c
+        # stays inside the walk op, whose forward is walk_values
         np.testing.assert_array_equal(s1.h.value[:, 2], s2.h.value[:, 2])
-        np.testing.assert_array_equal(s1.levels[1].value[:, 0], s2.levels[1].value[:, 0])
+        c1, c2 = (memory(states, tree, block) for states, tree in ((s1, t1), (s2, t2)))
+        np.testing.assert_array_equal(c1[:, 2], c2[:, 2])
 
     def test_single_leaf_tree(self):
         d = k = 2
@@ -313,7 +278,8 @@ class TestEncodeTree:
         block = make_block(k, d, np.random.default_rng(3))
         g = Graph()
         states = encode_tree(g, parse_tree("only"), vocab, table, block)
-        assert len(states.levels) == 1
+        assert [node.op for node in g.nodes].count("lstm_cell") == 1
+        assert len(states.h.parents) == 3  # (W, b) for the one level, then x
         assert states.h.shape == (k, 1)
 
     def test_rejects_width_mismatch(self):
@@ -367,7 +333,9 @@ class TestLevels:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
     def test_one_cell_per_level_over_a_height_schedule(self, seed, n):
         """The schedule covers every id once, each node above both of its
-        children; the tape walk records one lstm_cell per level."""
+        children; the tape walk records one lstm_cell op for the tree,
+        which runs one cell per level and lists the gate weight and bias
+        once per level among its parents."""
         leaves = [("a", "b", "c")[i % 3] for i in range(n)]
         tree = random_tree(np.random.default_rng(seed), leaves)
         level_of = {}
@@ -387,7 +355,6 @@ class TestLevels:
         g = Graph()
         block = make_block(2, 3, np.random.default_rng(1))
         states = encode_tree(g, tree, vocab, table, block)
-        assert sum(node.op == "lstm_cell" for node in g.nodes) == len(tree.levels)
+        assert [node.op for node in g.nodes].count("lstm_cell") == 1
+        assert len(states.h.parents) == 2 * len(tree.levels) + 1
         assert states.h.shape == (2, tree.node_count)
-        assert [level.shape for level in states.levels] == [
-            (4, len(ids)) for ids in tree.levels]

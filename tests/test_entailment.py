@@ -35,7 +35,7 @@ from treentail.entailment import (
     predict,
     run_forward,
 )
-from treentail.data import generate_toy, leaf_tokens, random_tree
+from treentail.data import generate_toy, leaf_tokens, left_branching, random_tree
 from treentail.trainer import full_model_grad_check
 from treentail.trees import parse_tree
 
@@ -246,8 +246,11 @@ class TestRunForward:
 
 
 class TestTapeSize:
-    """The tape records a fixed number of nodes per tree level, never one
-    per tree node."""
+    """The tape records a fixed number of nodes per pair, whatever the
+    trees' sizes and heights: each tree walk is one op."""
+
+    # with dual attention, dropout and the loss
+    NODES = 40
 
     @staticmethod
     def tape_nodes(prem, hyp, vocab, table, params, rng):
@@ -260,16 +263,31 @@ class TestTapeSize:
     @settings(max_examples=40, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n_prem=st.integers(1, 200),
            n_hyp=st.integers(1, 200))
-    def test_tape_grows_with_tree_height_not_node_count(self, seed, n_prem, n_hyp):
-        """39 nodes per pair, one per premise level and three per
-        hypothesis level (its meaning cell, its relation input and its
-        relation cell), with dual attention and dropout on."""
+    def test_tape_size_is_independent_of_the_trees(self, seed, n_prem, n_hyp):
+        """At most 40 nodes per pair for random trees of 1-200 leaves:
+        three walks, two leaf reads with their dropout masks, and fixed
+        attention, classifier and loss ops."""
         vocab, table, params = toy_model(2, 2, 3, 3)
         rng = np.random.default_rng(seed)
         words = ["cat", "dog", "sat", "ran", "the"]
         prem, hyp = (random_tree(rng, list(rng.choice(words, n))) for n in (n_prem, n_hyp))
-        levels = len(prem.levels) + len(hyp.levels)
-        assert self.tape_nodes(prem, hyp, vocab, table, params, rng) <= 40 + 3 * levels
+        assert self.tape_nodes(prem, hyp, vocab, table, params, rng) <= self.NODES
+
+    def test_a_300_level_pair_keeps_the_bound_and_the_plain_forward_bits(self):
+        """Left-branching trees of 300 leaves, one node per level above
+        the leaves: the tape stays within the bound, and its distribution
+        equals plain_forward's bit for bit."""
+        vocab, table, params = toy_model(2, 2, 3, 3)
+        words = ["cat", "dog", "sat", "ran", "the"]
+        prem, hyp = (left_branching([words[i * step % 5] for i in range(300)])
+                     for step in (1, 2))
+        assert len(prem.levels) == len(hyp.levels) == 300
+        rng = np.random.default_rng(0)
+        assert self.tape_nodes(prem, hyp, vocab, table, params, rng) <= self.NODES
+        run = run_forward(Graph(), prem, hyp, vocab, table, params, use_dual=True)
+        np.testing.assert_array_equal(
+            run.distribution.value[:, 0],
+            plain_forward(prem, hyp, vocab, table, params, use_dual=True))
 
     def test_toy_recipe_records_under_100_nodes_per_example(self):
         pairs = generate_toy(0, 60)
