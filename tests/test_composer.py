@@ -169,6 +169,38 @@ class TestCellGradients:
             worst = grad_check(build, [block.block.weight, block.block.bias, x], eps=1e-5)
             assert worst < 1e-4, f"seed {seed}: {worst:.3e}"
 
+    @pytest.mark.parametrize("has_x, has_children", [(True, False), (False, True),
+                                                     (True, True)])
+    def test_level_of_three_columns_passes_grad_check(self, has_x, has_children):
+        """A walk whose loss reads only the h columns of one level of
+        m = 3 nodes, so the gradient enters the walk through that level's
+        cell alone, with each column block of the gate weight that a
+        level can use: the leaf level of ( ( a b ) c ) (input, no
+        children), or level 1 of ( ( ( a b ) ( c d ) ) ( e f ) ) with a
+        leaf-only input (children, no input) or an every-node input
+        (both)."""
+        k, d = 3, 4
+        rng = np.random.default_rng(31)
+        block = make_block(k, d, rng, scale=0.7)
+        if has_children:
+            tree, height = parse_tree("( ( ( a b ) ( c d ) ) ( e f ) )"), 1
+        else:
+            tree, height = parse_tree("( ( a b ) c )"), 0
+        ids = list(tree.levels[height])
+        assert len(ids) == 3
+        width = tree.node_count if has_x and has_children else len(tree.levels[0])
+        x = Parameter("x", rng.uniform(-0.9, 0.9, (d, width)))
+        probe = np.zeros((k, tree.node_count))
+        probe[:, ids] = rng.standard_normal((k, 3))
+
+        def build():
+            g = Graph()
+            h = walk_tree(g, tree, block, g.parameter(x)).h
+            assert h.value[:, ids].shape == (k, 3)
+            return g, total(g, g.hadamard(g.tanh(h), g.constant(probe)))
+
+        assert grad_check(build, [block.block.weight, block.block.bias, x], eps=1e-5) < 1e-4
+
 
 # Level 3 holds ( ( ( a b ) c ) d ) and ( ( e f ) ( ( g h ) i ) ), whose
 # children sit on levels 2 and 0, and 1 and 2.  The levels hold 9, 3, 2,
