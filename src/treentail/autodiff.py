@@ -6,20 +6,15 @@ tape of operations whose insertion order is already topological, so one
 reverse walk accumulates exact gradients into every parameter leaf.
 
 A backward rule may hand a parent its gradient in one of two factored
-forms instead of a dense array: :class:`OuterGrad` ``(u, v)`` for
-``u @ v.T`` and :class:`SliceGrad` ``(index, g)`` for a zero matrix
-whose ``[index]`` is ``g``.  :func:`gradients` collects them per
-receiving node and sums them once, just before it processes that node:
-all outer products in one GEMM, then each slice added in place.  A
-weight shared by every node of a tree thus gets one dense gradient per
-graph instead of one per use; so does any matrix read a piece at a
-time, by :meth:`Graph.slice_rows` (a block of rows, or one entry of a
-column) or :meth:`Graph.take_col` (a column or a block of columns).
-
-A parameter read by rows (an embedding table, see :meth:`Graph.parameter`)
-gets its gradient in row form instead, a :class:`RowGrad` over the rows
-the graph read, so a large table's gradient costs its read rows only.
-:func:`backward` is the dense form of the same result.
+forms instead of a dense array.  :class:`OuterGrad` ``(u, v)`` stands
+for ``u @ v.T``: :func:`gradients` keeps a node's outer products until
+the walk reaches it and then sums them in one GEMM, so a weight shared
+by every node of a tree gets one dense gradient per graph instead of
+one per use.  :class:`RowGrad` ``(rows, values)`` is zero outside
+``rows`` and is what reading rows of an embedding table hands the
+table: a parameter's row parts are summed by :func:`sum_rows` on the
+union of their rows, so a large table's gradient costs its read rows
+only.  :func:`backward` is the dense form of the same result.
 
 The tape keeps one op per job: work that an existing op does along
 another axis, on a single entry or after a shift is done by that op.
@@ -71,69 +66,68 @@ class OuterGrad(NamedTuple):
     v: np.ndarray
 
 
-class SliceGrad(NamedTuple):
-    """Factored gradient of a matrix: zero except ``out[index] = g``,
-    for a rows slice ``np.s_[i:j, :]`` or a columns slice ``np.s_[:, i:j]``."""
-
-    index: tuple
-    g: np.ndarray
-
-
 class RowGrad(NamedTuple):
     """A gradient that is zero outside ``rows``: row ``rows[j]`` of the
-    parameter's gradient is ``values[j]``.  The rows are distinct
-    integers, in a list or an integer array."""
+    parameter's gradient gets ``values[j]``, and a repeated row gets the
+    sum of its values.  The rows are integers, in a list or an array."""
 
     rows: list | np.ndarray
     values: np.ndarray
 
 
+def sum_rows(parts):
+    """One :class:`RowGrad` for the sum of ``parts``, on the sorted union
+    of their rows: each part is added into zeros in turn, and within a
+    part row by row, so a repeated row sums its values in arrival order."""
+    # sorted(set()) rather than np.unique, which imports numpy.ma.
+    rows = np.array(sorted(set().union(*(np.asarray(r).tolist() for r, _ in parts))),
+                    np.intp)
+    total = np.zeros((len(rows), parts[0].values.shape[1]), parts[0].values.dtype)
+    for r, values in parts:
+        np.add.at(total, np.searchsorted(rows, r), values)
+    return RowGrad(rows, total)
+
+
 class _Factored:
     """The factored gradient parts one node has received so far."""
 
-    __slots__ = ("us", "vs", "slices")
+    __slots__ = ("us", "vs", "rows")
 
     def __init__(self):
-        self.us, self.vs, self.slices = [], [], []
+        self.us, self.vs, self.rows = [], [], []
 
     def add(self, part):
         if type(part) is OuterGrad:
             self.us.append(part.u)
             self.vs.append(part.v)
         else:
-            self.slices.append(part)
+            self.rows.append(part)
 
-    def materialize(self, shape, dtype, dense):
-        """One dense array: the outer products as one GEMM, then each
-        slice added in place (in arrival order), then ``dense`` if not
-        None."""
-        if self.us:
-            out = (np.hstack(self.us) @ np.hstack(self.vs).T).astype(dtype, copy=False)
-        else:
-            out = np.zeros(shape, dtype=dtype)
-        for index, g in self.slices:
-            out[index] += g
+    def materialize(self, dtype, dense):
+        """One dense array: the outer products as one GEMM, plus ``dense``
+        if not None."""
+        out = (np.hstack(self.us) @ np.hstack(self.vs).T).astype(dtype, copy=False)
         if dense is not None:
             out += dense
         return out
 
-    def row_grad(self, param, rows, dtype):
-        """The :class:`RowGrad` on the sorted ``rows`` of ``param``: each
-        slice added in place (in arrival order) into zeros, which are the
-        additions :meth:`materialize` makes on those rows."""
-        if self.us:
-            raise ShapeMismatch(f"parameter '{param.name}' is read by rows but got "
-                                "an outer-product gradient")
-        position = {row: j for j, row in enumerate(rows)}
-        values = np.zeros((len(rows), param.value.shape[1]), dtype)
-        for (block, cols), g in self.slices:
-            j = position.get(block.start) if cols == slice(None) else None
-            last = len(g) - 1
-            if j is None or position.get(block.start + last) != j + last:
-                raise ShapeMismatch(f"gradient slice {block, cols} of '{param.name}' "
-                                    "is outside the rows the graph read")
-            values[j:j + len(g)] += g
-        return RowGrad(rows, values)
+    def row_sum(self, node, dense):
+        """:func:`sum_rows` of the row parts of parameter ``node``, after
+        checking that it got no other part and that each row part fits it."""
+        if node.param is None:
+            raise ShapeMismatch(f"op '{node.op}' got a row gradient")
+        name = node.param.name
+        if dense is not None or self.us:
+            raise ShapeMismatch(f"parameter '{name}' got row and whole-matrix gradients")
+        n, cols = node.shape
+        for rows, values in self.rows:
+            rows = np.asarray(rows)
+            if values.shape != (len(rows), cols) or values.dtype != node.value.dtype:
+                raise ShapeMismatch(f"row gradient of shape {values.shape} and dtype "
+                                    f"{values.dtype} for '{name}'")
+            if rows.size and (rows.min() < 0 or rows.max() >= n):
+                raise ShapeMismatch(f"row gradient outside the {n} rows of '{name}'")
+        return sum_rows(self.rows)
 
 
 class Parameter:
@@ -216,8 +210,6 @@ class Graph:
         self.dtype = np.dtype(dtype)
         self.nodes = []
         self._param_nodes = {}
-        self._row_nodes = {}
-        self.rows_read = {}
 
     # -- tape primitives -------------------------------------------------
 
@@ -226,9 +218,10 @@ class Graph:
 
         ``vjp`` maps the output gradient to a tuple of parent gradients,
         one per parent: a dense array, an :class:`OuterGrad`, a
-        :class:`SliceGrad` or ``None`` (skipped).  Dense arrays may be
-        views of the incoming gradient.  Parameter leaves are made only
-        by :meth:`parameter`, which keeps one node per parameter.
+        :class:`RowGrad` (for a parameter parent only) or ``None``
+        (skipped).  Dense arrays may be views of the incoming gradient.
+        Parameter leaves are made only by :meth:`parameter`, which keeps
+        one node per parameter.
         """
         value = np.asarray(value, dtype=self.dtype)
         if value.ndim != 2:
@@ -242,37 +235,15 @@ class Graph:
     def constant(self, value, op="const"):
         return self.record(value, (), None, op)
 
-    def parameter(self, param, rows=None):
+    def parameter(self, param):
         """Leaf node for a trainable tensor, memoized per graph.  Its value
-        is not checked for NaN/Inf (see the module docstring).
-
-        An op that reads only some rows of ``param`` names them in
-        ``rows``.  The graph keeps their union in ``rows_read[param]``,
-        and ``param``'s gradient is zero outside those rows.  One graph
-        reads a parameter either by rows or whole, never both: mixing
-        the two raises :class:`ShapeMismatch`.
-        """
-        if rows is None:
-            # The hot path: one lookup once the node exists.
-            node = self._param_nodes.get(param)
-            if node is None:
-                node = self._param_nodes[param] = self._leaf(param, self._row_nodes)
-            return node
-        node = self._row_nodes.get(param)
+        is not checked for NaN/Inf (see the module docstring)."""
+        node = self._param_nodes.get(param)
         if node is None:
-            node = self._row_nodes[param] = self._leaf(param, self._param_nodes)
-            self.rows_read[param] = set()
-        self.rows_read[param].update(rows)
-        return node
-
-    def _leaf(self, param, other_reads):
-        """A new leaf node for ``param``, which ``other_reads``, the memo of
-        the other way of reading, must not hold."""
-        if param in other_reads:
-            raise ShapeMismatch(f"parameter '{param.name}' read both whole and by rows")
-        value = param.value.astype(self.dtype, copy=False)
-        node = Node(value, (), None, f"param:{param.name}", param, len(self.nodes))
-        self.nodes.append(node)
+            value = param.value.astype(self.dtype, copy=False)
+            node = Node(value, (), None, f"param:{param.name}", param, len(self.nodes))
+            self.nodes.append(node)
+            self._param_nodes[param] = node
         return node
 
     # -- elementwise and structural ops ----------------------------------
@@ -310,13 +281,24 @@ class Graph:
 
         return self.record(np.concatenate([p.value for p in parts]), parts, vjp, "concat")
 
+    def _read(self, a, index, op):
+        """``a.value[index]`` as a view, whose vjp hands ``a`` zeros with
+        the gradient at ``index``."""
+        # The vjp holds no reference to the graph, which holds the vjp:
+        # a cycle would outlive the example until the garbage collector ran.
+        shape, dtype = a.shape, a.value.dtype
+
+        def vjp(g):
+            out = np.zeros(shape, dtype)
+            out[index] = g
+            return (out,)
+
+        return self.record(a.value[index], (a,), vjp, op)
+
     def slice_rows(self, a, start, stop):
         if not 0 <= start < stop <= a.shape[0]:
             raise ShapeMismatch(f"slice_rows [{start}:{stop}] of {a.shape}")
-
-        index = np.s_[start:stop, :]
-        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
-                           "slice_rows")
+        return self._read(a, np.s_[start:stop, :], "slice_rows")
 
     def take_col(self, a, j):
         """Column ``j`` of a matrix, or for a ``range`` ``j`` of step 1 the
@@ -328,8 +310,7 @@ class Graph:
             index = np.s_[:, j:j + 1]
         else:
             raise ShapeMismatch(f"take_col columns {j} of a {n}-column matrix")
-        return self.record(a.value[index], (a,), lambda g: (SliceGrad(index, g),),
-                           "take_col")
+        return self._read(a, index, "take_col")
 
     def stack_columns(self, cols):
         """Pack column vectors side by side into one matrix; a single
@@ -425,41 +406,34 @@ def gradients(graph, loss):
     topological order, so a single reverse pass with accumulation is
     exact.  Dense parent gradients are summed as they arrive, never in
     place, because vjps may return views of the incoming gradient.
-    Factored ones (:class:`OuterGrad`, :class:`SliceGrad`) are kept until
-    the walk reaches the receiving node, which then gets one dense array
-    in the graph's dtype: the outer products' GEMM, plus each slice in
-    arrival order, plus the dense sum.  :meth:`Graph.parameter` records
-    one node per parameter, so that node's gradient is the parameter's
-    whole gradient.
+    :class:`OuterGrad` parts are kept until the walk reaches the
+    receiving node, which then gets one dense array in the graph's dtype:
+    the outer products' GEMM plus the dense sum.  :meth:`Graph.parameter`
+    records one node per parameter, so that node's gradient is the
+    parameter's whole gradient.
 
-    A parameter in ``graph.rows_read`` gets a :class:`RowGrad` instead:
-    its rows are ``sorted(graph.rows_read[param])`` and its values the
-    row slices it received, summed in arrival order, with no
-    table-sized array built.  Any other part for such a parameter
-    raises :class:`ShapeMismatch`.  Every other gradient is a dense
-    ndarray.
+    A parameter that receives :class:`RowGrad` parts gets their
+    :func:`sum_rows` instead, with no parameter-sized array built.  A
+    row part that reaches a non-parameter node, arrives with a dense or
+    outer-product part, or does not fit its parameter's rows, width or
+    dtype raises :class:`ShapeMismatch`.  Every other gradient is a
+    dense ndarray.
     """
     if loss.value.shape != (1, 1):
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
     grads = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones((1, 1), dtype=graph.dtype)
     factored = {}
-    rows_read = graph.rows_read
 
     param_grads = {}
     for node in reversed(graph.nodes):
         g = grads[node.idx]
         parts = factored.pop(node.idx, None)
-        if node.param is not None and node.param in rows_read:
-            if g is not None:
-                raise ShapeMismatch(f"parameter '{node.param.name}' is read by rows "
-                                    "but got a dense gradient")
-            if parts is not None:
-                param_grads[node.param] = parts.row_grad(
-                    node.param, sorted(rows_read[node.param]), graph.dtype)
-            continue
         if parts is not None:
-            g = parts.materialize(node.shape, graph.dtype, g)
+            if parts.rows:
+                param_grads[node.param] = parts.row_sum(node, g)
+                continue
+            g = parts.materialize(graph.dtype, g)
         if g is None:
             continue
         if node.param is not None:
@@ -468,7 +442,7 @@ def gradients(graph, loss):
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
                     continue
-                if isinstance(pg, (OuterGrad, SliceGrad)):
+                if isinstance(pg, (OuterGrad, RowGrad)):
                     factored.setdefault(parent.idx, _Factored()).add(pg)
                     continue
                 cur = grads[parent.idx]
@@ -484,7 +458,8 @@ def gradients(graph, loss):
 def backward(graph, loss):
     """:func:`gradients` with every gradient a dense ndarray of its
     parameter's shape: each :class:`RowGrad` is scattered into zeros,
-    which gives the bits of summing its slices into a zero table."""
+    which gives the bits of adding each read row into a zero table in
+    the same order."""
     param_grads = gradients(graph, loss)
     for p, g in param_grads.items():
         if type(g) is RowGrad:

@@ -6,10 +6,9 @@ Tokens are stored verbatim and case-folding happens only at lookup:
 exact match first, then the lowercased form, then the fallback row.
 
 :func:`embedding_node` is the only op that reads ``table.trainable``
-on a tape, and it reads it by rows: it records on the graph
-(``Graph.rows_read``) the rows its tokens resolve to, and the graph's
-gradient for the table is zero outside them.  The trainer reads that
-record to hand the optimizer those rows alone.
+on a tape, and it hands the table a :class:`RowGrad` on the rows its
+tokens resolve to, so the table's gradient is zero outside them and the
+trainer hands the optimizer those rows alone.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter, SliceGrad
+from .autodiff import Parameter, RowGrad
 
 UNK_TOKEN = "<unk>"
 INIT_SCALE = 0.05
@@ -232,18 +231,18 @@ def lookup_rows(vocab, table, tokens):
 
 
 def embedding_node(graph, vocab, table, tokens):
-    """:func:`lookup_rows` as one ``take_row`` graph node.  Each trainable
-    row hands the table its own one-row gradient slice, last token first,
-    and is recorded in ``graph.rows_read``; pretrained rows are
+    """:func:`lookup_rows` as one ``take_row`` graph node.  Its vjp hands
+    the table one :class:`RowGrad` on the trainable rows, last token
+    first, so a repeated token repeats its row; pretrained rows are
     constant."""
     rows = trainable_rows(vocab, tokens)
     value = _read_rows(vocab, table, rows)
-    trained = [(j, i) for j, i in enumerate(rows.tolist()) if i >= 0][::-1]
-    if not trained:
+    trained = np.flatnonzero(rows >= 0)[::-1]
+    if not trained.size:
         return graph.constant(value, op="take_row")
-    tn = graph.parameter(table.trainable, rows=[i for _, i in trained])
+    read = rows[trained]
 
     def vjp(g):
-        return tuple(SliceGrad(np.s_[i:i + 1, :], g[:, j:j + 1].T) for j, i in trained)
+        return (RowGrad(read, g.T[trained]),)
 
-    return graph.record(value, (tn,) * len(trained), vjp, "take_row")
+    return graph.record(value, (graph.parameter(table.trainable),), vjp, "take_row")

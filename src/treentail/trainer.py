@@ -6,10 +6,10 @@ selection.  All randomness flows from one seed through named child
 streams, so a rerun with the same configuration is bit-identical.
 
 A batch reads a few dozen rows of the trainable embedding table, and
-each example's table gradient is zero outside the rows its graph records
-as read (``Graph.rows_read``).  :func:`~treentail.autodiff.gradients`
-hands that gradient back as a :class:`RowGrad` on those rows, ``train``
-sums a batch's row gradients on the rows they cover, and Adam keeps
+each example's table gradient is zero outside the rows its leaves read.
+:func:`~treentail.autodiff.gradients` hands that gradient back as a
+:class:`RowGrad` on those rows, ``train`` sums a batch's row gradients
+with the same :func:`~treentail.autodiff.sum_rows`, and Adam keeps
 moments only for the rows whose moments may be nonzero, the rows some
 batch has read so far.  A row with zero moments and a zero gradient is
 an exact fixed point of the update, so this gives the dense step's
@@ -41,6 +41,7 @@ from .autodiff import (
     ShapeMismatch,
     grad_check,
     gradients,
+    sum_rows,
 )
 from .data import leaf_tokens
 from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_oov
@@ -308,20 +309,6 @@ class EpochMetrics:
     dev_accuracy: float
 
 
-def _summed_rows(row_grads, scale):
-    """The :class:`RowGrad` of ``scale`` times the sum of ``row_grads``,
-    added in order: the additions a dense sum makes on those rows, since
-    every other entry it adds is an exact zero."""
-    rows = sorted(set().union(*(r for r, _ in row_grads)))
-    position = {row: j for j, row in enumerate(rows)}
-    values = row_grads[0].values
-    total = np.zeros((len(rows), values.shape[1]), values.dtype)
-    for r, values in row_grads:
-        total[[position[i] for i in r]] += values
-    total *= scale
-    return RowGrad(np.array(rows, np.intp), total)
-
-
 def _trainable(params, table):
     out = list(params.trainable())
     if table.trainable is not None:
@@ -366,8 +353,8 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
             chunk = order[start:start + config.batch_size]
             grad_sum = {}
             # Per parameter read by rows (the embedding table), each
-            # example's gradient on the rows its graph read.
-            row_grads = {}
+            # example's RowGrad.
+            row_parts = {}
             for idx in chunk:
                 pair = dataset[idx]
                 graph = Graph(dtype)
@@ -381,7 +368,7 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
                     losses.append(float(loss.value[0, 0]))
                     for p, g in gradients(graph, loss).items():
                         if type(g) is RowGrad:
-                            row_grads.setdefault(p, []).append(g)
+                            row_parts.setdefault(p, []).append(g)
                             continue
                         # Summed in place into a copy of the first gradient:
                         # gradients' arrays may share memory with each other.
@@ -398,8 +385,9 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
             scale = 1.0 / len(chunk)
             for g in grad_sum.values():
                 g *= scale
-            for p, parts in row_grads.items():
-                grad_sum[p] = _summed_rows(parts, scale)
+            for p, parts in row_parts.items():
+                _, values = grad_sum[p] = sum_rows(parts)
+                values *= scale
             try:
                 adam_step(optimized, grad_sum, state, config)
             except NonFiniteValue as exc:

@@ -10,6 +10,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treentail.autodiff import (
     AffineMap,
@@ -19,12 +21,13 @@ from treentail.autodiff import (
     NonScalarLoss,
     OuterGrad,
     Parameter,
+    RowGrad,
     ShapeMismatch,
-    SliceGrad,
     backward,
     grad_check,
     gradients,
     sigmoid,
+    sum_rows,
 )
 from treentail.composer import LstmParameters, walk_tree
 from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
@@ -65,19 +68,22 @@ class TestParameter:
     def test_rows_read_are_the_union_of_each_read(self):
         p = Parameter("t", np.zeros((5, 2)))
         g = Graph()
-        assert g.parameter(p, rows=[3, 1]) is g.parameter(p, rows=[1, 4])
-        assert g.rows_read == {p: {1, 3, 4}}
+        pn = g.parameter(p)
+        reads = [_row_read(g, pn, rows) for rows in ([3, 1], [1, 4])]
+        grad = gradients(g, total(g, g.concat(reads)))[p]
+        assert grad.rows.tolist() == [1, 3, 4]
+        assert grad.values.tolist() == [[2.0, 2.0], [1.0, 1.0], [1.0, 1.0]]
 
     def test_a_parameter_is_read_by_rows_or_whole(self):
-        by_rows, whole = Parameter("t", np.zeros((5, 2))), Parameter("w", np.zeros((5, 2)))
+        """Mixing the two kinds of read raises when the gradients meet,
+        naming the parameter."""
+        p = Parameter("t", np.zeros((5, 2)))
         g = Graph()
-        g.parameter(by_rows, rows=[0])
-        g.parameter(whole)
-        with pytest.raises(ShapeMismatch, match="'t'"):
-            g.parameter(by_rows)
-        with pytest.raises(ShapeMismatch, match="'w'"):
-            g.parameter(whole, rows=[0])
-        assert g.rows_read == {by_rows: {0}}
+        pn = g.parameter(p)
+        loss = total(g, g.concat([_row_read(g, pn, [0]), total(g, g.tanh(pn))]))
+        for differentiate in (gradients, backward):
+            with pytest.raises(ShapeMismatch, match="'t'"):
+                differentiate(g, loss)
 
 
 class TestForwardValues:
@@ -232,6 +238,13 @@ class TestBackward:
         assert backward(g, loss)[p].item() == pytest.approx(4.0)
 
 
+def _row_read(graph, a, rows):
+    """A (1, 1) node whose vjp hands ``a`` a :class:`RowGrad` of ones on
+    ``rows``."""
+    part = RowGrad(rows, np.ones((len(rows), a.shape[1])))
+    return graph.record(np.ones((1, 1)), (a,), lambda _: (part,), "take_row")
+
+
 def _row(graph, a, i):
     """Row ``i`` of ``a`` as a column, read through a one-row slice."""
     return graph.transpose(graph.slice_rows(a, i, i + 1))
@@ -250,7 +263,7 @@ def _matvec(graph, w, x, factored):
 
 
 class TestFactoredGradients:
-    """OuterGrad and SliceGrad parts are summed once per receiving node."""
+    """OuterGrad and RowGrad parts are summed once per receiving node."""
 
     def test_leaves_sharing_a_row_sum(self):
         table = Parameter("t", np.arange(12.0).reshape(4, 3))
@@ -326,21 +339,71 @@ class TestFactoredGradients:
     @pytest.mark.parametrize("part", [
         OuterGrad(np.ones((4, 1)), np.ones((2, 1))),
         np.ones((4, 2)),
-        SliceGrad(np.s_[2:3, :], np.ones((1, 2))),
-        SliceGrad(np.s_[1:3, :], np.ones((2, 2))),
-        SliceGrad(np.s_[:, 0:1], np.ones((4, 1))),
-    ], ids=["outer", "dense", "unread-row", "block-past-the-rows", "column"])
+        RowGrad([4], np.ones((1, 2))),
+        RowGrad(np.array([-1]), np.ones((1, 2))),
+        RowGrad([1], np.ones((1, 3))),
+        RowGrad([1], np.ones((1, 2), np.float32)),
+    ], ids=["outer", "dense", "past-the-last-row", "negative-row", "wide-values",
+            "other-dtype"])
     def test_a_row_read_parameter_takes_read_row_slices_only(self, part):
-        """A parameter read by rows has a gradient only on those rows, so
-        an outer-product, dense or column part, or a slice reaching an
-        unread row, is a misuse that names the parameter."""
+        """A parameter read by rows takes row parts only, each on its own
+        rows with values of its width and dtype: an outer-product or dense
+        part next to a row part, a row outside [0, 4) (which a scatter
+        would wrap), or other values is a misuse that names the
+        parameter."""
         p = Parameter("t", np.ones((4, 2)))
         g = Graph()
-        tn = g.parameter(p, rows=[1])
-        loss = g.record(np.ones((1, 1)), (tn,), lambda _: (part,), "misuse")
+        tn = g.parameter(p)
+        misuse = g.record(np.ones((1, 1)), (tn,), lambda _: (part,), "misuse")
+        loss = total(g, g.concat([_row_read(g, tn, [1]), misuse]))
         for differentiate in (gradients, backward):
             with pytest.raises(ShapeMismatch, match="'t'"):
                 differentiate(g, loss)
+
+    def test_a_row_gradient_reaches_parameters_only(self):
+        g = Graph()
+        th = g.tanh(g.parameter(Parameter("t", np.ones((4, 2)))))
+        with pytest.raises(ShapeMismatch, match="'tanh'"):
+            gradients(g, total(g, _row_read(g, th, [1])))
+
+    def test_take_row_has_the_table_as_its_one_parent(self):
+        vocab, table = empty_vocabulary(3)
+        register_oov(vocab, table, ["a", "b"], np.random.default_rng(0))
+        g = Graph()
+        node = embedding_node(g, vocab, table, ["a", "b", "a", "zebra"])
+        assert node.parents == (g.parameter(table.trainable),)
+        (part,) = node.vjp(np.arange(12.0).reshape(3, 4))
+        # last token first; "zebra" reads the fallback row 0
+        assert part.rows.tolist() == [0, 1, 2, 1]
+        assert part.values.tolist() == [[3.0, 7.0, 11.0], [2.0, 6.0, 10.0],
+                                        [1.0, 5.0, 9.0], [0.0, 4.0, 8.0]]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @settings(max_examples=60, deadline=None)
+    @given(reads=st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=8),
+                          min_size=1, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_sum_rows_adds_each_part_in_arrival_order(self, dtype, reads, seed):
+        """Parts whose rows repeat, one row three times or more: the sum
+        has the bits of adding every row's values into a zero table in
+        arrival order, on the sorted union of the rows."""
+        reads[-1] = reads[-1] + [reads[0][0]] * 2
+        rng = np.random.default_rng(seed)
+        parts = []
+        for rows in reads:
+            # Magnitudes from 1e-4 to 1e4, so that the order of addition shows.
+            scale = 10.0 ** rng.integers(-4, 5, (len(rows), 1))
+            values = rng.standard_normal((len(rows), 3)) * scale
+            parts.append(RowGrad(np.array(rows), values.astype(dtype)))
+        dense = np.zeros((10, 3), dtype)
+        for rows, values in parts:
+            for r, v in zip(rows, values):
+                dense[r] += v
+        got = sum_rows(parts)
+        union = sorted({r for rows, _ in parts for r in rows.tolist()})
+        assert got.rows.tolist() == union
+        assert got.values.dtype == dtype
+        assert got.values.tobytes() == dense[union].tobytes()
 
     def test_take_row_backward_stays_near_one_table(self):
         """A level of forty leaves must not cost forty table-sized

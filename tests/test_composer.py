@@ -103,14 +103,24 @@ class TestCellValues:
             np.testing.assert_allclose(c[:, 0], c_ref, atol=1e-12, err_msg=f"case {case} (c)")
 
     def test_exposed_vector_is_strictly_inside_unit_box(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            block = make_block(5, 6, rng, scale=3.0)
-            x = rng.standard_normal((6, 1)) * 4
-            h1, c1 = rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5
-            h2, c2 = rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5
-            h, _ = cell(block, x, h1, h2, c1, c2)
-            assert np.abs(h).max() < 1.0
+        """h = o * tanh(c) with o <= 1, so |h| <= 1 always, and |h| < 1
+        wherever |tanh(c)| < 1.  A large c rounds tanh(c) to 1.0 in
+        float64 (draw 15 of the second draw order), and there h may be 1."""
+        for children_first in (False, True):
+            rng = np.random.default_rng(9)
+            for _ in range(50):
+                block = make_block(5, 6, rng, scale=3.0)
+                x = rng.standard_normal((6, 1)) * 4
+                if children_first:
+                    h1, h2 = rng.uniform(-1, 1, (5, 1)), rng.uniform(-1, 1, (5, 1))
+                    c1, c2 = rng.standard_normal((5, 1)) * 5, rng.standard_normal((5, 1)) * 5
+                else:
+                    h1, c1 = rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5
+                    h2, c2 = rng.uniform(-1, 1, (5, 1)), rng.standard_normal((5, 1)) * 5
+                h, c = cell(block, x, h1, h2, c1, c2)
+                assert np.abs(h).max() <= 1.0
+                inside = np.abs(np.tanh(c)) < 1.0
+                assert np.all(np.abs(h[inside]) < 1.0)
 
     def test_shape_guards(self):
         with pytest.raises(ShapeMismatch):

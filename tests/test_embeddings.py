@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from treentail import embeddings
+from treentail import composer, embeddings
 from treentail.autodiff import Graph, RowGrad, backward, gradients
 from treentail.embeddings import (
     CalledTwice,
@@ -243,6 +243,20 @@ class TestResolveAndLookup:
         np.testing.assert_array_equal(frozen_only, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def _sliced_leaves(graph, vocab, table, tokens):
+    """``embedding_node``'s value with each trainable row read by its own
+    ``slice_rows``, so the table's gradient is a dense sum of one-row
+    parts; the reverse walk meets them last token first."""
+    columns = []
+    for i in trainable_rows(vocab, tokens).tolist():
+        if i >= 0:
+            row = graph.slice_rows(graph.parameter(table.trainable), i, i + 1)
+            columns.append(graph.transpose(row))
+        else:
+            columns.append(graph.constant(table.frozen[[i + vocab.frozen_count]].T))
+    return graph.stack_columns(columns)
+
+
 class TestEmbeddingNodes:
     def make(self, tmp_path):
         p = write_vectors(tmp_path / "v.txt", [
@@ -274,14 +288,14 @@ class TestEmbeddingNodes:
         embedding_node(Graph(), vocab, table, ["new", "frozen", "new", "other"])
         assert calls == ["new", "frozen", "new", "other"]
 
-    def test_trainable_rows_read_are_recorded_on_the_graph(self, tmp_path):
+    def test_trainable_rows_read_are_the_row_gradients_rows(self, tmp_path):
         vocab, table = self.make(tmp_path)
         g = Graph()
-        embedding_node(g, vocab, table, ["new", "frozen", "new"])
-        embedding_node(g, vocab, table, ["frozen"])
-        assert g.rows_read == {table.trainable: {1}}
-        embedding_node(g, vocab, table, ["other", "new"])
-        assert g.rows_read == {table.trainable: {0, 1}}
+        reads = [total(g, embedding_node(g, vocab, table, tokens))
+                 for tokens in (["new", "frozen", "new"], ["frozen"])]
+        assert gradients(g, total(g, g.concat(reads)))[table.trainable].rows.tolist() == [1]
+        reads.append(total(g, embedding_node(g, vocab, table, ["other", "new"])))
+        assert gradients(g, total(g, g.concat(reads)))[table.trainable].rows.tolist() == [0, 1]
 
     def test_oov_row_gets_gradient_only_on_its_row(self, tmp_path):
         vocab, table = self.make(tmp_path)
@@ -297,37 +311,40 @@ class TestEmbeddingNodes:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_table_gradient_rows_are_the_dense_gradient_bit_for_bit(self, tmp_path,
-                                                                     dtype):
+                                                                     monkeypatch, dtype):
         """A pair whose trees repeat a token, share one and mix pretrained
         and trainable leaves: the table's gradient comes in row form, on
-        the rows the graph read, and scattered into zeros it has the bits
-        of summing every slice into a zero table, which is also what
-        ``backward`` returns."""
+        the rows the leaves read, and scattered into zeros it has the bits
+        of a dense sum that never passes through ``sum_rows``, from leaves
+        that read each trainable row with its own ``slice_rows``.  That is
+        also what ``backward`` returns."""
         p = write_vectors(tmp_path / "v.txt", ["frozen 0.3 0.6", "the -0.2 0.1"])
         vocab, table = load_pretrained(p, dtype=dtype)
         register_oov(vocab, table, ["cat", "dog", "new", "sat"], np.random.default_rng(5))
         params = init_parameters(TrainConfig(k=3, r=2, d=2, precision=(
             "double" if dtype == np.float64 else "single")), np.random.default_rng(6))
-        g = Graph(dtype)
-        run = run_forward(g, parse_tree("( ( new ( frozen new ) ) ( cat the ) )"),
-                          parse_tree("( ( the new ) ( dog zebra ) )"), vocab, table,
-                          params, use_dual=True)
-        loss = loss_node(g, run.distribution, "contradiction")
-        row_grad = gradients(g, loss)[table.trainable]
-        dense = backward(g, loss)[table.trainable]
-        # Without its row record the table's node takes the dense path.
-        read = g.rows_read.pop(table.trainable)
-        reference = gradients(g, loss)[table.trainable]
 
-        assert type(row_grad) is RowGrad and row_grad.rows == sorted(read)
-        assert [vocab.tokens[vocab.frozen_count + i] for i in row_grad.rows] == [
+        def table_gradients():
+            g = Graph(dtype)
+            run = run_forward(g, parse_tree("( ( new ( frozen new ) ) ( cat the ) )"),
+                              parse_tree("( ( the new ) ( dog zebra ) )"), vocab, table,
+                              params, use_dual=True)
+            loss = loss_node(g, run.distribution, "contradiction")
+            return gradients(g, loss)[table.trainable], backward(g, loss)[table.trainable]
+
+        sparse, dense = table_gradients()
+        monkeypatch.setattr(composer, "embedding_node", _sliced_leaves)
+        reference, _ = table_gradients()
+
+        assert type(sparse) is RowGrad and type(reference) is np.ndarray
+        assert [vocab.tokens[vocab.frozen_count + i] for i in sparse.rows] == [
             "<unk>", "cat", "dog", "new"]
-        assert row_grad.values.dtype == dtype
+        assert sparse.values.dtype == dtype
         scattered = np.zeros(table.trainable.value.shape, dtype)
-        scattered[row_grad.rows] = row_grad.values
+        scattered[sparse.rows] = sparse.values
         assert reference.dtype == dense.dtype == dtype
         assert scattered.tobytes() == reference.tobytes() == dense.tobytes()
-        assert np.all(row_grad.values != 0.0)
+        assert np.all(sparse.values != 0.0)
 
     def test_frozen_rows_survive_training_updates(self, tmp_path):
         """Frozen storage is a plain array: nothing that takes gradients

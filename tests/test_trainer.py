@@ -3,7 +3,10 @@ parameter count, and the checkpoint container."""
 
 import dataclasses
 import json
+import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,6 +23,7 @@ from treentail.autodiff import (
     gradients,
 )
 from treentail.composer import dropout
+import treentail
 from treentail import trainer
 from treentail.data import ExamplePair, generate_toy, random_tree
 from treentail.embeddings import (
@@ -670,6 +674,30 @@ class TestTrain:
         finally:
             tracemalloc.stop()
         assert peak < table.trainable.value.nbytes / 10
+
+    def test_training_and_inference_leave_numpy_ma_unimported(self):
+        """numpy.ma, which ``np.unique`` imports, adds about 1.7 MB to the
+        resident set: one toy epoch, ``evaluate`` and ``predict`` in a
+        fresh interpreter never import it."""
+        script = "\n".join([
+            "import sys",
+            "from treentail.data import generate_toy",
+            "from treentail.entailment import predict",
+            "from treentail.trainer import TrainConfig, evaluate, train",
+            "pairs = generate_toy(0, 6)",
+            "config = TrainConfig(k=32, r=32, d=32, epochs=1, use_dual=True)",
+            "params, vocab, table, _ = train(pairs, pairs, config)",
+            "evaluate(pairs, params, config, vocab, table)",
+            "predict(pairs[0].premise, pairs[0].hypothesis, vocab, table, params, True)",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        src = os.path.dirname(os.path.dirname(treentail.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "False"
 
     def test_empty_datasets_are_rejected(self):
         config = small_config()
