@@ -17,12 +17,13 @@ with both (the relation encoder's internal nodes).  The memory vector
 in forest ids) on that level's nodes side by side, so a level costs one
 matrix product however many nodes it holds.  Each level gathers its
 children's states by forest id and writes its own h and c columns.
-Both paths run it: the tape on one tree's cached schedule, and the
-tape-free forward in :mod:`treentail.entailment` on a forest of a
-chunk's trees.  BLAS rounds a product over several columns differently
-from one column at a time, so the last bit of every state depends on
-how the levels group the nodes; a lone tree's tape-free walk groups and
-lays out its operands as the tape does, and matches it bit for bit.
+Both paths run it, each on a schedule it builds per walk: the tape on
+one tree's, and the tape-free forward in :mod:`treentail.entailment` on
+a forest of a chunk's trees.  BLAS rounds a product over several columns
+differently from one column at a time, so the last bit of every state
+depends on how the levels group the nodes; a lone tree's tape-free walk
+groups and lays out its operands as the tape does, and matches it bit
+for bit.
 
 On the tape, :func:`walk_tree` records a whole walk as one fused op
 with a hand-written backward rule, so the tape holds one node per tree
@@ -46,6 +47,7 @@ import numpy as np
 
 from .autodiff import AffineMap, Node, NonFiniteValue, OuterGrad, ShapeMismatch, sigmoid
 from .embeddings import embedding_node
+from .trees import forest_schedule
 
 
 @dataclass
@@ -189,22 +191,24 @@ def walk_tree(graph, tree, params, x):
     ``x`` is the walk's ``(d_in, .)`` input node: one column per leaf
     feeds the leaf level only (the meaning walk), one column per node
     feeds every node (the relation walk).  The forward is
-    :func:`walk_values` over ``tree.schedule``, so a level of m nodes is
-    one ``(5k, .) x (., m)`` product.  The backward sweeps the levels top
+    :func:`walk_values` over the tree's schedule, which is built here and
+    lives as long as the op, so a level of m nodes is one
+    ``(5k, .) x (., m)`` product.  The backward sweeps the levels top
     down, adding each level's child gradients into the ``[h; c]``
     gradient of the nodes below, and hands the gate weight one
     :class:`OuterGrad` and the bias one dense part per level, top level
     first: the parents are ``(W, b)`` once per level, then ``x``.
     """
     k, d, n = params.k_out, params.d_in, tree.node_count
-    if x.shape not in ((d, len(tree.levels[0])), (d, n)):
+    if x.shape not in ((d, (n + 1) // 2), (d, n)):
         raise ShapeMismatch(f"walk input must be ({d}, leaves) or ({d}, {n}), got {x.shape}")
     wn = graph.parameter(params.block.weight)
     bn = graph.parameter(params.block.bias)
     wv = wn.value
-    levels = tree.schedule[1]
+    schedule = forest_schedule((tree,))
+    levels = schedule[1]
     kept = []
-    hs, cs = walk_values(tree.schedule, x.value, wv, bn.value, k, kept)
+    hs, cs = walk_values(schedule, x.value, wv, bn.value, k, kept)
     # the op's value is h; c never leaves the op, so check it here
     if not np.isfinite(cs).all():
         raise NonFiniteValue("non-finite value produced by op 'lstm_cell'")

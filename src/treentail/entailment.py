@@ -184,15 +184,17 @@ def _plain_row_softmax(m):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forest(trees):
-    """A forest's schedule (a lone tree's is cached on the tree) and its
-    leaf tokens in leaf-level order."""
-    schedule = trees[0].schedule if len(trees) == 1 else forest_schedule(trees)
-    return schedule, [token for tree in trees for token in tree.leaves()]
+def _forests(pairs):
+    """The premises' and the hypotheses' forests of a list of pairs, for
+    :func:`_wavefront`: each a :func:`~treentail.trees.forest_schedule`
+    and its leaf tokens in leaf-level order."""
+    return [(forest_schedule(trees), [token for tree in trees for token in tree.leaves()])
+            for trees in zip(*pairs)]
 
 
-def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
-    """The tape-free forward of a list of ``(premise, hypothesis)`` pairs.
+def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, attention):
+    """The tape-free forward of a list of pairs, given as their two forests
+    (:func:`_forests`), which a caller may reuse while the trees stay put.
 
     All premises walk as one forest and all hypotheses as another
     (:func:`~treentail.composer.walk_values`), so a height of either walk
@@ -213,8 +215,8 @@ def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
     def cast(value):
         return np.asarray(value, dtype)
 
-    prem_schedule, prem_words = _forest([p for p, _ in pairs])
-    hyp_schedule, hyp_words = _forest([h for _, h in pairs])
+    prem_schedule, prem_words = premises
+    hyp_schedule, hyp_words = hypotheses
     mw, mb = cast(params.meaning.block.weight.value), cast(params.meaning.block.bias.value)
 
     def encode(schedule, words):
@@ -229,7 +231,7 @@ def _wavefront(pairs, vocab, table, params, use_dual, dtype, attention):
     prem_scores = sw[:, k:] @ prem
     prem_at, hyp_at = prem_schedule[0], hyp_schedule[0]
     contexts, views = [], []
-    for j in range(len(pairs)):
+    for j in range(len(prem_at) - 1):
         ps = slice(prem_at[j], prem_at[j + 1])
         scores = hyp_scores[hyp_at[j]:hyp_at[j + 1]] + prem_scores[:, ps] + sb
         forward = final = _plain_row_softmax(scores)
@@ -267,7 +269,7 @@ def predict(premise, hypothesis, vocab, table, params, use_dual=False,
     probabilities resolve to the earliest label in LABELS order.  Raises
     :class:`NonFiniteValue` if the distribution is not finite.
     """
-    dists, views = _wavefront([(premise, hypothesis)], vocab, table, params,
+    dists, views = _wavefront(*_forests([(premise, hypothesis)]), vocab, table, params,
                               use_dual, dtype, attention=True)
     forward, reverse, final, relations = views[0]
     return Prediction(
@@ -287,7 +289,8 @@ def plain_distributions(pairs, vocab, table, params, use_dual=False,
     Row ``j`` is pair ``j``'s :func:`plain_forward` to the last bit or
     so, and exactly that for a list of one.  Raises
     :class:`NonFiniteValue` if any distribution is not finite."""
-    return _wavefront(pairs, vocab, table, params, use_dual, dtype, attention=False)[0]
+    return _wavefront(*_forests(pairs), vocab, table, params, use_dual, dtype,
+                      attention=False)[0]
 
 
 def plain_forward(premise, hypothesis, vocab, table, params,

@@ -48,9 +48,11 @@ from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_o
 from .entailment import (
     LABELS,
     ModelParameters,
+    _forests,
+    _wavefront,
+    cross_entropy,
     loss_node,
     plain_distributions,
-    plain_loss,
     run_forward,
 )
 
@@ -755,9 +757,20 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
                               use_dual=True)
             return graph, loss_node(graph, run.distribution, gold)
 
-        def fd_loss():
-            return plain_loss(premise, hypothesis, vocab, table, params, gold,
-                              use_dual=True, dtype=np.longdouble)
-
+        fd_loss = _audit_oracle(premise, hypothesis, gold, vocab, table, params)
         worst = np.maximum(worst, grad_check(build, checked, eps, loss_fn=fd_loss))
     return float(worst)
+
+
+def _audit_oracle(premise, hypothesis, gold, vocab, table, params):
+    """The audit's loss of one pair at the parameters' current values:
+    :func:`plain_loss` in extended precision with dual attention, on the
+    pair's forests built once for every perturbation."""
+    forests = _forests([(premise, hypothesis)])
+
+    def loss():
+        dists = _wavefront(*forests, vocab, table, params, use_dual=True,
+                           dtype=np.longdouble, attention=False)[0]
+        return cross_entropy(dists[0], gold)
+
+    return loss

@@ -7,18 +7,17 @@ sweep over ``range(node_count)`` that reaches both children of a node
 before the node itself, and the root is the last id.  The Tree-LSTM
 walks go a level at a time instead, over one schedule:
 :func:`forest_schedule` lays trees end to end and gives each height's
-node ids with their children's ids.  The tape records a tree's whole
-walk over its cached schedule (:attr:`BinaryTree.schedule`) as one op,
-and the tape-free forward walks a forest's.  The schedule is built from
-each tree's cached :attr:`BinaryTree.levels`, the grouping by height
-that one such sweep computes.
+node ids with their children's ids, computing every node's height in
+one such sweep per tree.  The tape records a tree's whole walk over the
+tree's own schedule as one op, and the tape-free forward walks a
+forest's; each builds its schedule when it walks.  A tree holds its
+nodes and nothing derived from them.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +43,7 @@ class NestingTooDeep(TreeParseError, RecursionError):
     RecursionError, which is what such text raised before."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryTree:
     """Immutable binary tree whose node ids are its post-order.
 
@@ -97,67 +96,46 @@ class BinaryTree:
         """Leaf tokens in left-to-right surface order."""
         return [token for token in self.tokens if token is not None]
 
-    @cached_property
-    def levels(self):
-        """Node ids grouped by height, lowest first, each group in id order.
-
-        ``levels[0]`` holds every leaf, and an internal node sits one level
-        above the higher of its two children, so each level depends only
-        on the levels below it and the root is alone in the last one.
-
-        >>> parse_tree("( ( a b ) ( c ( d e ) ) )").levels
-        ((0, 1, 3, 4, 5), (2, 6), (7,), (8,))
-        """
-        height, levels = [], []
-        for i in range(self.node_count):
-            h = 0 if self.is_leaf(i) else 1 + max(height[self.lefts[i]],
-                                                  height[self.rights[i]])
-            height.append(h)
-            if h == len(levels):
-                levels.append([])
-            levels[h].append(i)
-        return tuple(tuple(ids) for ids in levels)
-
-    @cached_property
-    def schedule(self):
-        """``forest_schedule((self,))``, kept for the tape's walks and the
-        tape-free forward of one pair."""
-        return forest_schedule((self,))
-
 
 def forest_schedule(trees):
     """The level schedule of ``trees`` laid end to end.
 
-    Node ``i`` of ``trees[t]`` is node ``offsets[t] + i`` of the forest.
-    Returns ``(offsets, levels)``: ``offsets`` is a list of one start per
-    tree and then the forest's node count; ``levels[h]`` is ``(ids, lefts,
-    rights)`` for height ``h``: every tree's ``levels[h]`` in forest ids,
-    tree by tree, and their children's ids (None on the leaf level).  A
-    level of one node gives one-node slices, every other level integer
-    arrays, so a column gather can be a view where it selects one column.
+    Node ``i`` of ``trees[t]`` is node ``offsets[t] + i`` of the forest,
+    and a node's height is 0 for a leaf, else one more than the higher of
+    its children's.  Returns ``(offsets, levels)``: ``offsets`` is a list
+    of one start per tree and then the forest's node count; ``levels[h]``
+    is ``(ids, lefts, rights)``: the forest ids of height ``h``, tree by
+    tree and in id order, and their children's ids (None on the leaf
+    level).  A level of one node gives one-node slices, every other level
+    integer arrays, so a column gather can be a view where it selects one
+    column.
 
     >>> offsets, levels = forest_schedule([parse_tree("( a b )"), parse_tree("c")])
     >>> offsets, levels[0][0].tolist(), levels[1]
     ([0, 3, 4], [0, 1, 3], (slice(2, 3, None), slice(0, 1, None), slice(1, 2, None)))
     """
-    offsets = [0]
+    offsets, ids, lefts, rights = [0], [[]], [None], [None]  # one entry per height
     for tree in trees:
-        offsets.append(offsets[-1] + tree.node_count)
-    placed = list(zip(trees, offsets))
-    ids = [start + i for tree, start in placed for i in tree.levels[0]]
-    levels = [(slice(ids[0], ids[0] + 1) if len(ids) == 1 else np.array(ids), None, None)]
-    for height in range(1, max(len(tree.levels) for tree in trees)):
-        ids, lefts, rights = [], [], []
-        for tree, start in placed:
-            for i in tree.levels[height] if height < len(tree.levels) else ():
-                ids.append(start + i)
-                lefts.append(start + tree.lefts[i])
-                rights.append(start + tree.rights[i])
-        if len(ids) == 1:
-            i, left, right = ids[0], lefts[0], rights[0]
-            levels.append((slice(i, i + 1), slice(left, left + 1), slice(right, right + 1)))
-        else:
-            levels.append((np.array(ids), np.array(lefts), np.array(rights)))
+        start, heights = offsets[-1], []
+        for i, left in enumerate(tree.lefts):
+            if left < 0:
+                heights.append(0)
+                ids[0].append(start + i)
+                continue
+            right = tree.rights[i]
+            hl, hr = heights[left], heights[right]
+            h = (hl if hl > hr else hr) + 1  # not max(): this loop is per node
+            heights.append(h)
+            if h == len(ids):
+                ids.append([]), lefts.append([]), rights.append([])
+            ids[h].append(start + i)
+            lefts[h].append(start + left)
+            rights[h].append(start + right)
+        offsets.append(start + len(heights))
+    levels = []
+    for h, columns in enumerate(zip(ids, lefts, rights)):
+        pack = np.array if len(columns[0]) > 1 else lambda one: slice(one[0], one[0] + 1)
+        levels.append(tuple(map(pack, columns)) if h else (pack(columns[0]), None, None))
     return offsets, tuple(levels)
 
 

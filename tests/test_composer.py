@@ -26,7 +26,7 @@ from treentail.autodiff import (
 from treentail.composer import LstmParameters, cell_values, encode_tree, walk_tree, walk_values
 from treentail.data import random_tree
 from treentail.embeddings import empty_vocabulary, register_oov
-from treentail.trees import parse_tree
+from treentail.trees import forest_schedule, parse_tree
 
 from tape_helpers import total
 
@@ -196,9 +196,10 @@ class TestCellGradients:
             tree, height = parse_tree("( ( ( a b ) ( c d ) ) ( e f ) )"), 1
         else:
             tree, height = parse_tree("( ( a b ) c )"), 0
-        ids = list(tree.levels[height])
+        levels = forest_schedule([tree])[1]
+        ids = levels[height][0].tolist()
         assert len(ids) == 3
-        width = tree.node_count if has_x and has_children else len(tree.levels[0])
+        width = tree.node_count if has_x and has_children else len(levels[0][0])
         x = Parameter("x", rng.uniform(-0.9, 0.9, (d, width)))
         probe = np.zeros((k, tree.node_count))
         probe[:, ids] = rng.standard_normal((k, 3))
@@ -227,15 +228,17 @@ class TestLevelGather:
         vocab, table = toy_vocab(d, list("abcdefghi"))
         block = make_block(k, d, np.random.default_rng(5), scale=0.5)
         tree = parse_tree(SPREAD)
-        assert tree.levels[3] == (6, 15)  # children (4, 5) and (9, 14)
+        schedule = forest_schedule([tree])
+        ids, lefts, rights = schedule[1][3]
+        assert (ids.tolist(), lefts.tolist(), rights.tolist()) == ([6, 15], [4, 9], [5, 14])
         g = Graph()
         h = encode_tree(g, tree, vocab, table, block).h
         assert [node for node in g.nodes if node.op == "lstm_cell"] == [h]
         w, b = (g.parameter(p) for p in (block.block.weight, block.block.bias))
         x = h.parents[-1]
-        assert h.parents[:-1] == (w, b) * len(tree.levels) and x.shape == (d, 9)
+        assert h.parents[:-1] == (w, b) * len(schedule[1]) and x.shape == (d, 9)
 
-        hs, cs = walk_values(tree.schedule, x.value, w.value, b.value, k)
+        hs, cs = walk_values(schedule, x.value, w.value, b.value, k)
         np.testing.assert_array_equal(hs, h.value)
         left, right = [4, 9], [5, 14]
         by_hand = cell(block, None, h.value[:, left], h.value[:, right],
@@ -285,7 +288,8 @@ class TestLevelGather:
 def memory(states, tree, block):
     """The c matrix of a tape walk, from its op's input."""
     w, b = block.block.weight.value, block.block.bias.value
-    return walk_values(tree.schedule, states.h.parents[-1].value, w, b, block.k_out)[1]
+    return walk_values(forest_schedule([tree]), states.h.parents[-1].value, w, b,
+                       block.k_out)[1]
 
 
 def toy_vocab(d, tokens, seed=0, scale=0.5):
@@ -374,15 +378,17 @@ class TestLevels:
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200))
     def test_one_cell_per_level_over_a_height_schedule(self, seed, n):
-        """The schedule covers every id once, each node above both of its
-        children; the tape walk records one lstm_cell op for the tree,
-        which runs one cell per level and lists the gate weight and bias
-        once per level among its parents."""
+        """The schedule covers every id once, each node one level above
+        the higher of its two children; the tape walk records one
+        lstm_cell op for the tree, which runs one cell per level and lists
+        the gate weight and bias once per level among its parents."""
         leaves = [("a", "b", "c")[i % 3] for i in range(n)]
         tree = random_tree(np.random.default_rng(seed), leaves)
+        levels = forest_schedule([tree])[1]
         level_of = {}
-        for height, ids in enumerate(tree.levels):
-            assert list(ids) == sorted(ids)
+        for height, (ids, _, _) in enumerate(levels):
+            ids = np.arange(tree.node_count)[ids].tolist()
+            assert ids == sorted(ids)
             for i in ids:
                 assert i not in level_of
                 level_of[i] = height
@@ -391,12 +397,12 @@ class TestLevels:
             if tree.is_leaf(i):
                 assert level_of[i] == 0
             else:
-                assert level_of[i] > max(level_of[tree.lefts[i]], level_of[tree.rights[i]])
+                assert level_of[i] == 1 + max(level_of[tree.lefts[i]], level_of[tree.rights[i]])
 
         vocab, table = toy_vocab(3, ["a", "b", "c"])
         g = Graph()
         block = make_block(2, 3, np.random.default_rng(1))
         states = encode_tree(g, tree, vocab, table, block)
         assert [node.op for node in g.nodes].count("lstm_cell") == 1
-        assert len(states.h.parents) == 2 * len(tree.levels) + 1
+        assert len(states.h.parents) == 2 * len(levels) + 1
         assert states.h.shape == (2, tree.node_count)

@@ -39,8 +39,8 @@ from treentail.entailment import (
     run_forward,
 )
 from treentail.data import generate_toy, leaf_tokens, left_branching, random_tree
-from treentail.trainer import full_model_grad_check
-from treentail.trees import parse_tree
+from treentail.trainer import _audit_fixture, _audit_oracle, full_model_grad_check
+from treentail.trees import forest_schedule, parse_tree
 
 
 def affine(name, out_dim, in_dim, rng, scale=0.4):
@@ -303,7 +303,7 @@ class TestTapeSize:
         words = ["cat", "dog", "sat", "ran", "the"]
         prem, hyp = (left_branching([words[i * step % 5] for i in range(300)])
                      for step in (1, 2))
-        assert len(prem.levels) == len(hyp.levels) == 300
+        assert len(forest_schedule([prem])[1]) == len(forest_schedule([hyp])[1]) == 300
         rng = np.random.default_rng(0)
         assert self.tape_nodes(prem, hyp, vocab, table, params, rng) <= self.NODES
         run = run_forward(Graph(), prem, hyp, vocab, table, params, use_dual=True)
@@ -399,7 +399,8 @@ class TestPlainTwin:
         for _ in range(3):
             prem, hyp = (random_tree(rng, list(rng.choice(words, rng.integers(1, 41))))
                          for _ in range(2))
-            widest = max(widest, *(len(ids) for ids in hyp.levels[1:]), 0)
+            widest = max(widest, *(np.arange(hyp.node_count)[ids].size
+                                   for ids, _, _ in forest_schedule([hyp])[1][1:]), 0)
             assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype)
         assert widest > 1
 
@@ -489,3 +490,32 @@ class TestEndToEndGradients:
         one loss, at deliberately non-square widths."""
         worst = full_model_grad_check(k=4, r=3, d=5, seed=1, pairs=3, eps=1e-4)
         assert worst < 1e-4, f"{worst:.3e}"
+
+    def test_the_audit_oracle_is_plain_loss_bit_for_bit(self):
+        """The audit's difference-quotient loss builds each pair's forests
+        once and reuses them for every perturbation: it returns the
+        extended-precision plain_loss exactly, at the start values and
+        after a weight scalar or a trainable table entry moves."""
+        vocab, table, params, drawn = _audit_fixture(8, 8, 10, 0, 6, (3, 7))
+        moved = [(params.meaning.block.weight.value, (7, 3)),
+                 (params.relation.block.weight.value, (2, 11)),
+                 (params.classifier.weight.value, (1, 0)),
+                 (table.trainable.value, (1, 4))]
+        for premise, hypothesis, gold in drawn:
+            oracle = _audit_oracle(premise, hypothesis, gold, vocab, table, params)
+
+            def plain():
+                return plain_loss(premise, hypothesis, vocab, table, params, gold,
+                                  use_dual=True, dtype=np.longdouble)
+
+            start = oracle()
+            assert start.dtype == np.longdouble and start == plain()
+            for value, at in moved:
+                saved = value[at]
+                value[at] += 1e-4
+                try:
+                    got = oracle()
+                    assert got == plain()
+                finally:
+                    value[at] = saved
+            assert oracle() == start

@@ -58,7 +58,7 @@ from treentail.trainer import (
     save_checkpoint,
     train,
 )
-from treentail.trees import parse_tree
+from treentail.trees import BinaryTree, parse_tree
 
 
 def small_config(**overrides):
@@ -698,6 +698,22 @@ class TestTrain:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "False"
+
+    def test_trees_keep_no_derived_state(self):
+        """Training, evaluation and both forwards build their schedules as
+        they walk and keep nothing on the trees: afterwards every tree has
+        no instance ``__dict__`` and equals a tree rebuilt from its nodes."""
+        config = small_config(epochs=1, batch_size=2, use_dual=True)
+        pairs = generate_toy(4, 5)
+        params, vocab, table, _ = train(pairs, pairs, config)
+        evaluate(pairs, params, config, vocab, table)
+        for pair in pairs:
+            predict(pair.premise, pair.hypothesis, vocab, table, params, True)
+            run_forward(Graph(), pair.premise, pair.hypothesis, vocab, table, params,
+                        use_dual=True)
+        for tree in [t for pair in pairs for t in (pair.premise, pair.hypothesis)]:
+            assert not hasattr(tree, "__dict__")
+            assert tree == BinaryTree(tree.tokens, tree.lefts, tree.rights)
 
     def test_empty_datasets_are_rejected(self):
         config = small_config()

@@ -180,36 +180,80 @@ class TestStructure:
         assert t.leaves() == list("abcdef")
 
 
+def heights_by_definition(tree):
+    """Each node's height: 0 for a leaf, else one more than the higher of
+    its two children's."""
+    memo = {}
+
+    def height(i):
+        if i not in memo:
+            memo[i] = 0 if tree.lefts[i] < 0 else 1 + max(height(tree.lefts[i]),
+                                                           height(tree.rights[i]))
+        return memo[i]
+
+    return [height(i) for i in range(tree.node_count)]
+
+
+def assert_schedule_follows_the_definition(trees):
+    """Level h of the forest holds exactly the forest ids of height h,
+    tree by tree and in id order, with their children's ids; a level of
+    one node is one-node slices, every other level integer arrays."""
+    offsets, levels = treentail.trees.forest_schedule(trees)
+    assert offsets == [sum(t.node_count for t in trees[:i]) for i in range(len(trees) + 1)]
+    heights = [heights_by_definition(tree) for tree in trees]
+    assert len(levels) == 1 + max(max(h) for h in heights)
+    for height, (ids, lefts, rights) in enumerate(levels):
+        want = ([], [], [])
+        for tree, start, of in zip(trees, offsets, heights):
+            for i in range(tree.node_count):
+                if of[i] == height:
+                    want[0].append(start + i)
+                    want[1].append(start + tree.lefts[i])
+                    want[2].append(start + tree.rights[i])
+        got = (ids, lefts, rights)
+        if height == 0:
+            assert (lefts, rights) == (None, None)
+            got, want = got[:1], want[:1]
+        for column, expected in zip(got, want):
+            if len(expected) == 1:
+                assert column == slice(expected[0], expected[0] + 1)
+            else:
+                assert isinstance(column, np.ndarray)
+                assert np.issubdtype(column.dtype, np.integer) and column.ndim == 1
+                assert column.tolist() == expected
+
+
 class TestForestSchedule:
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            sizes=st.lists(st.integers(1, 30), min_size=1, max_size=8))
     def test_levels_are_each_trees_levels_with_offset_ids(self, seed, sizes):
-        """Height h of the forest holds every tree's level h, tree by tree,
-        with each id and child id shifted by the nodes before its tree."""
+        """Height h of the forest holds every tree's nodes of height h,
+        tree by tree, with each id and child id shifted by the nodes
+        before its tree."""
         rng = np.random.default_rng(seed)
         trees = [random_tree(rng, [f"w{i}" for i in range(n)]) for n in sizes]
-        offsets, levels = treentail.trees.forest_schedule(trees)
-        assert offsets == [sum(t.node_count for t in trees[:i])
-                           for i in range(len(trees) + 1)]
-        assert len(levels) == max(len(t.levels) for t in trees)
-        for height, (ids, lefts, rights) in enumerate(levels):
-            want = ([], [], [])
-            for tree, start in zip(trees, offsets):
-                for i in tree.levels[height] if height < len(tree.levels) else ():
-                    want[0].append(start + i)
-                    want[1].append(start + tree.lefts[i])
-                    want[2].append(start + tree.rights[i])
-            got = (ids, lefts, rights)
-            if height == 0:
-                assert (lefts, rights) == (None, None)
-                got, want = got[:1], want[:1]
-            for column, expected in zip(got, want):
-                if len(expected) == 1:
-                    assert column == slice(expected[0], expected[0] + 1)
-                else:
-                    assert column.tolist() == expected
-        assert trees[0].schedule[0] == [0, trees[0].node_count]
+        assert_schedule_follows_the_definition(trees)
+
+    def test_a_300_level_tree_alone_and_in_a_forest(self):
+        """A left-branching tree of 300 leaves has one node on each of its
+        299 internal levels: alone, every such level is slices; after a
+        wider tree, its levels share the first few with that tree's."""
+        deep = left_branching([f"w{i}" for i in range(300)])
+        offsets, levels = treentail.trees.forest_schedule([deep])
+        assert len(levels) == 300
+        assert all(isinstance(column, slice) for level in levels[1:] for column in level)
+        assert_schedule_follows_the_definition([deep])
+        wide = parse_tree("( ( ( a b ) ( c d ) ) ( ( e f ) ( g h ) ) )")
+        assert_schedule_follows_the_definition([wide, deep, parse_tree("x")])
+
+    def test_trees_hold_only_their_nodes(self):
+        """A tree is its tokens and child ids: building a schedule keeps
+        nothing on it."""
+        tree = parse_tree("( ( a b ) ( c ( d e ) ) )")
+        treentail.trees.forest_schedule([tree])
+        assert not hasattr(tree, "__dict__")
+        assert tree == BinaryTree(tree.tokens, tree.lefts, tree.rights)
 
 
 def test_docstring_examples_run():
