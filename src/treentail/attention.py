@@ -42,8 +42,17 @@ def score_matrix(graph, hyp_states, prem_states, scorer):
     Computed by splitting the scorer weight across the two halves of its
     input, which matches the per-pair affine definition up to float
     rounding while touching each node vector once: a column of
-    hypothesis terms plus a row of premise terms plus the bias.
+    hypothesis terms plus a row of premise terms (:func:`score_terms`)
+    plus the bias.
     """
+    hyp_part, prem_part = score_terms(graph, hyp_states, prem_states, scorer)
+    return graph.outer_sum(hyp_part, prem_part, graph.parameter(scorer.bias))
+
+
+def score_terms(graph, hyp_states, prem_states, scorer):
+    """The scorer's hypothesis terms as an ``(n_hyp, 1)`` column and its
+    premise terms as a ``(1, n_prem)`` row, one per column of each h
+    matrix, which may hold a whole forest's nodes."""
     if scorer.out_dim != 1 or scorer.in_dim % 2 != 0:
         raise ShapeMismatch("scorer must map 2k inputs to one score")
     k = scorer.in_dim // 2
@@ -55,9 +64,7 @@ def score_matrix(graph, hyp_states, prem_states, scorer):
     weight = graph.parameter(scorer.weight)
     w_hyp = graph.take_col(weight, range(k))
     w_prem = graph.take_col(weight, range(k, 2 * k))
-    hyp_part = graph.transpose(graph.matmul(w_hyp, hyp))
-    prem_part = graph.matmul(w_prem, prem)
-    return graph.outer_sum(hyp_part, prem_part, graph.parameter(scorer.bias))
+    return graph.transpose(graph.matmul(w_hyp, hyp)), graph.matmul(w_prem, prem)
 
 
 def forward_attention(graph, scores):

@@ -1,16 +1,16 @@
 """Reverse-mode automatic differentiation over small dense tensors.
 
 Values are two-dimensional numpy arrays; column vectors have shape
-``(n, 1)``.  Each example builds its own :class:`Graph`: an append-only
-tape of operations whose insertion order is already topological, so one
-reverse walk accumulates exact gradients into every parameter leaf.
+``(n, 1)``.  Each training batch builds its own :class:`Graph`: an
+append-only tape of operations whose insertion order is already
+topological, so one reverse walk accumulates exact gradients into every
+parameter leaf.
 
 A backward rule may hand a parent its gradient in one of two factored
 forms instead of a dense array.  :class:`OuterGrad` ``(u, v)`` stands
-for ``u @ v.T``: :func:`gradients` keeps a node's outer products until
-the walk reaches it and then sums them in one GEMM, so a weight shared
-by every node of a tree gets one dense gradient per graph instead of
-one per use.  :class:`RowGrad` ``(rows, values)`` is zero outside
+for ``u @ v.T``, which :func:`gradients` forms with one GEMM when the
+part arrives: a tree walk hands its gate weight one over every node of
+its forest.  :class:`RowGrad` ``(rows, values)`` is zero outside
 ``rows`` and is what reading rows of an embedding table hands the
 table: a parameter's row parts are summed by :func:`sum_rows` on the
 union of their rows, so a large table's gradient costs its read rows
@@ -19,7 +19,7 @@ only.  :func:`backward` is the dense form of the same result.
 The tape keeps one op per job: work that an existing op does along
 another axis, on a single entry or after a shift is done by that op.
 
-Every op checks its result for NaN/Inf and aborts the example by
+Every op checks its result for NaN/Inf and aborts the tape by
 raising :class:`NonFiniteValue` naming the op, which turns silent
 numeric corruption into a loud diagnostic.  Parameter leaves are not
 checked here: a graph only reads them, and the optimizer checks each
@@ -50,10 +50,12 @@ class NonFiniteValue(FloatingPointError):
     pass
 
 
-def sigmoid(x):
-    """Numerically stable logistic function of a numpy array."""
+def sigmoid(x, out=None):
+    """Numerically stable logistic function of a numpy array, written
+    into ``out`` if given (which may be ``x`` itself)."""
     # tanh is stable over the whole real line, unlike a bare exp.
-    out = np.tanh(x * 0.5)
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
     out += 1.0
     out *= 0.5
     return out
@@ -88,46 +90,23 @@ def sum_rows(parts):
     return RowGrad(rows, total)
 
 
-class _Factored:
-    """The factored gradient parts one node has received so far."""
-
-    __slots__ = ("us", "vs", "rows")
-
-    def __init__(self):
-        self.us, self.vs, self.rows = [], [], []
-
-    def add(self, part):
-        if type(part) is OuterGrad:
-            self.us.append(part.u)
-            self.vs.append(part.v)
-        else:
-            self.rows.append(part)
-
-    def materialize(self, dtype, dense):
-        """One dense array: the outer products as one GEMM, plus ``dense``
-        if not None."""
-        out = (np.hstack(self.us) @ np.hstack(self.vs).T).astype(dtype, copy=False)
-        if dense is not None:
-            out += dense
-        return out
-
-    def row_sum(self, node, dense):
-        """:func:`sum_rows` of the row parts of parameter ``node``, after
-        checking that it got no other part and that each row part fits it."""
-        if node.param is None:
-            raise ShapeMismatch(f"op '{node.op}' got a row gradient")
-        name = node.param.name
-        if dense is not None or self.us:
-            raise ShapeMismatch(f"parameter '{name}' got row and whole-matrix gradients")
-        n, cols = node.shape
-        for rows, values in self.rows:
-            rows = np.asarray(rows)
-            if values.shape != (len(rows), cols) or values.dtype != node.value.dtype:
-                raise ShapeMismatch(f"row gradient of shape {values.shape} and dtype "
-                                    f"{values.dtype} for '{name}'")
-            if rows.size and (rows.min() < 0 or rows.max() >= n):
-                raise ShapeMismatch(f"row gradient outside the {n} rows of '{name}'")
-        return sum_rows(self.rows)
+def _row_sum(node, parts, dense):
+    """:func:`sum_rows` of the row parts of parameter ``node``, after
+    checking that it got no other part and that each row part fits it."""
+    if node.param is None:
+        raise ShapeMismatch(f"op '{node.op}' got a row gradient")
+    name = node.param.name
+    if dense is not None:
+        raise ShapeMismatch(f"parameter '{name}' got row and whole-matrix gradients")
+    n, cols = node.shape
+    for rows, values in parts:
+        rows = np.asarray(rows)
+        if values.shape != (len(rows), cols) or values.dtype != node.value.dtype:
+            raise ShapeMismatch(f"row gradient of shape {values.shape} and dtype "
+                                f"{values.dtype} for '{name}'")
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
+            raise ShapeMismatch(f"row gradient outside the {n} rows of '{name}'")
+    return sum_rows(parts)
 
 
 class Parameter:
@@ -201,9 +180,10 @@ class Node:
 
 
 class Graph:
-    """Append-only operation tape for a single example.
+    """Append-only operation tape for one batch of examples (a batch of
+    one is a single example).
 
-    Graphs are built, differentiated, and discarded per example.
+    Graphs are built, differentiated, and discarded per batch.
     """
 
     def __init__(self, dtype=np.float64):
@@ -312,23 +292,47 @@ class Graph:
             raise ShapeMismatch(f"take_col columns {j} of a {n}-column matrix")
         return self._read(a, index, "take_col")
 
-    def stack_columns(self, cols):
-        """Pack column vectors side by side into one matrix; a single
-        column stands for itself and records nothing."""
-        cols = list(cols)
-        if not cols:
+    def stack_columns(self, blocks):
+        """Pack column blocks with equal row counts side by side into one
+        matrix, preserving argument order; a single block stands for
+        itself and records nothing."""
+        blocks = list(blocks)
+        if not blocks:
             raise EmptyVector("stack_columns of no vectors")
-        rows = cols[0].shape[0]
-        for c in cols:
-            if c.shape != (rows, 1):
-                raise ShapeMismatch("stack_columns expects equal-length columns")
-        if len(cols) == 1:
-            return cols[0]
+        for b in blocks:
+            if b.shape[0] != blocks[0].shape[0]:
+                raise ShapeMismatch("stack_columns expects equal row counts")
+        if len(blocks) == 1:
+            return blocks[0]
+        offsets = np.cumsum([0] + [b.shape[1] for b in blocks])
 
         def vjp(g):
-            return tuple(g[:, i:i + 1] for i in range(len(cols)))
+            return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(blocks)))
 
-        return self.record(np.hstack([c.value for c in cols]), cols, vjp, "stack_columns")
+        return self.record(np.hstack([b.value for b in blocks]), blocks, vjp,
+                           "stack_columns")
+
+    def gather(self, a, rows, cols):
+        """The entries ``a[rows, cols]`` of integer index arrays that
+        broadcast to a 2-d shape, the result's: ``rows[:, None]`` with
+        ``cols[None, :]`` gathers a block of whole rows and columns,
+        ``rows[None, :]`` with ``cols[None, :]`` one entry per column.
+        Read as a C-ordered copy; its vjp adds the gradient of a repeated
+        entry."""
+        rows, cols = np.asarray(rows, np.intp), np.asarray(cols, np.intp)
+        if rows.ndim != 2 or cols.ndim != 2 or not rows.size or not cols.size:
+            raise ShapeMismatch("gather takes two non-empty 2-d index arrays")
+        n, m = a.shape
+        if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= m:
+            raise ShapeMismatch(f"gather of entries outside a {a.shape} matrix")
+        shape, dtype = a.shape, a.value.dtype
+
+        def vjp(g):
+            out = np.zeros(shape, dtype)
+            np.add.at(out, (rows, cols), g)
+            return (out,)
+
+        return self.record(a.value[rows, cols], (a,), vjp, "gather")
 
     def transpose(self, a):
         return self.record(a.value.T, (a,), lambda g: (g.T,), "transpose")
@@ -340,16 +344,16 @@ class Graph:
         return self.record(av @ bv, (a, b), lambda g: (g @ bv.T, av.T @ g), "matmul")
 
     def affine(self, m, x):
-        """Apply an :class:`AffineMap` to a column vector."""
-        if x.shape != (m.in_dim, 1):
+        """Apply an :class:`AffineMap` to each column of a matrix."""
+        if x.shape[0] != m.in_dim:
             raise ShapeMismatch(
-                f"affine expects ({m.in_dim}, 1) input, got {x.shape}"
+                f"affine expects ({m.in_dim}, .) input, got {x.shape}"
             )
         wn, bn = self.parameter(m.weight), self.parameter(m.bias)
         wv, xv = wn.value, x.value
 
         def vjp(g):
-            return (g @ xv.T, g, wv.T @ g)
+            return (g @ xv.T, g.sum(axis=1, keepdims=True), wv.T @ g)
 
         return self.record(wv @ xv + bn.value, (wn, bn, x), vjp, "affine")
 
@@ -405,12 +409,12 @@ def gradients(graph, loss):
     The loss must be a (1, 1) scalar node.  Insertion order is the
     topological order, so a single reverse pass with accumulation is
     exact.  Dense parent gradients are summed as they arrive, never in
-    place, because vjps may return views of the incoming gradient.
-    :class:`OuterGrad` parts are kept until the walk reaches the
-    receiving node, which then gets one dense array in the graph's dtype:
-    the outer products' GEMM plus the dense sum.  :meth:`Graph.parameter`
-    records one node per parameter, so that node's gradient is the
-    parameter's whole gradient.
+    place, because vjps may return views of the incoming gradient; an
+    :class:`OuterGrad` part is formed as one GEMM, in the graph's dtype,
+    as it arrives and then summed the same way, so its factors live no
+    longer than the vjp that made them.  :meth:`Graph.parameter` records
+    one node per parameter, so that node's gradient is the parameter's
+    whole gradient.
 
     A parameter that receives :class:`RowGrad` parts gets their
     :func:`sum_rows` instead, with no parameter-sized array built.  A
@@ -423,17 +427,15 @@ def gradients(graph, loss):
         raise NonScalarLoss(f"loss has shape {loss.value.shape}")
     grads = [None] * len(graph.nodes)
     grads[loss.idx] = np.ones((1, 1), dtype=graph.dtype)
-    factored = {}
+    row_parts = {}
 
     param_grads = {}
     for node in reversed(graph.nodes):
         g = grads[node.idx]
-        parts = factored.pop(node.idx, None)
+        parts = row_parts.pop(node.idx, None)
         if parts is not None:
-            if parts.rows:
-                param_grads[node.param] = parts.row_sum(node, g)
-                continue
-            g = parts.materialize(graph.dtype, g)
+            param_grads[node.param] = _row_sum(node, parts, g)
+            continue
         if g is None:
             continue
         if node.param is not None:
@@ -442,10 +444,17 @@ def gradients(graph, loss):
             for parent, pg in zip(node.parents, node.vjp(g)):
                 if pg is None:
                     continue
-                if isinstance(pg, (OuterGrad, RowGrad)):
-                    factored.setdefault(parent.idx, _Factored()).add(pg)
+                if type(pg) is RowGrad:
+                    row_parts.setdefault(parent.idx, []).append(pg)
                     continue
                 cur = grads[parent.idx]
+                if type(pg) is OuterGrad:
+                    # a fresh array, so the sum can go into it
+                    pg = (pg.u @ pg.v.T).astype(graph.dtype, copy=False)
+                    if cur is not None:
+                        pg += cur
+                    grads[parent.idx] = pg
+                    continue
                 grads[parent.idx] = pg if cur is None else cur + pg
         grads[node.idx] = None
 

@@ -17,25 +17,27 @@ with both (the relation encoder's internal nodes).  The memory vector
 in forest ids) on that level's nodes side by side, so a level costs one
 matrix product however many nodes it holds.  Each level gathers its
 children's states by forest id and writes its own h and c columns.
-Both paths run it, each on a schedule it builds per walk: the tape on
-one tree's, and the tape-free forward in :mod:`treentail.entailment` on
-a forest of a chunk's trees.  BLAS rounds a product over several columns
-differently from one column at a time, so the last bit of every state
-depends on how the levels group the nodes; a lone tree's tape-free walk
-groups and lays out its operands as the tape does, and matches it bit
-for bit.
+Both paths run it on the same forests: the tape on a training batch's
+premises and hypotheses (or a lone tree's), and the tape-free forward in
+:mod:`treentail.entailment` on the same pairs' or a chunk's.  BLAS
+rounds a product over several columns differently from one column at a
+time, so the last bit of every state depends on how the levels group
+the nodes; both paths group and lay out their operands alike, and agree
+bit for bit.
 
-On the tape, :func:`walk_tree` records a whole walk as one fused op
-with a hand-written backward rule, so the tape holds one node per tree
-walk, none per level or tree node.  Its value is the tree's ``(k, n)``
-h matrix in node-id order, the form attention and the relation walk
-read; its one input node is the leaves' word vectors (meaning walk) or
-every node's ``[h; context]`` column (relation walk).  The backward
-sweeps the levels top down, routing each level's child gradients into
-the ``[h; c]`` gradient of the nodes below, and returns the gate-block
-weight's gradient factored (:class:`OuterGrad`), so ``backward`` forms
-it with one GEMM over every level of the graph.  The backward rule is
-exercised directly by the finite-difference suite.
+On the tape, :func:`walk_tree` records a whole walk, of one tree or a
+forest, as one fused op with a hand-written backward rule, so the tape
+holds one node per walk, none per level or tree node.  Its value is the
+``(k, n)`` h matrix in forest-id order, the form attention and the
+relation walk read; its one input node is the leaves' word vectors
+(meaning walk) or every node's ``[h; context]`` column (relation walk).
+The op keeps each level's gate pre-activations for its backward and
+nothing else per level.  The backward sweeps the levels top down,
+routing each level's child gradients into the ``[h; c]`` gradient of
+the nodes below and freeing each level's kept state as it passes it,
+and returns the gate-block weight's gradient factored over every node
+of the walk (:class:`OuterGrad`), one GEMM per walk.  The backward rule
+is exercised directly by the finite-difference suite.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from .autodiff import AffineMap, Node, NonFiniteValue, OuterGrad, ShapeMismatch, sigmoid
 from .embeddings import embedding_node
-from .trees import forest_schedule
+from .trees import BinaryTree, forest_schedule
 
 
 @dataclass
@@ -76,10 +78,10 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
 
     ``x`` is ``(d_in, m)`` or None (zero); the child states ``h1``,
     ``h2``, ``c1``, ``c2`` are ``(k, m)`` or all None (zero).  Returns
-    ``(h, c, gates, u, t, inp, cols)``: the new state, the sigmoid gates
-    (input, left forget, right forget, output), the candidate ``u``,
-    ``t = tanh(c)``, and the multiplied input rows ``inp``, which are
-    ``W[:, cols]``'s operand.
+    ``(h, c, z, cols)``: the new state, the ``(5k, m)`` pre-activations
+    overwritten in place, block by block, by the four sigmoid gates
+    (input, left forget, right forget, output) and the candidate ``u``,
+    and the columns ``cols`` of ``W`` that multiplied the input rows.
     """
     d = w.shape[1] - 2 * k
     if h1 is None:
@@ -88,14 +90,20 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
         cols, inp = slice(d, None), np.concatenate((h1, h2))
     else:
         cols, inp = slice(None), np.concatenate((x, h1, h2))
-    z = w[:, cols] @ inp + b
-    gates = sigmoid(z[:4 * k])
-    u = np.tanh(z[4 * k:])
-    c = gates[:k] * u
+    z = w[:, cols] @ inp
+    z += b
+    sigmoid(z[:4 * k], out=z[:4 * k])
+    u = z[4 * k:]
+    np.tanh(u, out=u)
+    c = z[:k] * u
     if h1 is not None:
-        c = c + gates[k:2 * k] * c1 + gates[2 * k:3 * k] * c2
-    t = np.tanh(c)
-    return gates[3 * k:] * t, c, gates, u, t, inp, cols
+        forget = z[k:2 * k] * c1
+        c += forget
+        np.multiply(z[2 * k:3 * k], c2, out=forget)
+        c += forget
+    h = np.tanh(c)
+    h *= z[3 * k:4 * k]
+    return h, c, z, cols
 
 
 def walk_values(schedule, x, w, b, k, kept=None):
@@ -107,8 +115,8 @@ def walk_values(schedule, x, w, b, k, kept=None):
     ``x`` is the ``(d_in, .)`` input: one column per leaf, in leaf-level
     order, feeds the leaf level only; one column per node feeds every
     node.  Returns the forest's ``(k, n)`` h and c matrices.  ``kept``,
-    if given, receives each level's ``(gates, u, t, inp, cols)``, which
-    the tape's backward rule reads.
+    if given, receives each level's ``(z, cols)``, which the tape's
+    backward rule reads.
     """
     offsets, levels = schedule
     hs = np.empty((k, offsets[-1]), w.dtype)
@@ -136,19 +144,23 @@ def _cols(a, ix):
     return a[:, ix] if isinstance(ix, slice) else a.take(ix, axis=1)
 
 
-def dropout(graph, x, rate, rng=None):
+def dropout(graph, x, rate, rng=None, draws=None):
     """Inverted dropout on a ``(d, m)`` level node, a mask per level,
     drawn leaf by leaf (column ``j`` takes the ``d`` draws after column
     ``j - 1``'s): each entry is zeroed with probability ``rate`` and
     survivors are scaled by 1/(1 - rate), so the expectation is
-    unchanged.  Evaluation passes ``rng=None``, which like ``rate == 0``
+    unchanged.  ``draws``, the ``(m, d)`` uniform draws of the level's
+    leaves taken from elsewhere, a row per leaf, stands in for drawing
+    from ``rng``.  Evaluation passes neither, which like ``rate == 0``
     returns ``x`` itself and draws nothing.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError("dropout rate must lie in [0, 1)")
-    if rate == 0.0 or rng is None:
+    if rate == 0.0 or (rng is None and draws is None):
         return x
-    keep = np.ascontiguousarray(rng.random(x.shape[::-1]).T) >= rate
+    if draws is None:
+        draws = rng.random(x.shape[::-1])
+    keep = np.ascontiguousarray(draws.T) >= rate
     return graph.hadamard(x, graph.constant(keep / (1.0 - rate), op="dropout_mask"))
 
 
@@ -159,8 +171,8 @@ class NodeView(NamedTuple):
 
 
 class TreeStates:
-    """A tree walked on the tape: ``h`` is the ``(k, n)`` node whose
-    column ``i`` is node ``i``'s exposed vector."""
+    """A tree or forest walked on the tape: ``h`` is the ``(k, n)`` node
+    whose column ``i`` is node ``i``'s exposed vector."""
 
     def __init__(self, graph, h):
         self.graph, self.h = graph, h
@@ -185,59 +197,79 @@ def as_matrix(graph, vectors):
 
 
 def walk_tree(graph, tree, params, x):
-    """Run the cell bottom-up over ``tree`` as one tape op, named
-    ``lstm_cell``; returns its :class:`TreeStates`.
+    """Run the cell bottom-up over ``tree``, or over a forest given as its
+    prebuilt :func:`~treentail.trees.forest_schedule`, as one tape op,
+    named ``lstm_cell``; returns its :class:`TreeStates`, whose ``h`` is
+    the ``(k, n)`` h matrix of the tree or forest.
 
     ``x`` is the walk's ``(d_in, .)`` input node: one column per leaf
     feeds the leaf level only (the meaning walk), one column per node
     feeds every node (the relation walk).  The forward is
-    :func:`walk_values` over the tree's schedule, which is built here and
-    lives as long as the op, so a level of m nodes is one
+    :func:`walk_values`, so a level of m nodes is one
     ``(5k, .) x (., m)`` product.  The backward sweeps the levels top
     down, adding each level's child gradients into the ``[h; c]``
-    gradient of the nodes below, and hands the gate weight one
-    :class:`OuterGrad` and the bias one dense part per level, top level
-    first: the parents are ``(W, b)`` once per level, then ``x``.
+    gradient of the nodes below, and frees each level's kept state as it
+    passes it (a second backward of the same tape recomputes it).  It
+    hands the gate weight one :class:`OuterGrad` over every node of the
+    forest and the bias one dense part: the parents are ``(W, b, x)``.
     """
-    k, d, n = params.k_out, params.d_in, tree.node_count
-    if x.shape not in ((d, (n + 1) // 2), (d, n)):
-        raise ShapeMismatch(f"walk input must be ({d}, leaves) or ({d}, {n}), got {x.shape}")
+    k, d = params.k_out, params.d_in
+    schedule = forest_schedule((tree,)) if isinstance(tree, BinaryTree) else tree
+    offsets, levels = schedule
+    n = offsets[-1]
+    leaves = (n + len(offsets) - 1) // 2  # a binary tree of t nodes has (t + 1) / 2 leaves
+    if x.shape not in ((d, leaves), (d, n)):
+        raise ShapeMismatch(f"walk input must be ({d}, {leaves}) or ({d}, {n}), "
+                            f"got {x.shape}")
     wn = graph.parameter(params.block.weight)
     bn = graph.parameter(params.block.bias)
-    wv = wn.value
-    schedule = forest_schedule((tree,))
-    levels = schedule[1]
+    wv, xv = wn.value, x.value
     kept = []
-    hs, cs = walk_values(schedule, x.value, wv, bn.value, k, kept)
+    hs, cs = walk_values(schedule, xv, wv, bn.value, k, kept)
     # the op's value is h; c never leaves the op, so check it here
     if not np.isfinite(cs).all():
         raise NonFiniteValue("non-finite value produced by op 'lstm_cell'")
     every = x.shape[1] == n
 
     def vjp(g):
+        if not kept:  # freed by an earlier backward: run the forward again
+            walk_values(schedule, xv, wv, bn.value, k, kept)
         gs = np.zeros((2 * k, n), g.dtype)  # the [h; c] gradient of every node
-        gs[:k] += g
-        gx = np.zeros(x.shape, g.dtype) if every else None
-        grads = []
-        for (ids, lefts, rights), (gates, u, t, inp, cols) in zip(reversed(levels),
-                                                                 reversed(kept)):
+        gs[:k] = g
+        # Each node's gate gradient and multiplied input rows, which are
+        # zero for the blocks its level does not read: a level's m nodes
+        # side by side, top level first.
+        gz_all = np.empty((5 * k, n), g.dtype)
+        rows = np.zeros((wv.shape[1], n), g.dtype)
+        gx = np.empty(x.shape, g.dtype) if every else None
+        end = 0
+        for ids, lefts, rights in reversed(levels):
+            z, cols = kept.pop()
+            gates, u = z[:4 * k], z[4 * k:]
+            m = u.shape[1]
+            at = slice(end, end + m)
+            end += m
             g_level = _cols(gs, ids)
             gh, gc_ext = g_level[:k], g_level[k:]
-            m = gh.shape[1]
             i_g, o = gates[:k], gates[3 * k:]
+            t = np.tanh(_cols(cs, ids))
             gc = gc_ext + gh * o * (1.0 - t * t)
             # The gradient of the gate pre-activations, built in place block
             # by block with the products, in their order, of
             # [(gc*u)*i*(1-i); (gc*c1)*f1*(1-f1); (gc*c2)*f2*(1-f2);
             #  (gh*t)*o*(1-o); (gc*i)*(1-u*u)]: the first four share a
             # sigmoid's s*(1-s) factor, applied over all four at once.
-            gz = np.empty((5 * k, m), g.dtype)
+            gz = gz_all[:, at]
             np.multiply(gc, u, out=gz[:k])
             if lefts is not None:
                 np.multiply(gc, _cols(cs, lefts), out=gz[k:2 * k])
                 np.multiply(gc, _cols(cs, rights), out=gz[2 * k:3 * k])
+                rows[-2 * k:-k, at] = _cols(hs, lefts)
+                rows[-k:, at] = _cols(hs, rights)
             else:
                 gz[k:3 * k] = 0.0
+            if every or lefts is None:
+                rows[:d, at] = _cols(xv, ids) if every else xv
             np.multiply(gh, t, out=gz[3 * k:4 * k])
             sig = gz[:4 * k]
             sig *= gates
@@ -245,13 +277,8 @@ def walk_tree(graph, tree, params, x):
             np.multiply(gc, i_g, out=gz[4 * k:])
             gz[4 * k:] *= 1.0 - u * u
             ginp = wv[:, cols].T @ gz
-            rows = inp
-            if rows.shape[0] < wv.shape[1]:  # zero rows for the absent blocks
-                rows = np.zeros((wv.shape[1], m), gz.dtype)
-                rows[cols] = inp
-            grads += [OuterGrad(gz, rows), gz.sum(axis=1, keepdims=True)]
             if every:
-                gx[:, ids] += ginp[:d]
+                gx[:, ids] = ginp[:d]
             elif lefts is None:
                 gx = ginp[:d]
             if lefts is not None:
@@ -261,22 +288,33 @@ def walk_tree(graph, tree, params, x):
                 np.multiply(gc, gates[k:3 * k].reshape(2, k, m), out=sides[:, k:])
                 gs[:, lefts] += sides[0]
                 gs[:, rights] += sides[1]
-        return (*grads, gx)
+        return OuterGrad(gz_all, rows), gz_all.sum(axis=1, keepdims=True), gx
 
-    h = graph.record(hs, (wn, bn) * len(levels) + (x,), vjp, "lstm_cell")
+    h = graph.record(hs, (wn, bn, x), vjp, "lstm_cell")
     return TreeStates(graph, h)
 
 
 def encode_tree(graph, tree, vocab, table, params, dropout_rate=0.0, rng=None):
     """Encode every node of ``tree``; returns its :class:`TreeStates`,
-    whose ``h`` is the tree's ``(k, n)`` h matrix.
+    whose ``h`` is the tree's ``(k, n)`` h matrix: :func:`encode_forest`
+    of the lone tree, its dropout mask drawn from ``rng``."""
+    return encode_forest(graph, tree, tree.leaves(), vocab, table, params, dropout_rate,
+                         rng=rng)
+
+
+def encode_forest(graph, forest, tokens, vocab, table, params, dropout_rate=0.0, rng=None,
+                  draws=None):
+    """Encode every node of ``forest`` (a tree, or a forest's
+    :func:`~treentail.trees.forest_schedule`) whose leaf level reads
+    ``tokens``, in leaf-level order; returns its :class:`TreeStates`.
 
     The leaf level reads its word vectors with one :func:`embedding_node`
-    and, when ``rng`` is given, applies one :func:`dropout` mask, drawn
-    leaf by leaf in id order; internal nodes feed no input.
+    and, given ``rng`` or ``draws``, applies one :func:`dropout` mask,
+    drawn leaf by leaf in id order; internal nodes feed no input.
     """
     d = params.d_in
     if table.dim != d:
         raise ShapeMismatch(f"embedding width {table.dim} vs cell input {d}")
-    words = embedding_node(graph, vocab, table, tree.leaves())
-    return walk_tree(graph, tree, params, dropout(graph, words, dropout_rate, rng))
+    words = embedding_node(graph, vocab, table, tokens)
+    return walk_tree(graph, forest, params,
+                     dropout(graph, words, dropout_rate, rng=rng, draws=draws))

@@ -9,13 +9,15 @@ mapped to three logits, and normalized; because tanh bounds every
 logit in (-1, 1), no class probability can leave a fixed band no
 matter the parameters.
 
-The tape (:func:`run_forward`) serves training and the gradient audits.
-All inference runs the same operations tape-free, on a list of pairs
-at once (:func:`plain_distributions`): the pairs' premises walk as one
-forest and their hypotheses as another, so each tree height is one cell
-call over every pair.  :func:`predict` is that forward on a batch of
-one, whose grouping is the tape's, so it matches the tape bit for bit;
-in extended precision it is the audits' oracle.
+The tape serves training (:func:`run_batch`, one graph per minibatch)
+and the gradient audits (:func:`run_forward`, its batch of one).  All
+inference runs the same operations tape-free, on a list of pairs at
+once (:func:`plain_distributions`).  Both paths walk the pairs'
+premises as one forest and their hypotheses as another, so each tree
+height is one cell call over every pair, and both group and lay out
+every operand alike: on the same pairs they agree bit for bit.
+:func:`predict` is the tape-free forward on a batch of one; in extended
+precision it is the audits' oracle.
 """
 
 from __future__ import annotations
@@ -30,10 +32,10 @@ from .attention import (
     dual_attention,
     forward_attention,
     reverse_attention,
-    score_matrix,
+    score_terms,
 )
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
-from .composer import LstmParameters, as_matrix, encode_tree, walk_tree, walk_values
+from .composer import LstmParameters, as_matrix, encode_forest, walk_tree, walk_values
 from .embeddings import lookup_rows
 from .trees import forest_schedule
 
@@ -88,17 +90,23 @@ def compose_relations(graph, hypothesis, hyp_states, contexts, params):
     :class:`~treentail.composer.TreeStates`: its ``h`` is the ``(r, n)``
     matrix of relation vectors, and its last column is the root's.
     """
-    hyp = as_matrix(graph, hyp_states)
+    return _relation_walk(graph, forest_schedule((hypothesis,)),
+                          as_matrix(graph, hyp_states), contexts, params)
+
+
+def _relation_walk(graph, schedule, hyp, contexts, params):
+    """:func:`compose_relations` over the hypotheses' forest ``schedule``."""
     if params.d_in != 2 * hyp.shape[0]:
         raise ShapeMismatch("relation block input must be twice the node width")
-    return walk_tree(graph, hypothesis, params, graph.concat([hyp, contexts]))
+    return walk_tree(graph, schedule, params, graph.concat([hyp, contexts]))
 
 
-def classify(graph, relation_vector, classifier):
-    """Class distribution from a relation vector: softmax(tanh(affine))."""
+def classify(graph, relation_vectors, classifier):
+    """Class distributions from relation vectors, one per column:
+    softmax(tanh(affine)) of each."""
     if classifier.out_dim != len(LABELS):
         raise ShapeMismatch(f"classifier must emit {len(LABELS)} logits")
-    return graph.softmax(graph.tanh(graph.affine(classifier, relation_vector)), axis=0)
+    return graph.softmax(graph.tanh(graph.affine(classifier, relation_vectors)), axis=0)
 
 
 def cross_entropy(dist, gold):
@@ -112,12 +120,31 @@ def cross_entropy(dist, gold):
     return -np.log(d[LABELS.index(gold)])
 
 
+def batch_loss(graph, distributions, golds):
+    """Tape version of :func:`cross_entropy` over a batch: ``distributions``
+    is the ``(3, B)`` node whose column ``j`` is pair ``j``'s, ``golds``
+    the pairs' B labels.  Returns ``(mean, losses)``: the ``(1, 1)`` mean
+    of the pairs' losses, the training loss, and the ``(1, B)`` node of
+    the losses themselves.  For one pair both are the same node."""
+    for gold in golds:
+        if gold not in LABELS:
+            raise InvalidLabel(f"unknown label {gold!r}")
+    if distributions.shape != (len(LABELS), len(golds)):
+        raise ShapeMismatch(f"{len(golds)} labels for distributions of shape "
+                            f"{distributions.shape}")
+    b = len(golds)
+    picked = graph.gather(distributions, [[LABELS.index(gold) for gold in golds]],
+                          [list(range(b))])
+    losses = graph.neg(graph.log(picked))
+    if b == 1:
+        return losses, losses
+    return graph.matmul(losses, graph.constant(np.full((b, 1), 1.0 / b))), losses
+
+
 def loss_node(graph, dist_node, gold):
-    """Tape version of :func:`cross_entropy`, for training graphs."""
-    if gold not in LABELS:
-        raise InvalidLabel(f"unknown label {gold!r}")
-    i = LABELS.index(gold)
-    return graph.neg(graph.log(graph.slice_rows(dist_node, i, i + 1)))
+    """Tape version of :func:`cross_entropy` for one pair's ``(3, 1)``
+    distribution node: :func:`batch_loss` of a batch of one."""
+    return batch_loss(graph, dist_node, [gold])[0]
 
 
 @dataclass
@@ -131,9 +158,19 @@ class ForwardPass:
     relation_states: object  # (r, |hyp|) node; column i is node i's relation vector
 
 
+@dataclass
+class BatchPass:
+    """Tape nodes of a batch's forward run, pairs in the order given."""
+
+    distributions: object    # (3, B) node; column j is pair j's distribution
+    attention: list          # pair j's (forward, reverse, final) alignment nodes
+    relation_states: object  # (r, n) node over the hypotheses' forest
+
+
 def run_forward(graph, premise, hypothesis, vocab, table, params,
                 use_dual=False, dropout_rate=0.0, rng=None):
-    """Build the full pipeline on ``graph`` and return its key nodes.
+    """Build the full pipeline on ``graph`` and return its key nodes:
+    :func:`run_batch` of the one pair.
 
     With ``use_dual`` the attended contexts use the renormalized product
     of the forward and reverse alignments; otherwise they use the
@@ -149,22 +186,62 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
     renormalization floor.  ``use_dual`` is kept as a faithful part of
     the configuration surface; it changes the arithmetic, not the math.
     """
-    prem = encode_tree(graph, premise, vocab, table, params.meaning, dropout_rate, rng).h
-    hyp = encode_tree(graph, hypothesis, vocab, table, params.meaning, dropout_rate, rng).h
+    run = run_batch(graph, [(premise, hypothesis)], vocab, table, params,
+                    use_dual, dropout_rate, rng)
+    return ForwardPass(run.distributions, *run.attention[0], run.relation_states)
 
-    scores = score_matrix(graph, hyp, prem, params.scorer)
-    fwd = forward_attention(graph, scores)
-    rev = None
-    final = fwd
-    if use_dual:
-        rev = reverse_attention(graph, scores)
-        final = dual_attention(graph, fwd, rev)
 
-    contexts = attended_context(graph, final, prem)
-    relations = compose_relations(graph, hypothesis, hyp, contexts, params.relation)
-    root = graph.take_col(relations.h, hypothesis.root)
-    dist = classify(graph, root, params.classifier)
-    return ForwardPass(dist, fwd, rev, final, relations.h)
+def run_batch(graph, pairs, vocab, table, params, use_dual=False, dropout_rate=0.0,
+              rng=None):
+    """The tape forward of a non-empty list of ``(premise, hypothesis)``
+    pairs, on one ``graph``; returns its :class:`BatchPass`.
+
+    The operations are :func:`_wavefront`'s, so the distributions equal
+    :func:`plain_distributions` on the same pairs bit for bit: the
+    premises walk as one forest and the hypotheses as another (one
+    ``lstm_cell`` op each), the scorer's terms are one product per
+    forest, each pair's attention and contexts are ops on column blocks
+    of the two h matrices, the relation walk covers every hypothesis as
+    one forest over the hypotheses' schedule, and one classifier op takes
+    every root.  A batch of one records no block and is
+    :func:`run_forward`.  With ``rng``, the dropout draws are taken leaf
+    by leaf, pair by pair, each pair's premise before its hypothesis: the
+    draws each pair would get on its own tape, in the same order.
+    """
+    forests = _forests(pairs)
+    (prem_schedule, _), (hyp_schedule, _) = forests
+    draws = (None, None)
+    if rng is not None and dropout_rate:
+        d = params.meaning.d_in
+        drawn = [rng.random(((tree.node_count + 1) // 2, d)) for pair in pairs for tree in pair]
+        draws = (np.concatenate(drawn[0::2]), np.concatenate(drawn[1::2]))
+    prem, hyp = (encode_forest(graph, schedule, words, vocab, table, params.meaning,
+                               dropout_rate, draws=drawn).h
+                 for (schedule, words), drawn in zip(forests, draws))
+
+    hyp_terms, prem_terms = score_terms(graph, hyp, prem, params.scorer)
+    bias = graph.parameter(params.scorer.bias)
+    prem_at, hyp_at = prem_schedule[0], hyp_schedule[0]
+    one = len(pairs) == 1
+    contexts, attention = [], []
+    for j in range(len(pairs)):
+        ps = range(prem_at[j], prem_at[j + 1])
+        scores = graph.outer_sum(
+            hyp_terms if one else graph.slice_rows(hyp_terms, hyp_at[j], hyp_at[j + 1]),
+            prem_terms if one else graph.take_col(prem_terms, ps), bias)
+        fwd = final = forward_attention(graph, scores)
+        rev = None
+        if use_dual:
+            rev = reverse_attention(graph, scores)
+            final = dual_attention(graph, fwd, rev)
+        contexts.append(attended_context(graph, final, prem if one else graph.take_col(prem, ps)))
+        attention.append((fwd, rev, final))
+
+    relations = _relation_walk(graph, hyp_schedule, hyp, graph.stack_columns(contexts),
+                               params.relation).h
+    roots = graph.gather(relations, np.arange(relations.shape[0])[:, None],
+                         [[n - 1 for n in hyp_at[1:]]])
+    return BatchPass(classify(graph, roots, params.classifier), attention, relations)
 
 
 @dataclass

@@ -1,22 +1,29 @@
 """Initialization, optimization, the training loop, and checkpoints.
 
-Training is deliberately plain: per-example graphs, summed-then-averaged
-batch gradients, Adam with bias correction, and best-dev parameter
-selection.  All randomness flows from one seed through named child
-streams, so a rerun with the same configuration is bit-identical.
+Training is deliberately plain: one graph per minibatch, whose loss is
+the mean of its pairs' losses, Adam with bias correction, and best-dev
+parameter selection.  All randomness flows from one seed through named
+child streams, so a rerun with the same configuration is bit-identical.
+
+A batch's graph (:func:`~treentail.entailment.run_batch`) runs the
+tape-free forward's operations on the batch's pairs, so its gradient is
+the mean of the pairs' own :func:`~treentail.entailment.run_forward`
+gradients up to rounding: the batch's products group the pairs'
+columns, which rounds their last bits differently from one pair at a
+time.  A batch of one is the pair's own tape, bit for bit.
 
 A batch reads a few dozen rows of the trainable embedding table, and
-each example's table gradient is zero outside the rows its leaves read.
+its table gradient is zero outside the rows its leaves read.
 :func:`~treentail.autodiff.gradients` hands that gradient back as a
-:class:`RowGrad` on those rows, ``train`` sums a batch's row gradients
-with the same :func:`~treentail.autodiff.sum_rows`, and Adam keeps
-moments only for the rows whose moments may be nonzero, the rows some
-batch has read so far.  A row with zero moments and a zero gradient is
-an exact fixed point of the update, so this gives the dense step's
-bits, and no array sized to the table is made per example or per step.
-Adam's saving lasts only while most rows are still unread: a table
-built from the training corpus has every row read in the first epoch,
-and from then on Adam updates the whole table as the dense step does.
+:class:`RowGrad` on those rows, summed with
+:func:`~treentail.autodiff.sum_rows`, and Adam keeps moments only for
+the rows whose moments may be nonzero, the rows some batch has read so
+far.  A row with zero moments and a zero gradient is an exact fixed
+point of the update, so this gives the dense step's bits, and no array
+sized to the table is made per batch or per step.  Adam's saving lasts
+only while most rows are still unread: a table built from the training
+corpus has every row read in the first epoch, and from then on Adam
+updates the whole table as the dense step does.
 """
 
 from __future__ import annotations
@@ -41,7 +48,6 @@ from .autodiff import (
     ShapeMismatch,
     grad_check,
     gradients,
-    sum_rows,
 )
 from .data import leaf_tokens
 from .embeddings import EmbeddingTable, Vocabulary, empty_vocabulary, register_oov
@@ -50,9 +56,10 @@ from .entailment import (
     ModelParameters,
     _forests,
     _wavefront,
+    batch_loss,
     cross_entropy,
     loss_node,
-    plain_distributions,
+    run_batch,
     run_forward,
 )
 
@@ -345,6 +352,8 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
     state = init_optimizer(optimized)
     dtype = config.dtype
 
+    # evaluate's chunks, with their forests, built once for every epoch
+    train_chunks, dev_chunks = _eval_chunks(dataset), _eval_chunks(dev_set)
     best_acc = -1.0
     best_values = None
     metrics = []
@@ -352,51 +361,30 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
         order = shuffle_rng.permutation(len(dataset))
         losses = []
         for start in range(0, len(order), config.batch_size):
-            chunk = order[start:start + config.batch_size]
-            grad_sum = {}
-            # Per parameter read by rows (the embedding table), each
-            # example's RowGrad.
-            row_parts = {}
-            for idx in chunk:
-                pair = dataset[idx]
-                graph = Graph(dtype)
-                try:
-                    run = run_forward(
-                        graph, pair.premise, pair.hypothesis, vocab, table, params,
-                        use_dual=config.use_dual,
-                        dropout_rate=config.dropout_rate, rng=mask_rng,
-                    )
-                    loss = loss_node(graph, run.distribution, pair.gold)
-                    losses.append(float(loss.value[0, 0]))
-                    for p, g in gradients(graph, loss).items():
-                        if type(g) is RowGrad:
-                            row_parts.setdefault(p, []).append(g)
-                            continue
-                        # Summed in place into a copy of the first gradient:
-                        # gradients' arrays may share memory with each other.
-                        prev = grad_sum.get(p)
-                        if prev is None:
-                            grad_sum[p] = g.copy()
-                        else:
-                            prev += g
-                except NonFiniteValue as exc:
-                    raise NonFiniteValue(
-                        f"epoch {epoch}, example {idx}: {exc}") from None
-                # The next example's tape is built without this one alive.
-                del graph, run, loss
-            scale = 1.0 / len(chunk)
-            for g in grad_sum.values():
-                g *= scale
-            for p, parts in row_parts.items():
-                _, values = grad_sum[p] = sum_rows(parts)
-                values *= scale
+            batch = [dataset[i] for i in order[start:start + config.batch_size]]
+            masks = mask_rng.bit_generator.state
+            graph = Graph(dtype)
             try:
-                adam_step(optimized, grad_sum, state, config)
+                run = run_batch(graph, [(p.premise, p.hypothesis) for p in batch], vocab,
+                                table, params, use_dual=config.use_dual,
+                                dropout_rate=config.dropout_rate, rng=mask_rng)
+                loss, pair_losses = batch_loss(graph, run.distributions,
+                                               [p.gold for p in batch])
+                grads = gradients(graph, loss)
+            except NonFiniteValue as exc:
+                raise _locate(exc, epoch, order[start:start + len(batch)], dataset,
+                              vocab, table, params, config, masks) from None
+            losses += pair_losses.value[0].tolist()
+            # The next batch's tape is built without this one's alive.
+            del graph, run, loss, pair_losses
+            try:
+                adam_step(optimized, grads, state, config)
             except NonFiniteValue as exc:
                 raise NonFiniteValue(f"epoch {epoch}: {exc}") from None
+            del grads
 
-        train_acc, _ = evaluate(dataset, params, config, vocab, table)
-        dev_acc, _ = evaluate(dev_set, params, config, vocab, table)
+        train_acc, _ = _evaluate_chunks(train_chunks, params, config, vocab, table)
+        dev_acc, _ = _evaluate_chunks(dev_chunks, params, config, vocab, table)
         metrics.append(EpochMetrics(epoch, float(np.mean(losses)), train_acc, dev_acc))
         if dev_acc > best_acc:
             best_acc = dev_acc
@@ -410,26 +398,63 @@ def train(dataset, dev_set, config, vocab=None, table=None, initial_params=None)
     return params, vocab, table, metrics
 
 
+def _locate(exc, epoch, indices, dataset, vocab, table, params, config, masks):
+    """The :class:`NonFiniteValue` of a batch's tape, located: each pair
+    of the batch runs on its own tape, in shuffle order, from the mask
+    stream's state ``masks`` at the batch's start (so with the masks it
+    had in the batch), and the first whose forward is not finite is named
+    as ``epoch E, example I``.  If every pair's own forward is finite,
+    only the epoch is."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = masks
+    for idx in indices:
+        pair = dataset[idx]
+        graph = Graph(config.dtype)
+        try:
+            run = run_forward(graph, pair.premise, pair.hypothesis, vocab, table, params,
+                              use_dual=config.use_dual, dropout_rate=config.dropout_rate,
+                              rng=rng)
+            loss_node(graph, run.distribution, pair.gold)
+        except NonFiniteValue as own:
+            return NonFiniteValue(f"epoch {epoch}, example {idx}: {own}")
+    return NonFiniteValue(f"epoch {epoch}: {exc}")
+
+
+def _eval_chunks(dataset):
+    """``dataset`` in consecutive chunks of ``EVAL_CHUNK`` pairs, each as
+    its two forests (:func:`~treentail.entailment._forests`) and its gold
+    label ids, for :func:`_evaluate_chunks`."""
+    if not dataset:
+        raise EmptyDataset("no examples to evaluate")
+    chunks = []
+    for start in range(0, len(dataset), EVAL_CHUNK):
+        chunk = dataset[start:start + EVAL_CHUNK]
+        chunks.append((_forests([(p.premise, p.hypothesis) for p in chunk]),
+                       [LABELS.index(p.gold) for p in chunk]))
+    return chunks
+
+
 def evaluate(dataset, params, config, vocab, table):
     """Accuracy and gold-by-predicted confusion counts, without dropout.
 
     Consecutive chunks of ``EVAL_CHUNK`` pairs each run through the
-    tape-free forward as one :func:`plain_distributions` call, which
+    tape-free forward together, as one
+    :func:`~treentail.entailment.plain_distributions` call would, which
     walks the chunk's trees level by level together.  A probability may
-    differ from the pair's own :func:`plain_forward` in the last bit.
+    differ from the pair's own
+    :func:`~treentail.entailment.plain_forward` in the last bit.
     """
-    if not dataset:
-        raise EmptyDataset("no examples to evaluate")
+    return _evaluate_chunks(_eval_chunks(dataset), params, config, vocab, table)
 
+
+def _evaluate_chunks(chunks, params, config, vocab, table):
+    """:func:`evaluate` of the chunks :func:`_eval_chunks` built."""
     confusion = np.zeros((len(LABELS), len(LABELS)), dtype=int)
-    for start in range(0, len(dataset), EVAL_CHUNK):
-        chunk = dataset[start:start + EVAL_CHUNK]
-        dists = plain_distributions([(p.premise, p.hypothesis) for p in chunk],
-                                    vocab, table, params,
-                                    use_dual=config.use_dual, dtype=config.dtype)
-        for pair, predicted in zip(chunk, np.argmax(dists, axis=1).tolist()):
-            confusion[LABELS.index(pair.gold), predicted] += 1
-    accuracy = float(np.trace(confusion)) / len(dataset)
+    for forests, golds in chunks:
+        dists = _wavefront(*forests, vocab, table, params, config.use_dual, config.dtype,
+                           attention=False)[0]
+        np.add.at(confusion, (golds, np.argmax(dists, axis=1)), 1)
+    accuracy = float(np.trace(confusion)) / sum(len(golds) for _, golds in chunks)
     return accuracy, confusion
 
 

@@ -452,8 +452,12 @@ def _everything_build(seed):
         af = g.affine(amap, g.take_col(sl, 1))       # (4, 1)
         nll = g.neg(g.log(g.slice_rows(g.softmax(af, axis=0), 1, 2)))
         picked = g.concat([sm, g.neg(rn)])           # (4, 3)
+        # entry (2, 0) twice, then the columns of a block under one map
+        gt = g.gather(th, [[2, 0], [2, 1]], [[0, 1], [0, 2]])  # (2, 2)
+        wide = g.affine(amap, g.tanh(sl))            # (4, 2)
         loss = total(g, g.concat([nll, total(g, g.take_col(h, range(2))),
-                                  total(g, g.hadamard(picked, picked))]))
+                                  total(g, g.hadamard(picked, picked)),
+                                  total(g, g.hadamard(gt, gt)), total(g, wide)]))
         return g, loss
 
     params = [a_p, b_p, amap.weight, amap.bias]

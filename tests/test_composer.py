@@ -222,8 +222,9 @@ SPREAD = "( ( ( ( a b ) c ) d ) ( ( e f ) ( ( g h ) i ) ) )"
 class TestLevelGather:
     def test_a_level_reads_children_from_three_lower_levels(self):
         """The walk is one ``lstm_cell`` op, whose parents are the gate
-        weight and bias once per level and then the input, and level 3's
-        states equal a cell run on the children gathered by hand."""
+        weight, the bias and the input, once each however many levels
+        the tree has, and level 3's states equal a cell run on the
+        children gathered by hand."""
         d, k = 4, 3
         vocab, table = toy_vocab(d, list("abcdefghi"))
         block = make_block(k, d, np.random.default_rng(5), scale=0.5)
@@ -236,7 +237,8 @@ class TestLevelGather:
         assert [node for node in g.nodes if node.op == "lstm_cell"] == [h]
         w, b = (g.parameter(p) for p in (block.block.weight, block.block.bias))
         x = h.parents[-1]
-        assert h.parents[:-1] == (w, b) * len(schedule[1]) and x.shape == (d, 9)
+        assert len(schedule[1]) == 5
+        assert h.parents == (w, b, x) and x.shape == (d, 9)
 
         hs, cs = walk_values(schedule, x.value, w.value, b.value, k)
         np.testing.assert_array_equal(hs, h.value)
@@ -325,7 +327,7 @@ class TestEncodeTree:
         g = Graph()
         states = encode_tree(g, parse_tree("only"), vocab, table, block)
         assert [node.op for node in g.nodes].count("lstm_cell") == 1
-        assert len(states.h.parents) == 3  # (W, b) for the one level, then x
+        assert len(states.h.parents) == 3  # W, b, then x
         assert states.h.shape == (k, 1)
 
     def test_rejects_width_mismatch(self):
@@ -381,7 +383,7 @@ class TestLevels:
         """The schedule covers every id once, each node one level above
         the higher of its two children; the tape walk records one
         lstm_cell op for the tree, which runs one cell per level and lists
-        the gate weight and bias once per level among its parents."""
+        the gate weight, the bias and the input once each as its parents."""
         leaves = [("a", "b", "c")[i % 3] for i in range(n)]
         tree = random_tree(np.random.default_rng(seed), leaves)
         levels = forest_schedule([tree])[1]
@@ -404,5 +406,6 @@ class TestLevels:
         block = make_block(2, 3, np.random.default_rng(1))
         states = encode_tree(g, tree, vocab, table, block)
         assert [node.op for node in g.nodes].count("lstm_cell") == 1
-        assert len(states.h.parents) == 2 * len(levels) + 1
+        w, b = (g.parameter(p) for p in (block.block.weight, block.block.bias))
+        assert states.h.parents == (w, b, states.h.parents[-1])
         assert states.h.shape == (2, tree.node_count)

@@ -35,11 +35,13 @@ from treentail.embeddings import (
 )
 from treentail.entailment import (
     LABELS,
+    batch_loss,
     loss_node,
     plain_distributions,
     plain_forward,
     plain_loss,
     predict,
+    run_batch,
     run_forward,
 )
 from treentail.trainer import (
@@ -458,7 +460,9 @@ class TestTrain:
     def test_one_batch_equals_mean_gradient_step(self):
         """Replays the loop by hand: per-example gradients summed in
         shuffle order, averaged, and fed to one Adam step must leave the
-        returned model bit-identical."""
+        returned model where ``train``'s one batch tape does, up to
+        rounding (1e-12 absolute): the batch's products group the pairs'
+        columns, which rounds their last bits differently."""
         config = small_config()
         pairs, vocab, table, params = corpus_fixture(config)
         _, vocab2, table2, params2 = corpus_fixture(config)
@@ -487,19 +491,20 @@ class TestTrain:
         adam_step(optimized, mean, init_optimizer(optimized), config)
 
         for got, want in zip(trained.trainable(), params2.trainable()):
-            np.testing.assert_array_equal(got.value, want.value)
-        np.testing.assert_array_equal(table.trainable.value,
-                                      table2.trainable.value)
-        assert metrics[0].train_loss == float(np.mean(losses))
+            np.testing.assert_allclose(got.value, want.value, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(table.trainable.value, table2.trainable.value,
+                                   rtol=0, atol=1e-12)
+        assert metrics[0].train_loss == pytest.approx(float(np.mean(losses)), rel=0,
+                                                      abs=1e-12)
 
     @pytest.mark.parametrize("precision", ["double", "single"])
     @pytest.mark.parametrize("spare_rows", [0, 80])
     def test_row_sparse_training_equals_the_dense_replay(self, tmp_path, precision,
                                                          spare_rows):
         """`train` hands Adam the table's gradient on the rows a batch
-        read; a hand replay with dense gradients and dense Adam steps
-        ends with the same bits in every parameter, the table and the
-        epoch metrics.  One token occurs in one pair of the first batch
+        read; a hand replay through the public batch tape with dense
+        gradients and dense Adam steps ends with the same bits in every
+        parameter, the table and the epoch metrics.  One token occurs in one pair of the first batch
         only, so later steps move its row with a zero gradient; tokens
         repeat within pairs and across them, and two have pretrained
         rows.  Unread spare rows keep the tracked rows under half the
@@ -541,23 +546,19 @@ class TestTrain:
             losses = []
             for start in range(0, len(pairs), config.batch_size):
                 chunk = order[start:start + config.batch_size]
-                grad_sum = {}
-                for idx in chunk:
-                    graph = Graph(config.dtype)
-                    run = run_forward(graph, pairs[idx].premise, pairs[idx].hypothesis,
-                                      vocab2, table2, params2, dropout_rate=0.2,
-                                      rng=mask_rng)
-                    loss = loss_node(graph, run.distribution, pairs[idx].gold)
-                    losses.append(float(loss.value[0, 0]))
-                    for p, g in backward(graph, loss).items():
-                        grad_sum[p] = g if p not in grad_sum else grad_sum[p] + g
+                graph = Graph(config.dtype)
+                run = run_batch(graph, [(pairs[i].premise, pairs[i].hypothesis)
+                                        for i in chunk],
+                                vocab2, table2, params2, dropout_rate=0.2, rng=mask_rng)
+                loss, pair_losses = batch_loss(graph, run.distributions,
+                                               [pairs[i].gold for i in chunk])
+                losses += pair_losses.value[0].tolist()
+                mean = backward(graph, loss)
                 if epoch == 0 and start == 0:
                     assert first in chunk
-                    assert grad_sum[table2.trainable][vocab2.index["solo"]
-                                                      - vocab2.frozen_count].any()
-                scale = 1.0 / len(chunk)
-                adam_step(optimized, {p: g * scale for p, g in grad_sum.items()},
-                          state, config)
+                    assert mean[table2.trainable][vocab2.index["solo"]
+                                                  - vocab2.frozen_count].any()
+                adam_step(optimized, mean, state, config)
             train_acc, _ = evaluate(pairs, params2, config, vocab2, table2)
             dev_acc, _ = evaluate(pairs[:4], params2, config, vocab2, table2)
             replayed.append(EpochMetrics(epoch, float(np.mean(losses)), train_acc, dev_acc))
@@ -571,6 +572,95 @@ class TestTrain:
             assert got.value.dtype == config.dtype
             assert got.value.tobytes() == want.value.tobytes()
         assert table.frozen.tobytes() == table2.frozen.tobytes()
+
+    def test_train_is_its_replay_through_the_batch_tape_bit_for_bit(self):
+        """Replays ``train`` by hand through the public batch forward:
+        shuffle order, one ``run_batch`` tape per batch whose loss is the
+        batch mean, ``gradients`` with the table's rows merged in row
+        form, Adam, per-epoch evaluation and the best-dev rollback.  The
+        replay ends with ``train``'s bits in every parameter, the table
+        and the epoch metrics.  Dual attention, dropout and a last batch
+        shorter than the rest are on; the dev set is small enough that the
+        best epoch is not the last."""
+        config = small_config(k=5, r=4, d=6, epochs=4, batch_size=3, dropout_rate=0.3,
+                              use_dual=True, learning_rate=0.05)
+        pairs, dev = generate_toy(11, 8), generate_toy(31, 3)
+
+        def model():
+            return corpus_fixture(config, n=8, seed=11)[1:]
+
+        vocab, table, params = model()
+        _, _, _, metrics = train(pairs, dev, config, vocab, table, params)
+
+        vocab2, table2, params2 = model()
+        streams = np.random.SeedSequence(config.seed).spawn(4)
+        shuffle_rng, mask_rng = (np.random.default_rng(s) for s in streams[2:])
+        optimized = params2.trainable() + [table2.trainable]
+        state = init_optimizer(optimized)
+        replayed, best, best_values = [], -1.0, None
+        for epoch in range(config.epochs):
+            order = shuffle_rng.permutation(len(pairs))
+            losses = []
+            for start in range(0, len(pairs), config.batch_size):
+                batch = [pairs[i] for i in order[start:start + config.batch_size]]
+                graph = Graph(config.dtype)
+                run = run_batch(graph, [(p.premise, p.hypothesis) for p in batch],
+                                vocab2, table2, params2, use_dual=True, dropout_rate=0.3,
+                                rng=mask_rng)
+                loss, pair_losses = batch_loss(graph, run.distributions,
+                                               [p.gold for p in batch])
+                losses += pair_losses.value[0].tolist()
+                grads = gradients(graph, loss)
+                assert type(grads[table2.trainable]) is RowGrad
+                adam_step(optimized, grads, state, config)
+            train_acc, _ = evaluate(pairs, params2, config, vocab2, table2)
+            dev_acc, _ = evaluate(dev, params2, config, vocab2, table2)
+            replayed.append(EpochMetrics(epoch, float(np.mean(losses)), train_acc, dev_acc))
+            if dev_acc > best:
+                best, best_values = dev_acc, [p.value.copy() for p in optimized]
+        assert max(m.dev_accuracy for m in replayed) != replayed[-1].dev_accuracy
+        for p, value in zip(optimized, best_values):
+            p.value[...] = value
+
+        assert metrics == replayed
+        for got, want in zip(params.trainable() + [table.trainable], optimized):
+            assert got.value.tobytes() == want.value.tobytes()
+
+    def test_one_toy_batch_tape_stays_small(self):
+        """One toy batch of 32 pairs (k = r = d = 32, dual attention,
+        dropout 0.2): building its tape and its gradients peaks at 3.64
+        MB of traced allocations, and the built tape holds 2.41 MB.  The
+        peak's bound is that plus 25%; the held tape's is that plus 10%,
+        which keeping each level's tanh(c) and multiplied input rows for
+        the backward (2.96 MB) breaks."""
+        pairs = generate_toy(0, 32)
+        config = TrainConfig(k=32, r=32, d=32, use_dual=True)
+        vocab, table = empty_vocabulary(32)
+        register_oov(vocab, table, sorted({t for p in pairs for t in
+                                           p.premise.leaves() + p.hypothesis.leaves()}),
+                     np.random.default_rng(0))
+        params = init_parameters(config, np.random.default_rng(1))
+
+        def batch():
+            graph = Graph()
+            run = run_batch(graph, [(p.premise, p.hypothesis) for p in pairs], vocab,
+                            table, params, use_dual=True, dropout_rate=0.2,
+                            rng=np.random.default_rng(0))
+            loss, _ = batch_loss(graph, run.distributions, [p.gold for p in pairs])
+            held = tracemalloc.get_traced_memory()[0]
+            gradients(graph, loss)
+            return held, tracemalloc.get_traced_memory()[1]
+
+        tracemalloc.start()
+        try:
+            batch()  # the first batch also fills caches that outlive it
+            tracemalloc.stop()
+            tracemalloc.start()
+            held, peak = batch()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * 3.64e6
+        assert held < 1.10 * 2.41e6
 
     def test_same_seed_is_bit_identical(self):
         config = small_config(epochs=2, batch_size=2)
