@@ -477,7 +477,24 @@ def backward(graph, loss):
     return param_grads
 
 
-def grad_check(build, params, eps=1e-5, loss_fn=None):
+# The most bytes one chunk of grad_check's perturbed copies of a
+# parameter may hold, in the parameter's dtype.  The chunk size follows
+# from it, so a stacked evaluation's memory does not grow with the
+# parameter's size.  A parameter whose two copies alone exceed it goes
+# one scalar per chunk.
+STACK_BYTES = 512 << 10
+
+
+def perturbation_chunks(value):
+    """The ranges of ``value``'s flat indices that :func:`grad_check`
+    perturbs together: as many scalars per chunk as fit their two copies
+    each (up and down) of ``value`` in :data:`STACK_BYTES`, and at least
+    one."""
+    per = max(1, STACK_BYTES // max(1, 2 * value.nbytes))
+    return (range(lo, min(lo + per, value.size)) for lo in range(0, value.size, per))
+
+
+def grad_check(build, params, eps=1e-5, loss_fn=None, stacked_loss=None):
     """Compare analytic gradients against central differences.
 
     ``build()`` must construct a fresh ``(graph, loss_node)`` at the
@@ -488,31 +505,62 @@ def grad_check(build, params, eps=1e-5, loss_fn=None):
     over every scalar of every parameter in ``params``; one NaN error
     makes it NaN.  ``eps`` must be positive and finite.
 
-    ``loss_fn``, when given, is a cheaper ``() -> float`` evaluated at
-    the perturbed parameters in place of a full ``build()``; it must
-    compute the same loss (an independent implementation is fine and
-    makes the comparison stronger).
+    Each parameter's scalars go in chunks (:func:`perturbation_chunks`).
+    A chunk of n scalars is one ``(2n, *shape)`` stack of copies of the
+    parameter's value, in its own dtype: copy ``i`` holds ``value + eps``
+    at the chunk's scalar ``i``, copy ``n + i`` holds ``value - eps``
+    there.  ``stacked_loss(param, stack)``, when given, evaluates the
+    loss at every copy at once, every other parameter as it stands, and
+    returns the 2n losses, or one loss if ``param`` does not reach it.
+    An independent implementation of the loss is fine and makes the
+    comparison stronger.  ``loss_fn``, a cheaper ``() -> float``
+    evaluated at the current values in place of a full ``build()``, or
+    else ``build()`` itself, is run on one copy at a time, written into
+    the parameter and restored after.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
+    if loss_fn is not None and stacked_loss is not None:
+        raise ValueError("give loss_fn or stacked_loss, not both")
     graph, loss = build()
     analytic = backward(graph, loss)
-    if loss_fn is None:
-        loss_fn = lambda: float(build()[1].value[0, 0])  # noqa: E731
+    if stacked_loss is None:
+        if loss_fn is None:
+            loss_fn = lambda: float(build()[1].value[0, 0])  # noqa: E731
+        stacked_loss = _one_copy_at_a_time(loss_fn)
 
     worst = 0.0
     for p in params:
         a = analytic.get(p)
         aflat = np.zeros(p.value.size) if a is None else np.asarray(a).reshape(-1)
-        flat = p.value.reshape(-1)
-        for j in range(flat.size):
-            saved = flat[j]
-            flat[j] = saved + eps
-            up = loss_fn()
-            flat[j] = saved - eps
-            down = loss_fn()
-            flat[j] = saved
-            numeric = (up - down) / (2.0 * eps)
-            denom = max(1e-8, abs(aflat[j]) + abs(numeric))
-            worst = np.maximum(worst, abs(aflat[j] - numeric) / denom)
+        for chunk in perturbation_chunks(p.value):
+            n = len(chunk)
+            at = np.arange(chunk.start, chunk.stop)
+            stack = np.repeat(p.value[None], 2 * n, axis=0)
+            flat = stack.reshape(2 * n, -1)
+            flat[np.arange(n), at] += eps
+            flat[np.arange(n, 2 * n), at] -= eps
+            losses = np.broadcast_to(stacked_loss(p, stack), (2 * n,))
+            numeric = (losses[:n] - losses[n:]) / (2.0 * eps)
+            denom = np.maximum(1e-8, np.abs(aflat[at]) + np.abs(numeric))
+            worst = np.maximum(worst, (np.abs(aflat[at] - numeric) / denom).max())
     return float(worst)
+
+
+def _one_copy_at_a_time(loss_fn):
+    """A :func:`grad_check` ``stacked_loss`` that writes each copy of the
+    stack into the parameter in turn, calls ``loss_fn`` at it, and
+    restores the parameter's value after."""
+
+    def losses(p, stack):
+        saved = p.value.copy()
+        out = []
+        try:
+            for copy in stack:
+                p.value[...] = copy
+                out.append(loss_fn())
+        finally:
+            p.value[...] = saved
+        return np.array(out)
+
+    return losses

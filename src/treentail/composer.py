@@ -42,6 +42,7 @@ is exercised directly by the finite-difference suite.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -82,28 +83,53 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
     overwritten in place, block by block, by the four sigmoid gates
     (input, left forget, right forget, output) and the candidate ``u``,
     and the columns ``cols`` of ``W`` that multiplied the input rows.
+
+    Any operand may also carry a leading stack axis, one model per entry
+    (the gradient audit's perturbed copies of one parameter): the cell
+    reads only the last two axes, and a 2-D operand broadcasts over the
+    stack.  A stacked leaf level leaves its forget-gate rows of ``z``
+    raw: no child state reads them, and no backward runs on a stack.
     """
-    d = w.shape[1] - 2 * k
+    gates, u_rows, i_rows, f1_rows, f2_rows, o_rows = _gate_rows(k)
+    d = w.shape[-1] - 2 * k
     if h1 is None:
         cols, inp = slice(0, d), x
     elif x is None:
-        cols, inp = slice(d, None), np.concatenate((h1, h2))
+        cols, inp = slice(d, None), np.concatenate((h1, h2), axis=-2)
     else:
-        cols, inp = slice(None), np.concatenate((x, h1, h2))
-    z = w[:, cols] @ inp
-    z += b
-    sigmoid(z[:4 * k], out=z[:4 * k])
-    u = z[4 * k:]
+        if x.ndim < h1.ndim:  # the stack reached the children, not the input
+            x = np.broadcast_to(x, h1.shape[:-2] + x.shape[-2:])
+        cols, inp = slice(None), np.concatenate((x, h1, h2), axis=-2)
+    z = w[..., cols] @ inp
+    if b.ndim > z.ndim:
+        z = z + b
+    else:
+        z += b
+    if h1 is None and z.ndim > 2:
+        sigmoid(z[i_rows], out=z[i_rows])
+        sigmoid(z[o_rows], out=z[o_rows])
+    else:
+        sigmoid(z[gates], out=z[gates])
+    u = z[u_rows]
     np.tanh(u, out=u)
-    c = z[:k] * u
+    c = z[i_rows] * u
     if h1 is not None:
-        forget = z[k:2 * k] * c1
+        forget = z[f1_rows] * c1
         c += forget
-        np.multiply(z[2 * k:3 * k], c2, out=forget)
+        np.multiply(z[f2_rows], c2, out=forget)
         c += forget
     h = np.tanh(c)
-    h *= z[3 * k:4 * k]
+    h *= z[o_rows]
     return h, c, z, cols
+
+
+@functools.cache
+def _gate_rows(k):
+    """Indices, by the last two axes, of the row blocks of a ``(5k, m)``
+    pre-activation array: the four sigmoid gates together, the candidate,
+    then each sigmoid gate alone."""
+    return tuple((Ellipsis, slice(lo * k, hi * k), slice(None))
+                 for lo, hi in ((0, 4), (4, 5), (0, 1), (1, 2), (2, 3), (3, 4)))
 
 
 def walk_values(schedule, x, w, b, k, kept=None):
@@ -114,14 +140,17 @@ def walk_values(schedule, x, w, b, k, kept=None):
 
     ``x`` is the ``(d_in, .)`` input: one column per leaf, in leaf-level
     order, feeds the leaf level only; one column per node feeds every
-    node.  Returns the forest's ``(k, n)`` h and c matrices.  ``kept``,
-    if given, receives each level's ``(z, cols)``, which the tape's
+    node.  Returns the forest's ``(k, n)`` h and c matrices, behind a
+    leading stack axis if ``x``, ``w`` or ``b`` has one (at most one
+    stack, shared by every operand that carries it).  ``kept``, if
+    given, receives each level's ``(z, cols)``, which the tape's
     backward rule reads.
     """
     offsets, levels = schedule
-    hs = np.empty((k, offsets[-1]), w.dtype)
+    lead = w.shape[:-2] or b.shape[:-2] or x.shape[:-2]
+    hs = np.empty(lead + (k, offsets[-1]), w.dtype)
     cs = np.empty_like(hs)
-    every = x.shape[1] == offsets[-1]
+    every = x.shape[-1] == offsets[-1]
     for ids, lefts, rights in levels:
         h1 = h2 = c1 = c2 = None
         if lefts is not None:
@@ -131,17 +160,17 @@ def walk_values(schedule, x, w, b, k, kept=None):
             inputs = _cols(x, ids)
         else:
             inputs = x if lefts is None else None
-        hs[:, ids], cs[:, ids], *rest = cell_values(w, b, inputs, h1, h2, c1, c2, k)
+        hs[..., ids], cs[..., ids], *rest = cell_values(w, b, inputs, h1, h2, c1, c2, k)
         if kept is not None:
             kept.append(rest)
     return hs, cs
 
 
 def _cols(a, ix):
-    """Columns ``ix`` of ``a``: a view for a slice, else a C-ordered copy
-    (``a[:, ids]`` would be Fortran-ordered, and BLAS may round a product
-    of the two layouts differently)."""
-    return a[:, ix] if isinstance(ix, slice) else a.take(ix, axis=1)
+    """Columns ``ix`` of ``a`` (its last axis): a view for a slice, else a
+    C-ordered copy (``a[:, ids]`` would be Fortran-ordered, and BLAS may
+    round a product of the two layouts differently)."""
+    return a[..., ix] if isinstance(ix, slice) else a.take(ix, axis=-1)
 
 
 def dropout(graph, x, rate, rng=None, draws=None):

@@ -210,24 +210,32 @@ def trainable_rows(vocab, tokens):
     return np.array([resolve(vocab, t) - first for t in tokens], np.intp)
 
 
-def _read_rows(vocab, table, rows):
+def _read_rows(vocab, table, rows, trainable=None):
     """The ``(dim, m)`` array of the rows :func:`trainable_rows` gave,
-    with one ``take`` from each table part."""
+    with one ``take`` from each table part.  ``trainable``, if given,
+    stands in for ``table.trainable.value``; an ``(S, R, dim)`` stack of
+    tables gives the ``(S, dim, m)`` stack of reads."""
     trained = np.flatnonzero(rows >= 0)
     if trained.size == rows.size:
-        out = table.trainable.value.take(rows, axis=0)
+        values = table.trainable.value if trainable is None else trainable
+        out = values.take(rows, axis=-2)
     else:
         # A trainable row's id clips to the last pretrained row, and the
         # trainable take below overwrites it.
         out = table.frozen.take(rows + vocab.frozen_count, axis=0, mode="clip")
         if trained.size:
-            out[trained] = table.trainable.value.take(rows[trained], axis=0)
-    return np.ascontiguousarray(out.T)
+            values = table.trainable.value if trainable is None else trainable
+            if values.ndim > 2:
+                out = np.broadcast_to(out, values.shape[:-2] + out.shape).copy()
+            out[..., trained, :] = values.take(rows[trained], axis=-2)
+    return np.ascontiguousarray(out.mT)
 
 
-def lookup_rows(vocab, table, tokens):
-    """The ``(dim, m)`` array whose column ``j`` is ``tokens[j]``'s row."""
-    return _read_rows(vocab, table, trainable_rows(vocab, tokens))
+def lookup_rows(vocab, table, tokens, trainable=None):
+    """The ``(dim, m)`` array whose column ``j`` is ``tokens[j]``'s row,
+    read from ``trainable`` in place of the trainable table if given
+    (see :func:`_read_rows`)."""
+    return _read_rows(vocab, table, trainable_rows(vocab, tokens), trainable)
 
 
 def embedding_node(graph, vocab, table, tokens):

@@ -17,7 +17,8 @@ premises as one forest and their hypotheses as another, so each tree
 height is one cell call over every pair, and both group and lay out
 every operand alike: on the same pairs they agree bit for bit.
 :func:`predict` is the tape-free forward on a batch of one; in extended
-precision it is the audits' oracle.
+precision it is the audits' oracle, which evaluates a chunk of perturbed
+copies of one parameter as one forward over a stack of models.
 """
 
 from __future__ import annotations
@@ -257,8 +258,8 @@ class Prediction:
 
 
 def _plain_row_softmax(m):
-    e = np.exp(m - m.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def _forests(pairs):
@@ -269,7 +270,8 @@ def _forests(pairs):
             for trees in zip(*pairs)]
 
 
-def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, attention):
+def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, attention,
+               stand_in=None):
     """The tape-free forward of a list of pairs, given as their two forests
     (:func:`_forests`), which a caller may reuse while the trees stay put.
 
@@ -286,51 +288,64 @@ def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, atte
     does and so equals :func:`run_forward` bit for bit.  A wider batch
     groups more columns per product, and BLAS may round those products'
     last bits differently.
+
+    ``stand_in``, a ``(parameter, stack)`` pair, evaluates a stack of
+    models at once: the ``(S, *shape)`` stack replaces the parameter's
+    value (one of ``params``' arrays or the trainable table), every
+    array it reaches gains a leading axis of S, and the distributions
+    are ``(S, len(pairs), 3)``.  Every operation reads only the last two
+    axes, and the rest of the model stays 2-D and broadcasts.  In
+    ``np.longdouble`` NumPy's products run no BLAS, so each entry of the
+    stack is the forward of its model alone, bit for bit.
     """
     k = params.meaning.k_out
+    swapped, stack = stand_in or (None, None)
 
-    def cast(value):
-        return np.asarray(value, dtype)
+    def cast(parameter):
+        return np.asarray(stack if parameter is swapped else parameter.value, dtype)
 
     prem_schedule, prem_words = premises
     hyp_schedule, hyp_words = hypotheses
-    mw, mb = cast(params.meaning.block.weight.value), cast(params.meaning.block.bias.value)
+    mw, mb = cast(params.meaning.block.weight), cast(params.meaning.block.bias)
+    rows = stack if swapped is table.trainable else None
 
     def encode(schedule, words):
-        x = cast(lookup_rows(vocab, table, words))
+        x = np.asarray(lookup_rows(vocab, table, words, rows), dtype)
         return walk_values(schedule, x, mw, mb, k)[0]
 
     prem = encode(prem_schedule, prem_words)
     hyp = encode(hyp_schedule, hyp_words)
 
-    sw, sb = cast(params.scorer.weight.value), cast(params.scorer.bias.value)
-    hyp_scores = (sw[:, :k] @ hyp).T
-    prem_scores = sw[:, k:] @ prem
+    sw, sb = cast(params.scorer.weight), cast(params.scorer.bias)
+    hyp_scores = (sw[..., :k] @ hyp).mT
+    prem_scores = sw[..., k:] @ prem
     prem_at, hyp_at = prem_schedule[0], hyp_schedule[0]
     contexts, views = [], []
     for j in range(len(prem_at) - 1):
         ps = slice(prem_at[j], prem_at[j + 1])
-        scores = hyp_scores[hyp_at[j]:hyp_at[j + 1]] + prem_scores[:, ps] + sb
+        scores = hyp_scores[..., hyp_at[j]:hyp_at[j + 1], :] + prem_scores[..., ps] + sb
         forward = final = _plain_row_softmax(scores)
-        reverse = _plain_row_softmax(scores.T) if use_dual or attention else None
+        reverse = _plain_row_softmax(scores.mT) if use_dual or attention else None
         if use_dual:
-            raw = forward * reverse.T + dtype(RENORM_FLOOR)
-            final = raw / raw.sum(axis=1, keepdims=True)
-        contexts.append(prem[:, ps] @ final.T)
+            raw = forward * reverse.mT + dtype(RENORM_FLOOR)
+            final = raw / raw.sum(axis=-1, keepdims=True)
+        contexts.append(prem[..., ps] @ final.mT)
         if attention:
             views.append((forward, reverse, final))
-    context = contexts[0] if len(contexts) == 1 else np.hstack(contexts)
+    context = contexts[0] if len(contexts) == 1 else np.concatenate(contexts, axis=-1)
+    if hyp.ndim < context.ndim:  # the stack entered after the meaning walks
+        hyp = np.broadcast_to(hyp, context.shape[:-2] + hyp.shape[-2:])
 
-    rw, rb = cast(params.relation.block.weight.value), cast(params.relation.block.bias.value)
-    relations = walk_values(hyp_schedule, np.concatenate((hyp, context)), rw, rb,
+    rw, rb = cast(params.relation.block.weight), cast(params.relation.block.bias)
+    relations = walk_values(hyp_schedule, np.concatenate((hyp, context), axis=-2), rw, rb,
                             params.relation.k_out)[0]
 
-    cw, cb = cast(params.classifier.weight.value), cast(params.classifier.bias.value)
-    roots = relations.take([n - 1 for n in hyp_at[1:]], axis=1)
-    dists = _plain_row_softmax(np.ascontiguousarray(np.tanh(cw @ roots + cb).T))
+    cw, cb = cast(params.classifier.weight), cast(params.classifier.bias)
+    roots = relations.take([n - 1 for n in hyp_at[1:]], axis=-1)
+    dists = _plain_row_softmax(np.ascontiguousarray(np.tanh(cw @ roots + cb).mT))
     if not np.isfinite(dists).all():
         raise NonFiniteValue("non-finite class distribution")
-    views = [v + (relations[:, hyp_at[j]:hyp_at[j + 1]].T,) for j, v in enumerate(views)]
+    views = [v + (relations[..., hyp_at[j]:hyp_at[j + 1]].mT,) for j, v in enumerate(views)]
     return dists, views
 
 

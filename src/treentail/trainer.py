@@ -57,7 +57,6 @@ from .entailment import (
     _forests,
     _wavefront,
     batch_loss,
-    cross_entropy,
     loss_node,
     run_batch,
     run_forward,
@@ -783,19 +782,22 @@ def full_model_grad_check(k=8, r=8, d=10, seed=0, pairs=20, eps=1e-4,
             return graph, loss_node(graph, run.distribution, gold)
 
         fd_loss = _audit_oracle(premise, hypothesis, gold, vocab, table, params)
-        worst = np.maximum(worst, grad_check(build, checked, eps, loss_fn=fd_loss))
+        worst = np.maximum(worst, grad_check(build, checked, eps, stacked_loss=fd_loss))
     return float(worst)
 
 
 def _audit_oracle(premise, hypothesis, gold, vocab, table, params):
-    """The audit's loss of one pair at the parameters' current values:
-    :func:`plain_loss` in extended precision with dual attention, on the
-    pair's forests built once for every perturbation."""
+    """The audit's ``stacked_loss`` for one pair (see
+    :func:`~treentail.autodiff.grad_check`): :func:`plain_loss` in
+    extended precision with dual attention at every value in a stack of
+    one parameter's values, from one tape-free forward over the stack,
+    on the pair's forests built once for every chunk."""
     forests = _forests([(premise, hypothesis)])
+    label = LABELS.index(gold)
 
-    def loss():
+    def losses(param, stack):
         dists = _wavefront(*forests, vocab, table, params, use_dual=True,
-                           dtype=np.longdouble, attention=False)[0]
-        return cross_entropy(dists[0], gold)
+                           dtype=np.longdouble, attention=False, stand_in=(param, stack))[0]
+        return -np.log(dists[..., 0, label])
 
-    return loss
+    return losses

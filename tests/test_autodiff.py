@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from treentail import autodiff
 from treentail.autodiff import (
+    STACK_BYTES,
     AffineMap,
     EmptyVector,
     Graph,
@@ -26,11 +28,13 @@ from treentail.autodiff import (
     backward,
     grad_check,
     gradients,
+    perturbation_chunks,
     sigmoid,
     sum_rows,
 )
 from treentail.composer import LstmParameters, walk_tree
 from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
+from treentail.entailment import ModelParameters
 from treentail.trees import parse_tree
 
 from tape_helpers import total
@@ -556,6 +560,156 @@ class TestGradCheck:
 
         with pytest.raises(ValueError, match="eps"):
             grad_check(build, [p], eps=eps)
+
+
+class TestStackedGradCheck:
+    """grad_check with a ``stacked_loss``: one evaluation per chunk of
+    perturbed copies of a parameter, and the same contract as the
+    one-copy-at-a-time loop."""
+
+    @staticmethod
+    def _square(p):
+        def build():
+            g = Graph()
+            return g, total(g, g.hadamard(g.parameter(p), g.parameter(p)))
+
+        def stacked(param, stack):
+            return (stack ** 2).reshape(len(stack), -1).sum(axis=1)
+
+        return build, stacked
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-4, np.nan, np.inf])
+    def test_step_size_is_checked_before_any_forward(self, eps):
+        p = Parameter("w", np.array([0.7]))
+        calls = []
+
+        def build():
+            calls.append("build")
+            g = Graph()
+            return g, total(g, g.parameter(p))
+
+        def stacked(param, stack):
+            calls.append("stacked")
+            return stack.reshape(len(stack), -1).sum(axis=1)
+
+        with pytest.raises(ValueError, match="eps"):
+            grad_check(build, [p], eps=eps, stacked_loss=stacked)
+        assert calls == []
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_each_copy_moves_one_scalar_up_then_down(self, dtype):
+        """Copy i of a chunk holds value + eps at scalar i and copy n + i
+        value - eps there, in the parameter's dtype, and the worst error
+        equals the one-copy-at-a-time loop's exactly."""
+        p = Parameter("w", np.array([[0.7, -0.3, 0.2], [0.1, 0.9, -0.6]], dtype))
+        build, square = self._square(p)
+        seen = []
+
+        def stacked(param, stack):
+            assert param is p
+            seen.append(stack.copy())
+            return square(param, stack)
+
+        via_stack = grad_check(build, [p], eps=1e-3, stacked_loss=stacked)
+        via_copies = grad_check(build, [p], eps=1e-3,
+                                loss_fn=lambda: (p.value ** 2).reshape(-1).sum())
+        assert via_stack == via_copies < 1e-4
+        (stack,) = seen
+        assert stack.dtype == dtype and stack.shape == (12, 2, 3)
+        for i in range(6):
+            for copy, step in ((stack[i], 1e-3), (stack[6 + i], -1e-3)):
+                want = p.value.copy()
+                want.reshape(-1)[i] += step
+                np.testing.assert_array_equal(copy, want)
+
+    def test_one_nan_quotient_in_a_stack_makes_the_result_nan(self):
+        p = Parameter("w", np.array([0.7, -0.3, 0.2]))
+        build, square = self._square(p)
+
+        def stacked(param, stack):
+            losses = square(param, stack)
+            losses[4] = np.nan  # scalar 1 moved down
+            return losses
+
+        assert np.isnan(grad_check(build, [p], eps=1e-5, stacked_loss=stacked))
+
+    def test_a_parameter_the_loss_does_not_reach_reports_zero(self):
+        """A stacked loss that ``param`` does not reach returns one loss
+        for the whole stack; every quotient is then zero, as is the
+        tape's gradient."""
+        used = Parameter("u", np.array([1.0]))
+        unused = Parameter("nc", np.array([5.0, -2.0]))
+
+        def build():
+            g = Graph()
+            return g, total(g, g.hadamard(g.parameter(used), g.parameter(used)))
+
+        def stacked(param, stack):
+            return np.float64(used.value[0, 0] ** 2)
+
+        assert grad_check(build, [unused], eps=1e-5, stacked_loss=stacked) == 0.0
+
+    def test_a_non_finite_oracle_value_propagates(self):
+        p = Parameter("w", np.array([0.7]))
+        build, _ = self._square(p)
+
+        def stacked(param, stack):
+            raise NonFiniteValue("non-finite class distribution")
+
+        with pytest.raises(NonFiniteValue):
+            grad_check(build, [p], eps=1e-5, stacked_loss=stacked)
+
+    def test_loss_fn_and_stacked_loss_are_exclusive(self):
+        p = Parameter("w", np.array([0.7]))
+        build, square = self._square(p)
+        with pytest.raises(ValueError, match="not both"):
+            grad_check(build, [p], loss_fn=lambda: 0.0, stacked_loss=square)
+
+    def test_chunks_stay_within_the_budget_and_give_the_same_error(self, monkeypatch):
+        """Shrinking the budget splits a parameter into more, smaller
+        stacks, none over the budget, and moves no digit of the result."""
+        rng = np.random.default_rng(3)
+        p = Parameter("w", rng.uniform(-1, 1, (4, 5)))
+        build, square = self._square(p)
+        whole = grad_check(build, [p], eps=1e-4, stacked_loss=square)
+        sizes = []
+
+        def stacked(param, stack):
+            sizes.append(stack.nbytes)
+            return square(param, stack)
+
+        monkeypatch.setattr(autodiff, "STACK_BYTES", 7 * 2 * p.value.nbytes)
+        assert grad_check(build, [p], eps=1e-4, stacked_loss=stacked) == whole
+        assert sizes == [7 * 2 * p.value.nbytes] * 2 + [6 * 2 * p.value.nbytes]
+
+
+class TestPerturbationChunks:
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 1), (40, 26), (40, 32), (3, 10),
+                                       (20, 12), (750, 1), (160, 200)])
+    def test_no_stack_exceeds_the_budget(self, shape):
+        """Every index is perturbed once, in order, and no chunk's 2n
+        copies exceed the budget."""
+        value = np.broadcast_to(np.zeros(()), shape)  # no memory behind it
+        chunks = list(perturbation_chunks(value))
+        assert [i for c in chunks for i in c] == list(range(value.size))
+        for chunk in chunks:
+            assert 1 <= len(chunk) and 2 * len(chunk) * value.nbytes <= STACK_BYTES
+
+    @pytest.mark.parametrize("k, d", [(150, 300), (32, 300)])
+    def test_a_paper_width_weight_still_gets_a_scalar_per_chunk(self, k, d):
+        """meaning.weight at paper widths is too wide for two copies to fit
+        the budget.  It still goes one scalar per chunk, so ``gradcheck
+        --k 150`` holds two copies of it at once (7.2 MB), never a stack
+        of gigabytes."""
+        params = ModelParameters.build(
+            k, k, d, lambda name, rows, cols: AffineMap.from_arrays(
+                name, np.broadcast_to(np.zeros(()), (rows, cols)), np.zeros((rows, 1))))
+        weight = params.meaning.block.weight.value
+        assert weight.shape == (5 * k, d + 2 * k)
+        assert 2 * weight.nbytes > STACK_BYTES
+        chunks = perturbation_chunks(weight)
+        assert [next(chunks) for _ in range(3)] == [range(0, 1), range(1, 2), range(2, 3)]
+        assert sum(1 for _ in chunks) == weight.size - 3
 
 
 class TestNumericGuards:

@@ -15,6 +15,7 @@ from treentail.cli import _config_from_args, build_parser, main
 from treentail.data import load_snli
 from treentail.entailment import LABELS, run_forward
 from treentail.inspection import read_pgm
+from treentail import trainer
 from treentail.trainer import MAGIC, TrainConfig, load_checkpoint, save_checkpoint
 from treentail.trees import parse_tree
 
@@ -557,3 +558,19 @@ class TestGradcheck:
                             lambda **kwargs: float("nan"))
         assert main(["gradcheck", "--pairs", "1"]) == 3
         assert "FAIL" in capsys.readouterr().err
+
+    def test_non_finite_stacked_oracle_fails_with_numeric_exit(self, monkeypatch, capsys):
+        """A NaN in one copy of a stack reaches that copy's distribution,
+        and the oracle's NonFiniteValue ends the audit with exit 3."""
+        real = trainer._wavefront
+
+        def poisoned(*args, stand_in, **kwargs):
+            param, stack = stand_in
+            stack = stack.copy()
+            stack.reshape(len(stack), -1)[0, 0] = np.nan
+            return real(*args, stand_in=(param, stack), **kwargs)
+
+        monkeypatch.setattr(trainer, "_wavefront", poisoned)
+        assert main(["gradcheck", "--k", "2", "--r", "2", "--d", "2", "--pairs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: non-finite class distribution" in err

@@ -242,6 +242,25 @@ class TestResolveAndLookup:
         frozen_only = lookup_rows(vocab, table, ["cat", "the"])
         np.testing.assert_array_equal(frozen_only, [[0.0, 1.0], [1.0, 0.0]])
 
+    @pytest.mark.parametrize("tokens", [["dog", "the", "xylophone", "CAT", "dog"],
+                                        ["dog", "xylophone"], ["cat", "the"]])
+    def test_a_stack_of_tables_reads_each_table_in_turn(self, model, tokens):
+        """A ``(S, R, d)`` stack in place of the trainable table gives the
+        ``(S, d, m)`` stack of each table's reads; tokens that resolve to
+        pretrained rows alone give the one unstacked read."""
+        vocab, table = model
+        saved = table.trainable.value.copy()
+        stack = saved + np.arange(3.0)[:, None, None]
+        rows = lookup_rows(vocab, table, tokens, stack)
+        for copy, got in zip(stack, np.broadcast_to(rows, (3,) + rows.shape[-2:])):
+            table.trainable.value[...] = copy
+            try:
+                np.testing.assert_array_equal(got, lookup_rows(vocab, table, tokens))
+            finally:
+                table.trainable.value[...] = saved
+        assert rows.ndim == (2 if tokens == ["cat", "the"] else 3)
+        assert rows.flags["C_CONTIGUOUS"]
+
 
 def _sliced_leaves(graph, vocab, table, tokens):
     """``embedding_node``'s value with each trainable row read by its own

@@ -598,30 +598,87 @@ class TestEndToEndGradients:
         assert worst < 1e-4, f"{worst:.3e}"
 
     def test_the_audit_oracle_is_plain_loss_bit_for_bit(self):
-        """The audit's difference-quotient loss builds each pair's forests
-        once and reuses them for every perturbation: it returns the
-        extended-precision plain_loss exactly, at the start values and
-        after a weight scalar or a trainable table entry moves."""
+        """The audit evaluates a stack of one parameter's values with one
+        tape-free forward, on each pair's forests built once.  Every entry
+        of the stack is the extended-precision plain forward at that value
+        exactly: for the weight and the bias of the meaning block, the
+        relation block, the scorer and the classifier and for the
+        trainable table rows, with dual attention on and off.  With dual
+        attention on, the audit's own oracle gives plain_loss exactly, and
+        the stacked evaluation leaves every parameter as it was."""
         vocab, table, params, drawn = _audit_fixture(8, 8, 10, 0, 6, (3, 7))
-        moved = [(params.meaning.block.weight.value, (7, 3)),
-                 (params.relation.block.weight.value, (2, 11)),
-                 (params.classifier.weight.value, (1, 0)),
-                 (table.trainable.value, (1, 4))]
+        checked = params.trainable() + [table.trainable]
+        rng = np.random.default_rng(5)
+        reached = {param.name: 0 for param in checked}
         for premise, hypothesis, gold in drawn:
+            forests = _forests([(premise, hypothesis)])
             oracle = _audit_oracle(premise, hypothesis, gold, vocab, table, params)
+            for param in checked:
+                # the start value, then single scalars moved either way
+                stack = np.repeat(param.value[None], 5, axis=0)
+                flat = stack.reshape(5, -1)
+                flat[np.arange(1, 5), rng.integers(flat.shape[1], size=4)] += [1e-4, -1e-4,
+                                                                              1e-3, -1e-3]
+                saved = param.value.copy()
+                # a pair that reads no trainable row gives one value for all
+                losses = oracle(param, stack)
+                reached[param.name] += losses.shape == (5,)
+                losses = np.broadcast_to(losses, (5,))
+                assert losses.dtype == np.longdouble
+                for use_dual in (True, False):
+                    dists = np.broadcast_to(
+                        _wavefront(*forests, vocab, table, params, use_dual, np.longdouble,
+                                   attention=False, stand_in=(param, stack))[0], (5, 1, 3))
+                    np.testing.assert_array_equal(param.value, saved)
+                    for copy, dist in zip(stack, dists):
+                        param.value[...] = copy
+                        try:
+                            np.testing.assert_array_equal(
+                                dist[0], plain_forward(premise, hypothesis, vocab, table,
+                                                       params, use_dual, np.longdouble))
+                        finally:
+                            param.value[...] = saved
+                for copy, loss in zip(stack, losses):
+                    param.value[...] = copy
+                    try:
+                        assert loss == plain_loss(premise, hypothesis, vocab, table, params,
+                                                  gold, use_dual=True, dtype=np.longdouble)
+                    finally:
+                        param.value[...] = saved
+        assert min(reached.values()) > 0, reached
 
-            def plain():
+    def test_stacked_audit_equals_the_per_scalar_loop(self):
+        """The stacked audit reports the worst error of the loop it
+        replaced to the last digit.  That loop moves each scalar in place
+        by +eps and then -eps, evaluates plain_loss in extended precision
+        once per move and pair, and compares each quotient with the
+        tape's gradient."""
+        k, r, d, seed, pairs, eps = 4, 3, 5, 1, 2, 1e-4
+        vocab, table, params, drawn = _audit_fixture(k, r, d, seed, pairs, (3, 7))
+        worst = 0.0
+        for premise, hypothesis, gold in drawn:
+            graph = Graph(np.float64)
+            run = run_forward(graph, premise, hypothesis, vocab, table, params,
+                              use_dual=True)
+            analytic = backward(graph, loss_node(graph, run.distribution, gold))
+
+            def loss():
                 return plain_loss(premise, hypothesis, vocab, table, params, gold,
                                   use_dual=True, dtype=np.longdouble)
 
-            start = oracle()
-            assert start.dtype == np.longdouble and start == plain()
-            for value, at in moved:
-                saved = value[at]
-                value[at] += 1e-4
-                try:
-                    got = oracle()
-                    assert got == plain()
-                finally:
-                    value[at] = saved
-            assert oracle() == start
+            for p in params.trainable() + [table.trainable]:
+                a = analytic.get(p)  # None for a table the pair does not read
+                aflat = np.zeros(p.value.size) if a is None else np.asarray(a).reshape(-1)
+                flat = p.value.reshape(-1)
+                for j in range(flat.size):
+                    saved = flat[j]
+                    flat[j] = saved + eps
+                    up = loss()
+                    flat[j] = saved - eps
+                    down = loss()
+                    flat[j] = saved
+                    numeric = (up - down) / (2.0 * eps)
+                    denom = max(1e-8, abs(aflat[j]) + abs(numeric))
+                    worst = np.maximum(worst, abs(aflat[j] - numeric) / denom)
+        assert full_model_grad_check(k=k, r=r, d=d, seed=seed, pairs=pairs, eps=eps) \
+            == float(worst)
