@@ -513,15 +513,13 @@ def grad_check(build, params, eps=1e-5, loss_fn=None, stacked_loss=None):
     loss at every copy at once, every other parameter as it stands, and
     returns the 2n losses, or one loss if ``param`` does not reach it.
     An independent implementation of the loss is fine and makes the
-    comparison stronger.  ``loss_fn``, a cheaper ``() -> float``
-    evaluated at the current values in place of a full ``build()``, or
-    else ``build()`` itself, is run on one copy at a time, written into
-    the parameter and restored after.
+    comparison stronger.  Without it, ``loss_fn``, a cheaper
+    ``() -> float`` evaluated at the current values in place of a full
+    ``build()``, or else ``build()`` itself, is run on one copy at a
+    time, written into the parameter and restored after.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    if loss_fn is not None and stacked_loss is not None:
-        raise ValueError("give loss_fn or stacked_loss, not both")
     graph, loss = build()
     analytic = backward(graph, loss)
     if stacked_loss is None:
@@ -542,8 +540,9 @@ def grad_check(build, params, eps=1e-5, loss_fn=None, stacked_loss=None):
             flat[np.arange(n, 2 * n), at] -= eps
             losses = np.broadcast_to(stacked_loss(p, stack), (2 * n,))
             numeric = (losses[:n] - losses[n:]) / (2.0 * eps)
-            denom = np.maximum(1e-8, np.abs(aflat[at]) + np.abs(numeric))
-            worst = np.maximum(worst, (np.abs(aflat[at] - numeric) / denom).max())
+            analytic_at = aflat[at]
+            denom = np.maximum(1e-8, np.abs(analytic_at) + np.abs(numeric))
+            worst = np.maximum(worst, (np.abs(analytic_at - numeric) / denom).max())
     return float(worst)
 
 

@@ -659,12 +659,6 @@ class TestStackedGradCheck:
         with pytest.raises(NonFiniteValue):
             grad_check(build, [p], eps=1e-5, stacked_loss=stacked)
 
-    def test_loss_fn_and_stacked_loss_are_exclusive(self):
-        p = Parameter("w", np.array([0.7]))
-        build, square = self._square(p)
-        with pytest.raises(ValueError, match="not both"):
-            grad_check(build, [p], loss_fn=lambda: 0.0, stacked_loss=square)
-
     def test_chunks_stay_within_the_budget_and_give_the_same_error(self, monkeypatch):
         """Shrinking the budget splits a parameter into more, smaller
         stacks, none over the budget, and moves no digit of the result."""
