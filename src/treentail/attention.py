@@ -108,6 +108,147 @@ def attended_context(graph, attention, prem_states):
     return graph.matmul(prem, graph.transpose(attention))
 
 
+def row_softmax(m):
+    """Max-subtracted softmax along the last axis of an array, with the
+    arithmetic of the tape's ``softmax``."""
+    e = np.exp(m - m.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _shape_groups(offsets):
+    """A batch's pairs grouped by their exact ``(|hyp|, |prem|)`` node
+    counts, in order of first appearance: for each group the pairs'
+    indices and the ``(G, H)`` hypothesis and ``(G, P)`` premise forest
+    ids of their nodes, a row per pair."""
+    hyp_at, prem_at = np.asarray(offsets[0]), np.asarray(offsets[1])
+    by_shape = {}
+    for j, shape in enumerate(zip(np.diff(hyp_at).tolist(), np.diff(prem_at).tolist())):
+        by_shape.setdefault(shape, []).append(j)
+    groups = []
+    for (h, p), pairs in by_shape.items():
+        pairs = np.array(pairs)
+        groups.append((pairs, hyp_at[pairs, None] + np.arange(h),
+                       prem_at[pairs, None] + np.arange(p)))
+    return groups
+
+
+def _column_blocks(a, ids):
+    """The ``(..., G, rows, n)`` blocks of columns ``ids`` (``(G, n)``,
+    consecutive in each row) of ``a``: a copy, or for a group of one a
+    view of ``a`` itself.  BLAS picks a vector kernel by the vector's
+    stride, so a lone pair's blocks keep the strides of ``a`` and round
+    as products on ``a``'s column block do."""
+    if len(ids) == 1:
+        return a[..., None, :, ids[0, 0]:ids[0, -1] + 1]
+    return np.moveaxis(a.take(ids, axis=-1), -2, -3)
+
+
+def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, reverse=False,
+                    kept=None):
+    """Every pair's attention and contexts over a batch, without a tape.
+
+    ``hyp_terms`` is the scorer's ``(n_hyp, 1)`` column of hypothesis
+    terms over the hypotheses' forest, ``prem_terms`` its ``(1, n_prem)``
+    row of premise terms (:func:`score_terms`), ``bias`` its ``(1, 1)``
+    bias, ``prem`` the premises' ``(k, n_prem)`` h matrix, and
+    ``offsets`` the two forests' node offsets, hypotheses first: pair
+    ``j``'s nodes are ``offsets[0][j]:offsets[0][j + 1]`` of the one and
+    ``offsets[1][j]:offsets[1][j + 1]`` of the other.
+
+    Pairs with the same node counts are one group, computed as one
+    stacked ``(G, H, P)`` block, without padding: scores, row softmax
+    (the forward view), row softmax of the transposed scores (the
+    reverse view), with ``use_dual`` their product renormalized by
+    :data:`RENORM_FLOOR` as :func:`dual_attention` does, and the
+    contexts.  Each pair's entries are the per-pair functions' above bit
+    for bit.  Returns the ``(k, n_hyp)`` context matrix in hypothesis
+    forest order and each pair's ``(forward, reverse, final)``
+    alignments, views of the group's blocks; the reverse view is None
+    unless ``use_dual`` or ``reverse``, and without ``use_dual`` the
+    final view is the forward one.
+
+    Any operand may carry a leading stack axis, one model per entry:
+    only the last two axes are read, and the results gain the axis.
+    ``kept``, if given, receives each group's ``(pairs, hyp ids, prem
+    ids, forward, reverse, final, row sums)``, which the tape's backward
+    rule reads; the row sums are the dual product's, else None.
+    """
+    b = bias[..., None, :, :]
+    alignments = [None] * (len(offsets[0]) - 1)
+    context = None
+    for pairs, hix, pix in _shape_groups(offsets):
+        # C order, as the per-pair sum lays it out: the row sums below
+        # then add each row's entries in the same order.  (Indexing a
+        # stacked operand would put the stack axis innermost.)
+        scores = np.add(hyp_terms[..., hix, :] + prem_terms[..., 0, pix][..., None, :], b,
+                        order="C")
+        forward = final = row_softmax(scores)
+        backward = row_softmax(scores.mT) if use_dual or reverse else None
+        sums = None
+        if use_dual:
+            final = forward * backward.mT
+            final += RENORM_FLOOR
+            sums = final.sum(axis=-1, keepdims=True)
+            final /= sums
+        contexts = _column_blocks(prem, pix) @ final.mT  # (G, k, H)
+        if context is None:
+            context = np.empty(contexts.shape[:-3] + (prem.shape[-2], hyp_terms.shape[-2]),
+                               contexts.dtype)
+        context[..., hix] = np.moveaxis(contexts, -3, -2)
+        for i, j in enumerate(pairs.tolist()):
+            view = forward[..., i, :, :]
+            alignments[j] = (view, None if backward is None else backward[..., i, :, :],
+                             view if final is forward else final[..., i, :, :])
+        if kept is not None:
+            kept.append((pairs, hix, pix, forward, backward, final, sums))
+    return context, alignments
+
+
+def attend(graph, hyp_terms, prem_terms, bias, prem, offsets, use_dual):
+    """:func:`batch_attention` of tape nodes as one op, named
+    ``attention``: its value is the ``(k, n_hyp)`` context matrix and its
+    parents are ``(hyp_terms, prem_terms, bias, prem)``.  Returns the
+    node and each pair's ``(forward, reverse, final)`` alignment arrays
+    (reverse None without ``use_dual``).
+
+    The op keeps each group's alignments (and the dual product's row
+    sums) for its backward and nothing else.  The backward goes group by
+    group and hands each parent one gradient for the whole batch, with
+    the arithmetic, layouts and order of the per-pair ops' backward
+    rules (``outer_sum``, ``softmax``, ``hadamard``, ``row_normalize``,
+    ``matmul``): the bias's gradient sums the pairs' parts last pair
+    first, as a tape of per-pair ops accumulates them.
+    """
+    kept = []
+    value, alignments = batch_attention(hyp_terms.value, prem_terms.value, bias.value,
+                                        prem.value, offsets, use_dual, kept=kept)
+    pv, hyp_shape, prem_shape = prem.value, hyp_terms.shape, prem_terms.shape
+
+    def vjp(g):
+        g_hyp = np.empty(hyp_shape, g.dtype)
+        g_terms = np.empty(prem_shape, g.dtype)
+        g_prem = np.empty(pv.shape, g.dtype)
+        g_bias = np.empty(len(alignments), g.dtype)
+        for pairs, hix, pix, forward, backward, final, sums in kept:
+            g_ctx = _column_blocks(g, hix)  # (G, k, H)
+            g_prem[:, pix] = np.moveaxis(g_ctx @ final, 0, 1)
+            g_final = (_column_blocks(pv, pix).mT @ g_ctx).mT
+            if use_dual:
+                g_raw = (g_final - (g_final * final).sum(axis=-1, keepdims=True)) / sums
+                g_fwd = g_raw * backward.mT
+                g_rev = (g_raw * forward).mT
+                g_scores = (backward * (g_rev - (g_rev * backward).sum(axis=-1, keepdims=True))).mT
+                g_scores = g_scores + forward * (g_fwd - (g_fwd * forward).sum(axis=-1, keepdims=True))
+            else:
+                g_scores = forward * (g_final - (g_final * forward).sum(axis=-1, keepdims=True))
+            g_hyp[hix, 0] = g_scores.sum(axis=-1)
+            g_terms[0, pix] = g_scores.sum(axis=-2)
+            g_bias[pairs] = g_scores.sum(axis=(-2, -1))
+        return g_hyp, g_terms, np.cumsum(g_bias[::-1])[-1:].reshape(1, 1), g_prem
+
+    return graph.record(value, (hyp_terms, prem_terms, bias, prem), vjp, "attention"), alignments
+
+
 def mix_alignments(alignments, probs):
     """Expectation of hard alignment matrices under a distribution.
 

@@ -84,11 +84,13 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
     (input, left forget, right forget, output) and the candidate ``u``,
     and the columns ``cols`` of ``W`` that multiplied the input rows.
 
+    A leaf level (no child states) leaves its forget-gate rows of ``z``
+    raw: no child state reads them, and the backward skips them.
+
     Any operand may also carry a leading stack axis, one model per entry
     (the gradient audit's perturbed copies of one parameter): the cell
     reads only the last two axes, and a 2-D operand broadcasts over the
-    stack.  A stacked leaf level leaves its forget-gate rows of ``z``
-    raw: no child state reads them, and no backward runs on a stack.
+    stack.
     """
     gates, u_rows, i_rows, f1_rows, f2_rows, o_rows = _gate_rows(k)
     d = w.shape[-1] - 2 * k
@@ -105,7 +107,7 @@ def cell_values(w, b, x, h1, h2, c1, c2, k):
         z = z + b
     else:
         z += b
-    if h1 is None and z.ndim > 2:
+    if h1 is None:
         sigmoid(z[i_rows], out=z[i_rows])
         sigmoid(z[o_rows], out=z[o_rows])
     else:
@@ -287,7 +289,8 @@ def walk_tree(graph, tree, params, x):
             # by block with the products, in their order, of
             # [(gc*u)*i*(1-i); (gc*c1)*f1*(1-f1); (gc*c2)*f2*(1-f2);
             #  (gh*t)*o*(1-o); (gc*i)*(1-u*u)]: the first four share a
-            # sigmoid's s*(1-s) factor, applied over all four at once.
+            # sigmoid's s*(1-s) factor, applied over all four at once (a
+            # leaf level's two forget blocks are zero and skip it).
             gz = gz_all[:, at]
             np.multiply(gc, u, out=gz[:k])
             if lefts is not None:
@@ -300,9 +303,13 @@ def walk_tree(graph, tree, params, x):
             if every or lefts is None:
                 rows[:d, at] = _cols(xv, ids) if every else xv
             np.multiply(gh, t, out=gz[3 * k:4 * k])
-            sig = gz[:4 * k]
-            sig *= gates
-            sig *= 1.0 - gates
+            if lefts is not None:
+                blocks = ((gz[:4 * k], gates),)
+            else:  # raw forget rows: their zero gradient stays +0.0
+                blocks = ((gz[:k], i_g), (gz[3 * k:4 * k], o))
+            for sig, s in blocks:
+                sig *= s
+                sig *= 1.0 - s
             np.multiply(gc, i_g, out=gz[4 * k:])
             gz[4 * k:] *= 1.0 - u * u
             ginp = wv[:, cols].T @ gz

@@ -27,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attention import (
-    RENORM_FLOOR,
-    attended_context,
-    dual_attention,
-    forward_attention,
-    reverse_attention,
-    score_terms,
-)
+from .attention import attend, batch_attention, row_softmax, score_terms
 from .autodiff import AffineMap, NonFiniteValue, ShapeMismatch
 from .composer import LstmParameters, as_matrix, encode_forest, walk_tree, walk_values
 from .embeddings import lookup_rows
@@ -85,7 +78,8 @@ def compose_relations(graph, hypothesis, hyp_states, contexts, params):
 
     Node ``i`` receives ``[h_i; contexts[:, i]]`` as its input, where
     ``hyp_states`` is the hypothesis's ``(k, n)`` h matrix and
-    ``contexts`` :func:`attended_context`'s ``(k, n)`` matrix; one
+    ``contexts`` the ``(k, n)`` matrix of its attended contexts
+    (:func:`~treentail.attention.attended_context`); one
     ``concat`` of the two is the walk's every-node input.  Leaves start
     from zero child states.  Returns the relation walk's
     :class:`~treentail.composer.TreeStates`: its ``h`` is the ``(r, n)``
@@ -126,7 +120,7 @@ def batch_loss(graph, distributions, golds):
     is the ``(3, B)`` node whose column ``j`` is pair ``j``'s, ``golds``
     the pairs' B labels.  Returns ``(mean, losses)``: the ``(1, 1)`` mean
     of the pairs' losses, the training loss, and the ``(1, B)`` node of
-    the losses themselves.  For one pair both are the same node."""
+    the losses themselves."""
     for gold in golds:
         if gold not in LABELS:
             raise InvalidLabel(f"unknown label {gold!r}")
@@ -137,8 +131,6 @@ def batch_loss(graph, distributions, golds):
     picked = graph.gather(distributions, [[LABELS.index(gold) for gold in golds]],
                           [list(range(b))])
     losses = graph.neg(graph.log(picked))
-    if b == 1:
-        return losses, losses
     return graph.matmul(losses, graph.constant(np.full((b, 1), 1.0 / b))), losses
 
 
@@ -150,21 +142,22 @@ def loss_node(graph, dist_node, gold):
 
 @dataclass
 class ForwardPass:
-    """Tape nodes of one premise/hypothesis forward run."""
+    """One premise/hypothesis forward run: tape nodes, and the alignments
+    as the arrays the attention op computed."""
 
     distribution: object
-    forward_attention: object
-    reverse_attention: object
-    final_attention: object
+    forward_attention: np.ndarray   # (|hyp|, |prem|)
+    reverse_attention: np.ndarray   # (|prem|, |hyp|), None without dual
+    final_attention: np.ndarray     # (|hyp|, |prem|)
     relation_states: object  # (r, |hyp|) node; column i is node i's relation vector
 
 
 @dataclass
 class BatchPass:
-    """Tape nodes of a batch's forward run, pairs in the order given."""
+    """A batch's forward run, pairs in the order given."""
 
     distributions: object    # (3, B) node; column j is pair j's distribution
-    attention: list          # pair j's (forward, reverse, final) alignment nodes
+    attention: list          # pair j's (forward, reverse, final) alignment arrays
     relation_states: object  # (r, n) node over the hypotheses' forest
 
 
@@ -175,7 +168,8 @@ def run_forward(graph, premise, hypothesis, vocab, table, params,
 
     With ``use_dual`` the attended contexts use the renormalized product
     of the forward and reverse alignments; otherwise they use the
-    forward alignment and ``reverse_attention`` is None.  Inference
+    forward alignment, ``final_attention`` is ``forward_attention`` and
+    ``reverse_attention`` is None.  Inference
     runs through the tape-free :func:`predict` instead.
 
     Note that because the pair scorer is affine in the concatenated
@@ -201,11 +195,12 @@ def run_batch(graph, pairs, vocab, table, params, use_dual=False, dropout_rate=0
     :func:`plain_distributions` on the same pairs bit for bit: the
     premises walk as one forest and the hypotheses as another (one
     ``lstm_cell`` op each), the scorer's terms are one product per
-    forest, each pair's attention and contexts are ops on column blocks
-    of the two h matrices, the relation walk covers every hypothesis as
-    one forest over the hypotheses' schedule, and one classifier op takes
-    every root.  A batch of one records no block and is
-    :func:`run_forward`.  With ``rng``, the dropout draws are taken leaf
+    forest, every pair's attention and contexts are one ``attention`` op
+    (:func:`~treentail.attention.attend`), the relation walk covers every
+    hypothesis as one forest over the hypotheses' schedule, and one
+    classifier op takes every root.  So the tape's size does not grow
+    with the batch, and a batch of one is :func:`run_forward`.  With
+    ``rng``, the dropout draws are taken leaf
     by leaf, pair by pair, each pair's premise before its hypothesis: the
     draws each pair would get on its own tape, in the same order.
     """
@@ -221,25 +216,11 @@ def run_batch(graph, pairs, vocab, table, params, use_dual=False, dropout_rate=0
                  for (schedule, words), drawn in zip(forests, draws))
 
     hyp_terms, prem_terms = score_terms(graph, hyp, prem, params.scorer)
-    bias = graph.parameter(params.scorer.bias)
-    prem_at, hyp_at = prem_schedule[0], hyp_schedule[0]
-    one = len(pairs) == 1
-    contexts, attention = [], []
-    for j in range(len(pairs)):
-        ps = range(prem_at[j], prem_at[j + 1])
-        scores = graph.outer_sum(
-            hyp_terms if one else graph.slice_rows(hyp_terms, hyp_at[j], hyp_at[j + 1]),
-            prem_terms if one else graph.take_col(prem_terms, ps), bias)
-        fwd = final = forward_attention(graph, scores)
-        rev = None
-        if use_dual:
-            rev = reverse_attention(graph, scores)
-            final = dual_attention(graph, fwd, rev)
-        contexts.append(attended_context(graph, final, prem if one else graph.take_col(prem, ps)))
-        attention.append((fwd, rev, final))
-
-    relations = _relation_walk(graph, hyp_schedule, hyp, graph.stack_columns(contexts),
-                               params.relation).h
+    hyp_at = hyp_schedule[0]
+    contexts, attention = attend(graph, hyp_terms, prem_terms,
+                                 graph.parameter(params.scorer.bias), prem,
+                                 (hyp_at, prem_schedule[0]), use_dual)
+    relations = _relation_walk(graph, hyp_schedule, hyp, contexts, params.relation).h
     roots = graph.gather(relations, np.arange(relations.shape[0])[:, None],
                          [[n - 1 for n in hyp_at[1:]]])
     return BatchPass(classify(graph, roots, params.classifier), attention, relations)
@@ -257,11 +238,6 @@ class Prediction:
     relations: np.ndarray           # (|hyp|, r)
 
 
-def _plain_row_softmax(m):
-    e = np.exp(m - m.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
-
-
 def _forests(pairs):
     """The premises' and the hypotheses' forests of a list of pairs, for
     :func:`_wavefront`: each a :func:`~treentail.trees.forest_schedule`
@@ -277,10 +253,10 @@ def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, atte
 
     All premises walk as one forest and all hypotheses as another
     (:func:`~treentail.composer.walk_values`), so a height of either walk
-    is one cell call over every pair; each pair's attention and contexts
-    are small products on column slices of the two state matrices; the
-    relation walk covers every hypothesis as one forest; and one product
-    classifies every root.
+    is one cell call over every pair; the pairs' attention and contexts
+    are one :func:`~treentail.attention.batch_attention` call, a stacked
+    block per group of same-shape pairs; the relation walk covers every
+    hypothesis as one forest; and one product classifies every root.
     Returns the ``(len(pairs), 3)`` distributions and, with
     ``attention``, each pair's ``(forward, reverse, final, relations)``;
     without ``use_dual`` the reverse view is the column softmax of the
@@ -317,22 +293,9 @@ def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, atte
     hyp = encode(hyp_schedule, hyp_words)
 
     sw, sb = cast(params.scorer.weight), cast(params.scorer.bias)
-    hyp_scores = (sw[..., :k] @ hyp).mT
-    prem_scores = sw[..., k:] @ prem
-    prem_at, hyp_at = prem_schedule[0], hyp_schedule[0]
-    contexts, views = [], []
-    for j in range(len(prem_at) - 1):
-        ps = slice(prem_at[j], prem_at[j + 1])
-        scores = hyp_scores[..., hyp_at[j]:hyp_at[j + 1], :] + prem_scores[..., ps] + sb
-        forward = final = _plain_row_softmax(scores)
-        reverse = _plain_row_softmax(scores.mT) if use_dual or attention else None
-        if use_dual:
-            raw = forward * reverse.mT + dtype(RENORM_FLOOR)
-            final = raw / raw.sum(axis=-1, keepdims=True)
-        contexts.append(prem[..., ps] @ final.mT)
-        if attention:
-            views.append((forward, reverse, final))
-    context = contexts[0] if len(contexts) == 1 else np.concatenate(contexts, axis=-1)
+    hyp_at = hyp_schedule[0]
+    context, views = batch_attention((sw[..., :k] @ hyp).mT, sw[..., k:] @ prem, sb, prem,
+                                     (hyp_at, prem_schedule[0]), use_dual, reverse=attention)
     if hyp.ndim < context.ndim:  # the stack entered after the meaning walks
         hyp = np.broadcast_to(hyp, context.shape[:-2] + hyp.shape[-2:])
 
@@ -342,11 +305,12 @@ def _wavefront(premises, hypotheses, vocab, table, params, use_dual, dtype, atte
 
     cw, cb = cast(params.classifier.weight), cast(params.classifier.bias)
     roots = relations.take([n - 1 for n in hyp_at[1:]], axis=-1)
-    dists = _plain_row_softmax(np.ascontiguousarray(np.tanh(cw @ roots + cb).mT))
+    dists = row_softmax(np.ascontiguousarray(np.tanh(cw @ roots + cb).mT))
     if not np.isfinite(dists).all():
         raise NonFiniteValue("non-finite class distribution")
-    views = [v + (relations[..., hyp_at[j]:hyp_at[j + 1]].mT,) for j, v in enumerate(views)]
-    return dists, views
+    if not attention:
+        return dists, []
+    return dists, [v + (relations[..., hyp_at[j]:hyp_at[j + 1]].mT,) for j, v in enumerate(views)]
 
 
 def predict(premise, hypothesis, vocab, table, params, use_dual=False,
@@ -405,4 +369,4 @@ def plain_loss(premise, hypothesis, vocab, table, params, gold,
 def node_confidences(relations, classifier):
     """Class distribution at every hypothesis node, one row per node."""
     w, b = classifier.weight.value, classifier.bias.value
-    return _plain_row_softmax(np.tanh(relations @ w.T + b.T))
+    return row_softmax(np.tanh(relations @ w.T + b.T))

@@ -115,7 +115,7 @@ def test_criterion_3_distribution_invariants():
         for matrix in (run.forward_attention, run.reverse_attention,
                        run.final_attention):
             worst_row = max(worst_row,
-                            float(np.abs(matrix.value.sum(axis=1) - 1.0).max()))
+                            float(np.abs(matrix.sum(axis=1) - 1.0).max()))
         probs = run.distribution.value[:, 0]
         p_lo = min(p_lo, float(probs.min()))
         p_hi = max(p_hi, float(probs.max()))

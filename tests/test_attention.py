@@ -8,6 +8,7 @@ from treentail.attention import (
     RENORM_FLOOR,
     NotDistribution,
     NotOnePerRow,
+    attend,
     attended_context,
     dual_attention,
     forward_attention,
@@ -15,8 +16,9 @@ from treentail.attention import (
     reverse_attention,
     row_entropy,
     score_matrix,
+    score_terms,
 )
-from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, grad_check
+from treentail.autodiff import AffineMap, Graph, Parameter, ShapeMismatch, backward, grad_check
 
 from tape_helpers import total
 
@@ -272,3 +274,114 @@ class TestGradientFlow:
             worst = grad_check(build, checked, eps=1e-5,
                                loss_fn=lambda: plain(np.longdouble))
             assert worst < 1e-4, f"seed {seed}: {worst:.3e}"
+
+
+def plain_rows(m):
+    e = np.exp(m - m.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def plain_contexts(weight, bias, hyp, prem, offsets, use_dual):
+    """The ``(k, n_hyp)`` contexts of a batch of pairs, one pair at a time
+    in the arrays' own dtype: the reference for the batch op."""
+    k = hyp.shape[0]
+    hyp_at, prem_at = offsets
+    contexts = []
+    for j in range(len(hyp_at) - 1):
+        h, p = hyp[:, hyp_at[j]:hyp_at[j + 1]], prem[:, prem_at[j]:prem_at[j + 1]]
+        scores = (weight[:, :k] @ h).T + (weight[:, k:] @ p) + bias
+        final = plain_rows(scores)
+        if use_dual:
+            raw = final * plain_rows(scores.T).T + hyp.dtype.type(RENORM_FLOOR)
+            final = raw / raw.sum(axis=1, keepdims=True)
+        contexts.append(p @ final.T)
+    return np.concatenate(contexts, axis=1)
+
+
+class TestAttendOp:
+    """The batch's attention as one tape op (``attend``), checked against
+    a per-pair transcription and central differences."""
+
+    # pair shapes (|hyp|, |prem|): (2, 3) three times, the rest once,
+    # with one-node hypotheses and premises among them
+    SHAPES = [(2, 3), (1, 1), (2, 3), (3, 1), (2, 3), (1, 4), (4, 2)]
+
+    @pytest.mark.parametrize("use_dual", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_ragged_batch_grad_check(self, dtype, use_dual):
+        """Every pair's scores, softmaxes, dual renormalization and
+        contexts sit between the loss and the scorer and both forests'
+        states.  The difference quotients run over the per-pair
+        transcription in extended precision.
+
+        The row softmax cancels the hypothesis terms (the affine scorer's
+        collapse), so the hypotheses' gradients are zero up to the
+        renormalization floor, and the bias's is zero by algebra.  In
+        float32 rounding noise is the whole of such a gradient, so there
+        the hypothesis side and the bias are checked for size only."""
+        k = 3
+        offsets = tuple(np.cumsum([0] + [shape[i] for shape in self.SHAPES]).tolist()
+                        for i in range(2))
+        small = 10 * np.finfo(dtype).eps
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            scorer = AffineMap.from_arrays("scorer", rng.uniform(-1.5, 1.5, (1, 2 * k)),
+                                           rng.uniform(-0.8, 0.8, (1, 1)))
+            hyp = Parameter("hyp", rng.uniform(-0.9, 0.9, (k, offsets[0][-1])))
+            prem = Parameter("prem", rng.uniform(-0.9, 0.9, (k, offsets[1][-1])))
+            probe = rng.standard_normal((k, offsets[0][-1]))
+
+            def plain(dtype):
+                arrays = (np.asarray(a.value, dtype) for a in (scorer.weight, scorer.bias,
+                                                                hyp, prem))
+                return plain_contexts(*arrays, offsets, use_dual)
+
+            def build():
+                g = Graph(dtype)
+                h, p = g.parameter(hyp), g.parameter(prem)
+                hyp_terms, prem_terms = score_terms(g, h, p, scorer)
+                contexts, _ = attend(g, hyp_terms, prem_terms, g.parameter(scorer.bias), p,
+                                     offsets, use_dual)
+                return g, total(g, g.hadamard(contexts, g.constant(probe)))
+
+            graph, loss = build()
+            contexts = next(n for n in graph.nodes if n.op == "attention").value
+            np.testing.assert_allclose(contexts, plain(dtype), rtol=0, atol=small)
+            grads = backward(graph, loss)
+            assert abs(grads[scorer.bias].item()) < small
+            checked = [scorer.weight, hyp, prem]
+            if dtype == np.float32:
+                assert np.abs(grads[hyp]).max() < small
+                assert np.abs(grads[scorer.weight][:, :k]).max() < small
+                checked = [prem]
+            worst = grad_check(build, checked, eps=1e-5,
+                               loss_fn=lambda: (plain(np.longdouble) * probe).sum())
+            assert worst < 1e-4, f"seed {seed}: {worst:.3e}"
+
+    @pytest.mark.parametrize("use_dual", [False, True])
+    def test_alignments_are_each_pairs_own(self, use_dual):
+        """Each pair's returned alignments are its per-pair softmaxes, in
+        the order given, whatever group the pair fell in."""
+        k = 4
+        rng = np.random.default_rng(9)
+        offsets = tuple(np.cumsum([0] + [shape[i] for shape in self.SHAPES]).tolist()
+                        for i in range(2))
+        scorer = random_scorer(k, rng)
+        hyp = rng.standard_normal((k, offsets[0][-1]))
+        prem = rng.standard_normal((k, offsets[1][-1]))
+        g = Graph()
+        hyp_terms, prem_terms = score_terms(g, g.constant(hyp), g.constant(prem), scorer)
+        _, alignments = attend(g, hyp_terms, prem_terms, g.parameter(scorer.bias),
+                               g.constant(prem), offsets, use_dual)
+        w, b = scorer.weight.value, scorer.bias.value
+        for j, (fwd, rev, final) in enumerate(alignments):
+            h = hyp[:, offsets[0][j]:offsets[0][j + 1]]
+            p = prem[:, offsets[1][j]:offsets[1][j + 1]]
+            scores = (w[:, :k] @ h).T + (w[:, k:] @ p) + b
+            assert fwd.shape == self.SHAPES[j]
+            np.testing.assert_allclose(fwd, plain_rows(scores), rtol=0, atol=1e-15)
+            if use_dual:
+                np.testing.assert_allclose(rev, plain_rows(scores.T), rtol=0, atol=1e-15)
+                np.testing.assert_allclose(final.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+            else:
+                assert rev is None and final is fwd

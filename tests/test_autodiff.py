@@ -32,6 +32,7 @@ from treentail.autodiff import (
     sigmoid,
     sum_rows,
 )
+from treentail.attention import attend
 from treentail.composer import LstmParameters, walk_tree
 from treentail.embeddings import embedding_node, empty_vocabulary, register_oov
 from treentail.entailment import ModelParameters
@@ -459,9 +460,13 @@ def _everything_build(seed):
         # entry (2, 0) twice, then the columns of a block under one map
         gt = g.gather(th, [[2, 0], [2, 1]], [[0, 1], [0, 2]])  # (2, 2)
         wide = g.affine(amap, g.tanh(sl))            # (4, 2)
+        # two pairs of one and two nodes a side, over th's three columns
+        at, _ = attend(g, g.take_col(h, 0), g.transpose(g.take_col(th, 2)),
+                       g.parameter(b_p), th, ([0, 1, 3], [0, 1, 3]), True)  # (3, 3)
         loss = total(g, g.concat([nll, total(g, g.take_col(h, range(2))),
                                   total(g, g.hadamard(picked, picked)),
-                                  total(g, g.hadamard(gt, gt)), total(g, wide)]))
+                                  total(g, g.hadamard(gt, gt)), total(g, wide),
+                                  total(g, g.hadamard(at, th))]))
         return g, loss
 
     params = [a_p, b_p, amap.weight, amap.bias]
@@ -496,6 +501,7 @@ class TestGradCheck:
         ops = {name for name, attr in vars(Graph).items()
                if callable(attr) and not name.startswith("_")}
         ops -= {"record", "constant", "parameter"}
+        ops.add("attention")  # the fused op of attention.attend
         graph, _ = _everything_build(0)[0]()
         assert ops <= {node.op for node in graph.nodes}
 

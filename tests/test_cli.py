@@ -503,7 +503,7 @@ class TestInspect:
                                    run.distribution.value[:, 0], rtol=0, atol=5e-10)
         start = lines.index("attention-final: 5x7") + 1
         final = [[float(x) for x in row.split()] for row in lines[start:start + 5]]
-        np.testing.assert_allclose(final, run.final_attention.value, rtol=0, atol=5e-10)
+        np.testing.assert_allclose(final, run.final_attention, rtol=0, atol=5e-10)
 
     def test_unknown_token_without_fallback_row_is_a_data_error(
             self, workdir, tmp_path, capsys):

@@ -90,6 +90,13 @@ PAIRS = [
 ]
 
 
+def attention_scores(graph):
+    """The score matrix of a batch of one on ``graph``: the ``outer_sum``
+    of its ``attention`` op's hypothesis terms, premise terms and bias."""
+    op = next(n for n in graph.nodes if n.op == "attention")
+    return graph.outer_sum(*op.parents[:3])
+
+
 class TestLabelsAndLoss:
     def test_label_order_is_fixed(self):
         assert LABELS == ("contradiction", "neutral", "entailment")
@@ -190,11 +197,11 @@ class TestRunForward:
             dual_run = run_forward(Graph(), prem, hyp, vocab, table, params,
                                    use_dual=True)
             assert dual_run.final_attention is not dual_run.forward_attention
-            np.testing.assert_allclose(dual_run.final_attention.value,
-                                       plain_run.final_attention.value,
+            np.testing.assert_allclose(dual_run.final_attention,
+                                       plain_run.final_attention,
                                        atol=1e-9)
             np.testing.assert_allclose(
-                dual_run.final_attention.value.sum(axis=1), 1.0, atol=1e-9)
+                dual_run.final_attention.sum(axis=1), 1.0, atol=1e-9)
 
     def test_dropout_only_acts_when_given_an_rng(self):
         vocab, table, params = toy_model(3, 2, 4, 4)
@@ -277,7 +284,7 @@ class TestTapeSize:
     trees' sizes and heights: each tree walk is one op."""
 
     # with dual attention, dropout and the loss
-    NODES = 40
+    NODES = 34
 
     @staticmethod
     def tape_nodes(prem, hyp, vocab, table, params, rng):
@@ -291,7 +298,7 @@ class TestTapeSize:
     @given(seed=st.integers(0, 2**32 - 1), n_prem=st.integers(1, 200),
            n_hyp=st.integers(1, 200))
     def test_tape_size_is_independent_of_the_trees(self, seed, n_prem, n_hyp):
-        """At most 40 nodes per pair for random trees of 1-200 leaves:
+        """At most 34 nodes per pair for random trees of 1-200 leaves:
         three walks, two leaf reads with their dropout masks, and fixed
         attention, classifier and loss ops."""
         vocab, table, params = toy_model(2, 2, 3, 3)
@@ -327,6 +334,21 @@ class TestTapeSize:
                  for p in pairs]
         assert np.mean(nodes) < 100
 
+    def test_a_batch_tape_does_not_grow_with_the_batch(self):
+        """``run_batch`` plus ``batch_loss`` records as many nodes for 32
+        random pairs as for 7 or for one, with dual attention and dropout:
+        no op is recorded per pair."""
+        vocab, table, params = toy_model(3, 3, 4, 6)
+        pairs, golds = random_pairs(np.random.default_rng(6), 32)
+        counts = []
+        for b in (1, 7, 32):
+            g = Graph()
+            run = run_batch(g, pairs[:b], vocab, table, params, use_dual=True,
+                            dropout_rate=0.2, rng=np.random.default_rng(b))
+            batch_loss(g, run.distributions, golds[:b])
+            counts.append(len(g.nodes))
+        assert counts == [counts[0]] * 3
+
 
 class TestPerNodeCallForms:
     def test_lists_of_node_vectors_give_the_matrix_forms_bits(self):
@@ -345,8 +367,10 @@ class TestPerNodeCallForms:
         contexts = attended_context(g, final, p_list)
         relations = compose_relations(g, hyp, h_list, contexts, params.relation)
         dist = classify(g, relations[hyp.root].h, params.classifier)
-        run = run_forward(Graph(), prem, hyp, vocab, table, params)
-        np.testing.assert_array_equal(scores.value, run.forward_attention.parents[0].value)
+        tape = Graph()
+        run = run_forward(tape, prem, hyp, vocab, table, params)
+        np.testing.assert_array_equal(scores.value, attention_scores(tape).value)
+        np.testing.assert_array_equal(final.value, run.forward_attention)
         np.testing.assert_array_equal(relations.h.value, run.relation_states.value)
         np.testing.assert_array_equal(dist.value, run.distribution.value)
 
@@ -408,10 +432,10 @@ class TestBatchTape:
             at = _forests(pairs)[1][0][0]  # the hypotheses' forest offsets
             for j, ((fwd, rev, final), (pf, pr, pfin, prel)) in enumerate(
                     zip(run.attention, views)):
-                assert fwd.value.tobytes() == pf.tobytes()
-                assert final.value.tobytes() == pfin.tobytes()
+                assert fwd.tobytes() == pf.tobytes()
+                assert final.tobytes() == pfin.tobytes()
                 if use_dual:
-                    assert rev.value.tobytes() == pr.tobytes()
+                    assert rev.tobytes() == pr.tobytes()
                 relations = run.relation_states.value[:, at[j]:at[j + 1]].T
                 np.testing.assert_array_equal(relations, prel)
             loss, losses = batch_loss(g, run.distributions, golds)
@@ -461,12 +485,12 @@ def assert_matches_tape(prem, hyp, vocab, table, params, use_dual, dtype):
     if reverse is None:
         # Without dual the tape records no reverse view; take the column
         # softmax of the scores its forward attention normalized.
-        reverse = reverse_attention(g, run.forward_attention.parents[0])
+        reverse = reverse_attention(g, attention_scores(g)).value
     relations = run.relation_states.value.T
     for got, want in ((out.distribution, run.distribution.value[:, 0]),
-                      (out.forward_attention, run.forward_attention.value),
-                      (out.reverse_attention, reverse.value),
-                      (out.final_attention, run.final_attention.value),
+                      (out.forward_attention, run.forward_attention),
+                      (out.reverse_attention, reverse),
+                      (out.final_attention, run.final_attention),
                       (out.relations, relations)):
         assert got.dtype == dtype
         np.testing.assert_array_equal(got, want)
