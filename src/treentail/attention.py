@@ -9,9 +9,15 @@ alignment multiplies the two views elementwise and renormalizes each
 row, which suppresses premise nodes the reverse view does not support;
 ``row_normalize`` adds :data:`RENORM_FLOOR` to every entry before it
 divides.  The scorer and the contexts read each tree's ``(k, n)`` h
-matrix node (:func:`~treentail.composer.walk_tree`), and the attended
-contexts form one ``(k, |hyp|)`` matrix node, a column per hypothesis
-node.
+matrix (:func:`~treentail.composer.walk_tree`), and the attended
+contexts form one ``(k, |hyp|)`` matrix, a column per hypothesis node.
+
+The per-pair functions below build one pair's attention from tape ops.
+Training and inference run a whole batch instead: the pairs' nodes lie
+side by side in two forest matrices, and :func:`batch_attention` groups
+the pairs by their node counts and computes each group as one stacked
+block, without a tape.  :func:`attend` records that as one tape op,
+whose backward hands each parent one gradient for the batch.
 """
 
 from __future__ import annotations
@@ -115,32 +121,58 @@ def row_softmax(m):
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def _softmax_vjp(y, g):
+    """The tape's ``softmax`` backward rule along the last axis."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def _shape_groups(offsets):
     """A batch's pairs grouped by their exact ``(|hyp|, |prem|)`` node
-    counts, in order of first appearance: for each group the pairs'
-    indices and the ``(G, H)`` hypothesis and ``(G, P)`` premise forest
-    ids of their nodes, a row per pair."""
-    hyp_at, prem_at = np.asarray(offsets[0]), np.asarray(offsets[1])
+    counts, in order of first appearance, with both forests' node ids in
+    group order: pair after pair, group after group.  Returns the groups,
+    each ``(pairs, H, P, hyp_run, prem_run)`` where the runs are the
+    slices of those ids that hold the group's nodes, then the hypothesis
+    and the premise ids."""
+    hyp_at, prem_at = offsets
     by_shape = {}
-    for j, shape in enumerate(zip(np.diff(hyp_at).tolist(), np.diff(prem_at).tolist())):
+    for j in range(len(hyp_at) - 1):
+        shape = (hyp_at[j + 1] - hyp_at[j], prem_at[j + 1] - prem_at[j])
         by_shape.setdefault(shape, []).append(j)
-    groups = []
+    groups, hs, ps = [], 0, 0
     for (h, p), pairs in by_shape.items():
-        pairs = np.array(pairs)
-        groups.append((pairs, hyp_at[pairs, None] + np.arange(h),
-                       prem_at[pairs, None] + np.arange(p)))
-    return groups
+        he, pe = hs + len(pairs) * h, ps + len(pairs) * p
+        groups.append((pairs, h, p, slice(hs, he), slice(ps, pe)))
+        hs, ps = he, pe
+    order = [j for pairs in by_shape.values() for j in pairs]
+    return groups, _node_ids(hyp_at, order), _node_ids(prem_at, order)
 
 
-def _column_blocks(a, ids):
-    """The ``(..., G, rows, n)`` blocks of columns ``ids`` (``(G, n)``,
-    consecutive in each row) of ``a``: a copy, or for a group of one a
-    view of ``a`` itself.  BLAS picks a vector kernel by the vector's
-    stride, so a lone pair's blocks keep the strides of ``a`` and round
-    as products on ``a``'s column block do."""
-    if len(ids) == 1:
-        return a[..., None, :, ids[0, 0]:ids[0, -1] + 1]
-    return np.moveaxis(a.take(ids, axis=-1), -2, -3)
+def _node_ids(at, order):
+    """The node ids of a forest's pairs, pairs in ``order``, where pair
+    ``j`` holds nodes ``at[j]:at[j + 1]``."""
+    at = np.asarray(at)
+    starts, sizes = at[order], np.diff(at)[order]
+    ends = np.cumsum(sizes)
+    return np.repeat(starts - ends + sizes, sizes) + np.arange(ends[-1])
+
+
+def _blocks(a, run, n):
+    """The columns ``run`` of ``a``, ``n`` per pair, as a view of
+    ``(..., G, rows, n)`` blocks, one per pair; for one pair the
+    ``(..., rows, n)`` block itself, whose ops cost what a lone pair's
+    do."""
+    block = a[..., run]
+    if run.stop - run.start == n:
+        return block
+    return block.reshape(block.shape[:-1] + (-1, n)).swapaxes(-2, -3)
+
+
+def _ungroup(a, ids):
+    """``a``, whose columns are the forest's nodes ``ids`` in group
+    order, with its columns back in forest order."""
+    out = np.empty_like(a)
+    out[..., ids] = a
+    return out
 
 
 def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, reverse=False,
@@ -160,28 +192,34 @@ def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, revers
     (the forward view), row softmax of the transposed scores (the
     reverse view), with ``use_dual`` their product renormalized by
     :data:`RENORM_FLOOR` as :func:`dual_attention` does, and the
-    contexts.  Each pair's entries are the per-pair functions' above bit
-    for bit.  Returns the ``(k, n_hyp)`` context matrix in hypothesis
-    forest order and each pair's ``(forward, reverse, final)``
-    alignments, views of the group's blocks; the reverse view is None
-    unless ``use_dual`` or ``reverse``, and without ``use_dual`` the
-    final view is the forward one.
+    contexts.  The operands' columns are taken once, in group order, so
+    a group's blocks are views.  Each pair's entries are the per-pair
+    functions' above bit for bit.  Returns the ``(k, n_hyp)`` context
+    matrix in hypothesis forest order and each pair's ``(forward,
+    reverse, final)`` alignments, views of the group's blocks; the
+    reverse view is None unless ``use_dual`` or ``reverse``, and without
+    ``use_dual`` the final view is the forward one.
 
     Any operand may carry a leading stack axis, one model per entry:
     only the last two axes are read, and the results gain the axis.
-    ``kept``, if given, receives each group's ``(pairs, hyp ids, prem
-    ids, forward, reverse, final, row sums)``, which the tape's backward
-    rule reads; the row sums are the dual product's, else None.
+    ``kept``, if given, receives the groups and node ids of
+    :func:`_shape_groups` and each group's ``(forward, reverse, final,
+    row sums)``, which the tape's backward rule reads; the row sums are
+    the dual product's, else None.
     """
-    b = bias[..., None, :, :]
+    groups, hyp_ids, prem_ids = _shape_groups(offsets)
+    hyp_terms = hyp_terms.take(hyp_ids, axis=-2).mT
+    prem_terms = prem_terms.take(prem_ids, axis=-1)
+    prem = prem.take(prem_ids, axis=-1)
     alignments = [None] * (len(offsets[0]) - 1)
-    context = None
-    for pairs, hix, pix in _shape_groups(offsets):
+    grouped = None  # the contexts, in group order
+    views = []
+    for pairs, h, p, hyp_run, prem_run in groups:
+        lone = len(pairs) == 1
         # C order, as the per-pair sum lays it out: the row sums below
-        # then add each row's entries in the same order.  (Indexing a
-        # stacked operand would put the stack axis innermost.)
-        scores = np.add(hyp_terms[..., hix, :] + prem_terms[..., 0, pix][..., None, :], b,
-                        order="C")
+        # then add each row's entries in the same order.
+        scores = np.add(_blocks(hyp_terms, hyp_run, h).mT + _blocks(prem_terms, prem_run, p),
+                        bias if lone else bias[..., None, :, :], order="C")
         forward = final = row_softmax(scores)
         backward = row_softmax(scores.mT) if use_dual or reverse else None
         sums = None
@@ -190,18 +228,19 @@ def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, revers
             final += RENORM_FLOOR
             sums = final.sum(axis=-1, keepdims=True)
             final /= sums
-        contexts = _column_blocks(prem, pix) @ final.mT  # (G, k, H)
-        if context is None:
-            context = np.empty(contexts.shape[:-3] + (prem.shape[-2], hyp_terms.shape[-2]),
-                               contexts.dtype)
-        context[..., hix] = np.moveaxis(contexts, -3, -2)
-        for i, j in enumerate(pairs.tolist()):
-            view = forward[..., i, :, :]
-            alignments[j] = (view, None if backward is None else backward[..., i, :, :],
-                             view if final is forward else final[..., i, :, :])
-        if kept is not None:
-            kept.append((pairs, hix, pix, forward, backward, final, sums))
-    return context, alignments
+        contexts = _blocks(prem, prem_run, p) @ final.mT  # (G, k, H)
+        if grouped is None:
+            grouped = np.empty(contexts.shape[:contexts.ndim - 3 + lone]
+                               + (prem.shape[-2], len(hyp_ids)), contexts.dtype)
+        _blocks(grouped, hyp_run, h)[...] = contexts
+        for i, j in enumerate(pairs):
+            fwd, rev, fin = (a if lone or a is None else a[..., i, :, :]
+                             for a in (forward, backward, final))
+            alignments[j] = (fwd, rev, fwd if final is forward else fin)
+        views.append((forward, backward, final, sums))
+    if kept is not None:
+        kept.extend((groups, hyp_ids, prem_ids, views))
+    return _ungroup(grouped, hyp_ids), alignments
 
 
 def attend(graph, hyp_terms, prem_terms, bias, prem, offsets, use_dual):
@@ -211,8 +250,9 @@ def attend(graph, hyp_terms, prem_terms, bias, prem, offsets, use_dual):
     node and each pair's ``(forward, reverse, final)`` alignment arrays
     (reverse None without ``use_dual``).
 
-    The op keeps each group's alignments (and the dual product's row
-    sums) for its backward and nothing else.  The backward goes group by
+    The op keeps the groups, their node ids and each group's alignments
+    (and the dual product's row sums) for its backward, and nothing
+    else.  The backward goes group by
     group and hands each parent one gradient for the whole batch, with
     the arithmetic, layouts and order of the per-pair ops' backward
     rules (``outer_sum``, ``softmax``, ``hadamard``, ``row_normalize``,
@@ -222,29 +262,34 @@ def attend(graph, hyp_terms, prem_terms, bias, prem, offsets, use_dual):
     kept = []
     value, alignments = batch_attention(hyp_terms.value, prem_terms.value, bias.value,
                                         prem.value, offsets, use_dual, kept=kept)
-    pv, hyp_shape, prem_shape = prem.value, hyp_terms.shape, prem_terms.shape
+    groups, hyp_ids, prem_ids, views = kept
+    pv = prem.value
 
     def vjp(g):
-        g_hyp = np.empty(hyp_shape, g.dtype)
-        g_terms = np.empty(prem_shape, g.dtype)
+        g_sorted = g.take(hyp_ids, axis=-1)
+        pv_sorted = pv.take(prem_ids, axis=-1)
+        # every array below holds its columns in group order
+        g_hyp = np.empty((1, len(hyp_ids)), g.dtype)
+        g_terms = np.empty((1, len(prem_ids)), g.dtype)
         g_prem = np.empty(pv.shape, g.dtype)
         g_bias = np.empty(len(alignments), g.dtype)
-        for pairs, hix, pix, forward, backward, final, sums in kept:
-            g_ctx = _column_blocks(g, hix)  # (G, k, H)
-            g_prem[:, pix] = np.moveaxis(g_ctx @ final, 0, 1)
-            g_final = (_column_blocks(pv, pix).mT @ g_ctx).mT
+        for group, (forward, backward, final, sums) in zip(groups, views):
+            pairs, h, p, hyp_run, prem_run = group
+            g_ctx = _blocks(g_sorted, hyp_run, h)  # (G, k, H)
+            _blocks(g_prem, prem_run, p)[...] = g_ctx @ final
+            g_final = (_blocks(pv_sorted, prem_run, p).mT @ g_ctx).mT
             if use_dual:
                 g_raw = (g_final - (g_final * final).sum(axis=-1, keepdims=True)) / sums
-                g_fwd = g_raw * backward.mT
-                g_rev = (g_raw * forward).mT
-                g_scores = (backward * (g_rev - (g_rev * backward).sum(axis=-1, keepdims=True))).mT
-                g_scores = g_scores + forward * (g_fwd - (g_fwd * forward).sum(axis=-1, keepdims=True))
+                # the reverse view's part arrives first, as on a per-pair tape
+                g_scores = (_softmax_vjp(backward, (g_raw * forward).mT).mT
+                            + _softmax_vjp(forward, g_raw * backward.mT))
             else:
-                g_scores = forward * (g_final - (g_final * forward).sum(axis=-1, keepdims=True))
-            g_hyp[hix, 0] = g_scores.sum(axis=-1)
-            g_terms[0, pix] = g_scores.sum(axis=-2)
+                g_scores = _softmax_vjp(forward, g_final)
+            _blocks(g_hyp, hyp_run, h)[...] = g_scores.sum(axis=-1, keepdims=True).mT
+            _blocks(g_terms, prem_run, p)[...] = g_scores.sum(axis=-2, keepdims=True)
             g_bias[pairs] = g_scores.sum(axis=(-2, -1))
-        return g_hyp, g_terms, np.cumsum(g_bias[::-1])[-1:].reshape(1, 1), g_prem
+        return (_ungroup(g_hyp, hyp_ids).T, _ungroup(g_terms, prem_ids),
+                np.cumsum(g_bias[::-1])[-1:].reshape(1, 1), _ungroup(g_prem, prem_ids))
 
     return graph.record(value, (hyp_terms, prem_terms, bias, prem), vjp, "attention"), alignments
 

@@ -14,8 +14,10 @@ and the gradient audits (:func:`run_forward`, its batch of one).  All
 inference runs the same operations tape-free, on a list of pairs at
 once (:func:`plain_distributions`).  Both paths walk the pairs'
 premises as one forest and their hypotheses as another, so each tree
-height is one cell call over every pair, and both group and lay out
-every operand alike: on the same pairs they agree bit for bit.
+height is one cell call over every pair; both compute every pair's
+attention with one :func:`~treentail.attention.batch_attention` call, a
+block per group of same-shape pairs; and both group and lay out every
+operand alike: on the same pairs they agree bit for bit.
 :func:`predict` is the tape-free forward on a batch of one; in extended
 precision it is the audits' oracle, which evaluates a chunk of perturbed
 copies of one parameter as one forward over a stack of models.
