@@ -132,7 +132,7 @@ def _shape_groups(offsets):
     group order: pair after pair, group after group.  Returns the groups,
     each ``(pairs, H, P, hyp_run, prem_run)`` where the runs are the
     slices of those ids that hold the group's nodes, then the hypothesis
-    and the premise ids."""
+    and the premise ids, both None where group order is forest order."""
     hyp_at, prem_at = offsets
     by_shape = {}
     for j in range(len(hyp_at) - 1):
@@ -144,6 +144,8 @@ def _shape_groups(offsets):
         groups.append((pairs, h, p, slice(hs, he), slice(ps, pe)))
         hs, ps = he, pe
     order = [j for pairs in by_shape.values() for j in pairs]
+    if order == sorted(order):
+        return groups, None, None
     return groups, _node_ids(hyp_at, order), _node_ids(prem_at, order)
 
 
@@ -167,9 +169,17 @@ def _blocks(a, run, n):
     return block.reshape(block.shape[:-1] + (-1, n)).swapaxes(-2, -3)
 
 
+def _in_groups(a, ids, axis=-1):
+    """``a`` with its nodes along ``axis`` in group order: the forest's
+    nodes ``ids`` (:func:`_shape_groups`), or ``a`` itself for None."""
+    return a if ids is None else a.take(ids, axis=axis)
+
+
 def _ungroup(a, ids):
     """``a``, whose columns are the forest's nodes ``ids`` in group
     order, with its columns back in forest order."""
+    if ids is None:
+        return a
     out = np.empty_like(a)
     out[..., ids] = a
     return out
@@ -208,9 +218,9 @@ def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, revers
     the dual product's, else None.
     """
     groups, hyp_ids, prem_ids = _shape_groups(offsets)
-    hyp_terms = hyp_terms.take(hyp_ids, axis=-2).mT
-    prem_terms = prem_terms.take(prem_ids, axis=-1)
-    prem = prem.take(prem_ids, axis=-1)
+    hyp_terms = _in_groups(hyp_terms, hyp_ids, axis=-2).mT
+    prem_terms = _in_groups(prem_terms, prem_ids)
+    prem = _in_groups(prem, prem_ids)
     alignments = [None] * (len(offsets[0]) - 1)
     grouped = None  # the contexts, in group order
     views = []
@@ -231,7 +241,7 @@ def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, revers
         contexts = _blocks(prem, prem_run, p) @ final.mT  # (G, k, H)
         if grouped is None:
             grouped = np.empty(contexts.shape[:contexts.ndim - 3 + lone]
-                               + (prem.shape[-2], len(hyp_ids)), contexts.dtype)
+                               + (prem.shape[-2], hyp_terms.shape[-1]), contexts.dtype)
         _blocks(grouped, hyp_run, h)[...] = contexts
         for i, j in enumerate(pairs):
             fwd, rev, fin = (a if lone or a is None else a[..., i, :, :]
@@ -266,11 +276,10 @@ def attend(graph, hyp_terms, prem_terms, bias, prem, offsets, use_dual):
     pv = prem.value
 
     def vjp(g):
-        g_sorted = g.take(hyp_ids, axis=-1)
-        pv_sorted = pv.take(prem_ids, axis=-1)
         # every array below holds its columns in group order
-        g_hyp = np.empty((1, len(hyp_ids)), g.dtype)
-        g_terms = np.empty((1, len(prem_ids)), g.dtype)
+        g_sorted, pv_sorted = _in_groups(g, hyp_ids), _in_groups(pv, prem_ids)
+        g_hyp = np.empty((1, g.shape[1]), g.dtype)
+        g_terms = np.empty((1, pv.shape[1]), g.dtype)
         g_prem = np.empty(pv.shape, g.dtype)
         g_bias = np.empty(len(alignments), g.dtype)
         for group, (forward, backward, final, sums) in zip(groups, views):
