@@ -195,15 +195,17 @@ def batch_attention(hyp_terms, prem_terms, bias, prem, offsets, use_dual, revers
     bias, ``prem`` the premises' ``(k, n_prem)`` h matrix, and
     ``offsets`` the two forests' node offsets, hypotheses first: pair
     ``j``'s nodes are ``offsets[0][j]:offsets[0][j + 1]`` of the one and
-    ``offsets[1][j]:offsets[1][j + 1]`` of the other.
+    ``offsets[1][j]:offsets[1][j + 1]`` of the other, each list running
+    from 0 to its forest's node count.
 
     Pairs with the same node counts are one group, computed as one
     stacked ``(G, H, P)`` block, without padding: scores, row softmax
     (the forward view), row softmax of the transposed scores (the
     reverse view), with ``use_dual`` their product renormalized by
     :data:`RENORM_FLOOR` as :func:`dual_attention` does, and the
-    contexts.  The operands' columns are taken once, in group order, so
-    a group's blocks are views.  Each pair's entries are the per-pair
+    contexts.  The operands' columns are taken once, in group order
+    (unless the groups keep forest order), so a group's blocks are
+    views.  Each pair's entries are the per-pair
     functions' above bit for bit.  Returns the ``(k, n_hyp)`` context
     matrix in hypothesis forest order and each pair's ``(forward,
     reverse, final)`` alignments, views of the group's blocks; the
